@@ -14,6 +14,13 @@ from .coeff import CoeffField, Scalar
 from .tower import Tower, TowerElem
 
 
+def trivial_on_center(p: int, exp: int) -> bool:
+    """Whether the exponent-exp character is 1 at -1: always for p = 2,
+    where the center is trivial; for odd p exactly when exp is even, as
+    -1 is the generator to the power (q^{imax!} - 1) / 2."""
+    return p == 2 or exp % 2 == 0
+
+
 class TorusCharacter:
     def __init__(self, tower: Tower, field: CoeffField, exp: int):
         self.tower = tower
@@ -28,19 +35,13 @@ class TorusCharacter:
             raise ZeroDivisionError("characters are defined on nonzero elements")
         v = self._cache.get(t.val)
         if v is None:
-            e = self.tower.dlog_ambient(t)
+            e = self.tower.dlog(t)
             v = self.field.root_of_unity(self.order_mod, self.exp * e)
             self._cache[t.val] = v
         return v
 
-    def eval_inv(self, t: TowerElem) -> Scalar:
-        return self.eval(t.inverse())
-
     def weyl_twist(self) -> "TorusCharacter":
         """Conjugation by the Weyl element inverts torus values: e -> -e."""
-        return TorusCharacter(self.tower, self.field, -self.exp)
-
-    def inverse(self) -> "TorusCharacter":
         return TorusCharacter(self.tower, self.field, -self.exp)
 
     def __mul__(self, other: "TorusCharacter") -> "TorusCharacter":
@@ -54,11 +55,8 @@ class TorusCharacter:
         return self.exp == 0
 
     def is_trivial_on_center(self) -> bool:
-        """Value at -1 is 1.  Even exponents qualify for q odd; everything
-        does for q even, where the center is trivial."""
-        if self.tower.p == 2:
-            return True
-        return (self.exp * (self.order_mod // 2)) % self.order_mod == 0
+        """Value at -1 is 1."""
+        return trivial_on_center(self.tower.p, self.exp)
 
     def restriction_exp(self, i: int) -> int:
         """Exponent of the restriction to level i against generator(i)."""

@@ -5,16 +5,21 @@
 summary grid of extension statements between the simple objects at the
 configured characters, each row tied to the check id that backs it.
 
-Exit codes: 0 all PASS/SKIPPED, 1 some FAIL, 2 usage or config error.
+Exit codes: 0 all PASS/SKIPPED, 1 some FAIL, 2 usage or config error,
+3 internal error (the traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import traceback
 
 from . import polyutil
+from .charmod import trivial_on_center
+from .coeff import parse_coeff_spec
 from .verify import Context, REGISTRY_IDS, RunConfig, run_all, summarize
 
 SCHEMA_VERSION = "1"
@@ -25,13 +30,14 @@ def _config_from_args(args) -> RunConfig:
         raise SystemExit(_usage_error("q must be a prime power"))
     if args.imax < 2:
         raise SystemExit(_usage_error("imax must be >= 2"))
-    if args.coeff.startswith("fp:"):
-        parts = args.coeff.split(":")
-        p = polyutil.prime_power(args.q)[0]
-        if not polyutil.is_prime(int(parts[1])):
-            raise SystemExit(_usage_error("fp characteristic must be prime"))
-        if int(parts[1]) == p:
-            raise SystemExit(_usage_error("fp characteristic must differ from the defining one"))
+    try:
+        kind, coeff_args = parse_coeff_spec(args.coeff)
+    except ValueError as e:
+        raise SystemExit(_usage_error(str(e)))
+    if kind == "fp" and coeff_args and coeff_args[0] == polyutil.prime_power(args.q)[0]:
+        raise SystemExit(_usage_error("fp characteristic must differ from the defining one"))
+    if args.budget < 1:
+        raise SystemExit(_usage_error("budget must be >= 1"))
     return RunConfig(
         q=args.q,
         imax=args.imax,
@@ -102,15 +108,6 @@ def cmd_verify(args) -> int:
     return 0 if doc["summary"]["fail"] == 0 else 1
 
 
-def _center_match(q: int, imax: int, e1: int, e2: int) -> bool:
-    import math
-
-    if q % 2 == 0:
-        return True
-    n = q ** math.factorial(imax) - 1
-    return (e1 + e2) % 2 == 0 if n % 2 == 0 else True
-
-
 def build_table(config: RunConfig) -> list:
     """The pairwise extension grid at the configured characters.
 
@@ -121,9 +118,8 @@ def build_table(config: RunConfig) -> list:
     """
     q, imax = config.q, config.imax
     te, le, me = config.theta_exp, config.lambda_exp, config.mu_exp
-    theta_central = _center_match(q, imax, te, 0) if q % 2 else True
-    import math
-
+    p = polyutil.prime_power(q)[0]
+    theta_central = trivial_on_center(p, te)
     n = q ** math.factorial(imax) - 1
     theta_trivial = te % n == 0
     rows = []
@@ -150,7 +146,7 @@ def build_table(config: RunConfig) -> list:
         row(["tr", "M(theta)"], "0", "theta differs from tr on the center")
         row(["St", "M(theta)"], "0", "theta differs from tr on the center")
         row(["M(theta)", "St"], "0", "theta differs from tr on the center")
-    if _center_match(q, imax, le, me):
+    if trivial_on_center(p, le + me):
         row(["M(lambda)", "M(mu)"], "nonzero", "the characters agree on the center", "L4.6-noFU")
     else:
         row(["M(lambda)", "M(mu)"], "0", "the characters differ on the center")
@@ -200,7 +196,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception:  # a crash must not read as "a check FAILed"
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

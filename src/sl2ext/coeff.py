@@ -407,7 +407,7 @@ class PrimeField(CoeffField):
             primes = polyutil.factorize(n)
             one = self._from_rational(Fraction(1))
             for rep in self._elements():
-                if rep == self._from_rational(Fraction(0)) or rep == one:
+                if rep == self._from_rational(Fraction(0)):
                     continue
                 ok = True
                 for r in primes:
@@ -478,23 +478,33 @@ def choose_prime_for_order(n: int, floor: int = 5) -> int:
     return ell
 
 
+def parse_coeff_spec(spec: str) -> tuple:
+    """Split a mode string "rat", "cyclo[:N]" or "fp[:L[:M]]" into the
+    kind and its integer arguments; ValueError says what is wrong."""
+    kind, *rest = spec.split(":")
+    arity = {"rat": 0, "cyclo": 1, "fp": 2}.get(kind)
+    if arity is None or len(rest) > arity:
+        raise ValueError(f"unknown coefficient mode {spec!r}; expected rat, cyclo[:N] or fp[:L[:M]]")
+    try:
+        args = tuple(int(x) for x in rest)
+    except ValueError:
+        raise ValueError(f"coefficient mode {spec!r} takes integer arguments") from None
+    if any(a < 1 for a in args):
+        raise ValueError(f"coefficient mode {spec!r} takes positive arguments")
+    if kind == "fp" and args and not polyutil.is_prime(args[0]):
+        raise ValueError("fp characteristic must be prime")
+    return kind, args
+
+
 def field_from_spec(spec: str, order: int = 1) -> CoeffField:
     """Build a field from a CLI-style mode string.
 
     "rat"; "cyclo" (order taken from the caller); "cyclo:N"; "fp" (prime
     searched with l = 1 mod order); "fp:L" or "fp:L:M".
     """
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, args = parse_coeff_spec(spec)
     if kind == "rat":
         return RationalField()
     if kind == "cyclo":
-        n = int(parts[1]) if len(parts) > 1 else order
-        return CyclotomicField(max(n, 1))
-    if kind == "fp":
-        if len(parts) > 1:
-            ell = int(parts[1])
-            m = int(parts[2]) if len(parts) > 2 else 1
-            return PrimeField(ell, m)
-        return PrimeField(choose_prime_for_order(max(order, 1)))
-    raise ValueError(f"unknown coefficient mode {spec!r}")
+        return CyclotomicField(*args or (max(order, 1),))
+    return PrimeField(*args) if args else PrimeField(choose_prime_for_order(max(order, 1)))

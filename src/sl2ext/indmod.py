@@ -229,7 +229,7 @@ class InducedModule:
 
     # -- subspaces -----------------------------------------------------------
 
-    def span_closure(self, vecs, max_dim: int | None = None) -> SparseSpan:
+    def span_closure(self, vecs) -> SparseSpan:
         """Close a set of vectors under the level's generators; echelon basis."""
         gens = grp.generators(self.tower, self.level)
         span = SparseSpan(self.field)
@@ -237,14 +237,13 @@ class InducedModule:
         for v in vecs:
             if span.insert(v.support):
                 queue.append(v)
-        cap = max_dim if max_dim is not None else self.dim
         while queue:
             v = queue.pop()
             for g in gens:
                 w = self.act(g, v)
                 if span.insert(w.support):
                     queue.append(w)
-                    if span.dim > cap:
+                    if span.dim > self.dim:
                         raise BudgetError("closure exceeded the dimension cap")
         return span
 

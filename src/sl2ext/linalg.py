@@ -87,9 +87,6 @@ class SparseSpan:
         self.rows[pivot] = row
         return True
 
-    def extend(self, vecs) -> int:
-        return sum(1 for v in vecs if self.insert(v))
-
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 

@@ -16,12 +16,6 @@ def trim(c: list) -> list:
     return c
 
 
-def add_mod(a: list, b: list, p: int) -> list:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return trim(out)
-
-
 def sub_mod(a: list, b: list, p: int) -> list:
     n = max(len(a), len(b))
     out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]

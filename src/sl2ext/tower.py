@@ -292,9 +292,6 @@ class Tower:
             raise ValueError(f"element is not in level {level}")
         return e // c
 
-    def dlog_ambient(self, x: TowerElem) -> int:
-        return self.dlog(x)
-
     # -- subfield membership ----------------------------------------------
 
     def in_subfield(self, x: TowerElem, d: int) -> bool:

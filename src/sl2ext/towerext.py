@@ -33,16 +33,19 @@ from .linalg import SparseSpan
 from .tower import Tower, TowerElem
 
 
+CENTER_MISMATCH = (
+    "center mismatch: the two characters differ at -1, the derived "
+    "character is not defined on the central quotient"
+)
+
+
 class CenterMismatchError(ValueError):
     pass
 
 
 def _require_center_match(lam: TorusCharacter, mu: TorusCharacter):
     if not nu_character(lam, mu).is_trivial_on_center():
-        raise CenterMismatchError(
-            "center mismatch: the two characters differ at -1, the derived "
-            "character is not defined on the central quotient"
-        )
+        raise CenterMismatchError(CENTER_MISMATCH)
 
 
 def _lift(v: Vec, target: InducedModule) -> Vec:
@@ -55,25 +58,37 @@ def _lift(v: Vec, target: InducedModule) -> Vec:
 # -- connecting vectors ------------------------------------------------------
 
 
+def shifted_cosets(tw: Tower, i: int, a: TowerElem):
+    """For each central-quotient representative t at level i, the pair
+    (t, labels of the unipotent coset a t^2 + level i)."""
+    low = tw.enumerate_level(i)
+    for t in grp.center_quotient_reps(tw, i):
+        shift = (a * t * t).val
+        yield t, [tw._add(shift, u.val) for u in low]
+
+
+def borel_average(chi: TorusCharacter, i: int, mod_next: InducedModule,
+                  a: TowerElem) -> Vec:
+    """sum_t chi(t)^-1 (sum_u cell(a t^2 + u)) in mod_next, over the
+    shifted cosets of level i."""
+    out: dict = {}
+    for t, labels in shifted_cosets(mod_next.tower, i, a):
+        c = chi.eval(t.inverse())
+        for label in labels:
+            prev = out.get(label)
+            out[label] = c if prev is None else prev + c
+    return Vec(mod_next, out)
+
+
 def borel_weight_vector(lam: TorusCharacter, mu: TorusCharacter, i: int,
                         mod_next: InducedModule, a: TowerElem | None = None) -> Vec:
     """The weight-lam vector sum_t nu(t)^-1 (sum_{u} cell(a t^2 + u)) in
     M_{i+1}(mu); t runs over central-quotient representatives at level i,
     u over level i, and a is a fixed level-(i+1) element outside level i."""
     _require_center_match(lam, mu)
-    tw = mod_next.tower
     if a is None:
-        a = tw.first_outside_subfield(i)
-    nu = nu_character(lam, mu)
-    out: dict = {}
-    for t in grp.center_quotient_reps(tw, i):
-        c = nu.eval(t.inverse())
-        shift = (a * t * t).val
-        for u in tw.enumerate_level(i):
-            label = tw._add(shift, u.val)
-            prev = out.get(label)
-            out[label] = c if prev is None else prev + c
-    return Vec(mod_next, out)
+        a = mod_next.tower.first_outside_subfield(i)
+    return borel_average(nu_character(lam, mu), i, mod_next, a)
 
 
 def check_borel_weight(eta: Vec, lam: TorusCharacter, i: int) -> bool:
@@ -92,30 +107,26 @@ def check_borel_weight(eta: Vec, lam: TorusCharacter, i: int) -> bool:
     return True
 
 
-def group_average_vector(theta: TorusCharacter, i: int, mod_next: InducedModule,
-                         b: TowerElem | None = None, structured: bool = True) -> Vec:
-    """The group average of cell(b) over the level-i group (central
-    quotient), b a fixed level-(i+1) element with no quadratic relation
-    over level i.  Built through the Bruhat split: Borel part plus
-    unipotent-shifted reflection of it."""
+def _quadratic_free_element(theta: TorusCharacter, i: int, tw: Tower,
+                            b: TowerElem | None) -> TowerElem:
+    """b, by default the first level-(i+1) element with no quadratic
+    relation over level i; theta must be trivial on the center."""
     if not theta.is_trivial_on_center():
         raise CenterMismatchError("the character must be trivial on the center")
     if i < 2:
         raise ValueError("no quadratic-free element exists below level 2")
+    return tw.first_outside_double_subfield(i) if b is None else b
+
+
+def group_average_vector(theta: TorusCharacter, i: int, mod_next: InducedModule,
+                         b: TowerElem | None = None) -> Vec:
+    """The group average of cell(b) over the level-i group (central
+    quotient), b a fixed level-(i+1) element with no quadratic relation
+    over level i.  Built through the Bruhat split: Borel part plus
+    unipotent-shifted reflection of it."""
     tw = mod_next.tower
-    if b is None:
-        b = tw.first_outside_double_subfield(i)
-    if not structured:
-        return naive_group_average(theta, i, mod_next, b)
-    borel_part: dict = {}
-    for t in grp.center_quotient_reps(tw, i):
-        c = theta.eval(t.inverse())
-        shift = (b * t * t).val
-        for u in tw.enumerate_level(i):
-            label = tw._add(shift, u.val)
-            prev = borel_part.get(label)
-            borel_part[label] = c if prev is None else prev + c
-    first = Vec(mod_next, borel_part)
+    b = _quadratic_free_element(theta, i, tw, b)
+    first = borel_average(theta, i, mod_next, b)
     reflected = mod_next.act(weyl(tw), first)
     out = first
     for x in tw.enumerate_level(i):
@@ -139,19 +150,12 @@ def steinberg_weight_vector(theta: TorusCharacter, i: int, mod_next: InducedModu
     """(1 - s) applied to the Borel average of cell(b): the expansion has
     one positive term cell(b t^2 + u) and one negative term at the
     reflected label, all 2 * |T/±| * q^{i!} labels pairwise distinct."""
-    if not theta.is_trivial_on_center():
-        raise CenterMismatchError("the character must be trivial on the center")
-    if i < 2:
-        raise ValueError("no quadratic-free element exists below level 2")
     tw = mod_next.tower
-    if b is None:
-        b = tw.first_outside_double_subfield(i)
+    b = _quadratic_free_element(theta, i, tw, b)
     out: dict = {}
-    for t in grp.center_quotient_reps(tw, i):
+    for t, labels in shifted_cosets(tw, i, b):
         cpos = theta.eval(t.inverse())
-        shift = (b * t * t).val
-        for u in tw.enumerate_level(i):
-            label = tw._add(shift, u.val)
+        for label in labels:
             out[label] = out.get(label, mod_next.field.zero) + cpos
             c_elem = tw.element(label)
             cneg = cpos * theta.eval(c_elem)
@@ -168,20 +172,16 @@ def expansion_support(theta: TorusCharacter, i: int, mod_next: InducedModule,
     tw = mod_next.tower
     labels = []
     degenerate = 0
-    for t in grp.center_quotient_reps(tw, i):
-        shift = (b * t * t).val
-        for u in tw.enumerate_level(i):
-            label = tw._add(shift, u.val)
-            labels.append(("pos", label))
+    for _, coset in shifted_cosets(tw, i, b):
+        for label in coset:
+            labels.append(label)
             if label == 0:
                 degenerate += 1
                 continue
-            c_elem = tw.element(label)
-            labels.append(("neg", (-c_elem.inverse()).val))
-    flat = [l for _, l in labels]
-    collisions = len(flat) - len(set(flat))
+            labels.append((-tw.element(label).inverse()).val)
+    collisions = len(labels) - len(set(labels))
     return {
-        "terms": len(flat),
+        "terms": len(labels),
         "degenerate": degenerate,
         "collisions": collisions,
         "distinct": degenerate == 0 and collisions == 0,
@@ -236,26 +236,23 @@ class DirectSystem:
         self.tower = tower
         self.field = field
         self.i = i
+        if tag == "F" and (lam is None or mu is None):
+            raise ValueError("system F needs the pair of characters")
+        if tag != "F" and theta is None:
+            raise ValueError(f"system {tag} needs a character")
+        self.lam, self.mu, self.theta = lam, mu, theta
+        bottom = mu if tag == "F" else theta
+        self.mod_i = InducedModule(tower, bottom, i)
+        self.mod_next = InducedModule(tower, bottom, i + 1)
         if tag == "F":
-            if lam is None or mu is None:
-                raise ValueError("system F needs the pair of characters")
-            self.lam, self.mu = lam, mu
-            self.mod_i = InducedModule(tower, mu, i)
-            self.mod_next = InducedModule(tower, mu, i + 1)
             self.conn = borel_weight_vector(lam, mu, i, self.mod_next)
+        elif tag == "H":
+            self.conn = group_average_vector(theta, i, self.mod_next)
         else:
-            if theta is None:
-                raise ValueError(f"system {tag} needs a character")
-            self.theta = theta
-            self.mod_i = InducedModule(tower, theta, i)
-            self.mod_next = InducedModule(tower, theta, i + 1)
-            if tag == "H":
-                self.conn = group_average_vector(theta, i, self.mod_next)
-            else:
-                trivial = TorusCharacter(tower, field, 0)
-                self.st_i = InducedModule(tower, trivial, i)
-                self.st_next = InducedModule(tower, trivial, i + 1)
-                self.conn = steinberg_weight_vector(theta, i, self.mod_next)
+            trivial = TorusCharacter(tower, field, 0)
+            self.st_i = InducedModule(tower, trivial, i)
+            self.st_next = InducedModule(tower, trivial, i + 1)
+            self.conn = steinberg_weight_vector(theta, i, self.mod_next)
 
     # spanning sets of the level-i object
 
@@ -349,7 +346,9 @@ def steinberg_coordinates(v: Vec) -> dict:
 # -- escape certificates -----------------------------------------------------
 
 
-def _counting_payload(tag: str, q: int, i: int) -> dict:
+def counting_inequality(tag: str, q: int, i: int) -> dict:
+    """The exact counting inequality lhs < rhs behind system tag's escape
+    argument at level i (clm-4, ineq-36 and ineq-37 for F, H and L)."""
     fi = math.factorial(i)
     fi1 = math.factorial(i + 1)
     if tag == "F":
@@ -389,36 +388,19 @@ def nonsplit_certificate(tag: str, tower: Tower, field: CoeffField, i: int,
     the instance is degenerate rather than wrong, and is SKIPPED with a
     note; membership at non-tight parameters would be a genuine FAIL.
     """
-    if tag == "F":
-        _require_center_match(lam, mu)
-        bottom_char = mu
-    else:
-        bottom_char = theta
-    mod_i = InducedModule(tower, bottom_char, i)
-    mod_next = InducedModule(tower, bottom_char, i + 1)
-    if tag == "F":
-        conn = borel_weight_vector(lam, mu, i, mod_next)
-        inv = mod_next.invariant_subspace("U")
-    elif tag == "H":
-        conn = group_average_vector(theta, i, mod_next)
-        inv = mod_next.invariant_subspace("U")
-    else:
-        conn = steinberg_weight_vector(theta, i, mod_next)
-        inv = mod_next.invariant_subspace("T")
+    system = DirectSystem(tag, tower, field, i, lam=lam, mu=mu, theta=theta)
+    mod_next, conn = system.mod_next, system.conn
+    inv = mod_next.invariant_subspace("T" if tag == "L" else "U")
 
     total = SparseSpan(field)
-    for label in mod_i.labels():
+    for label in system.mod_i.labels():
         total.insert({label: field.one})
     d_lower = total.dim
     for row in inv.basis():
         total.insert(row)
     member = total.contains(conn.support)
 
-    chars = {}
-    if tag == "F":
-        chars = {"lambda": lam.exp, "mu": mu.exp}
-    else:
-        chars = {"theta": theta.exp}
+    chars = {"lambda": lam.exp, "mu": mu.exp} if tag == "F" else {"theta": theta.exp}
     cover = _coverage(tag, tower, i)
     payload = {
         "system": tag,
@@ -433,7 +415,7 @@ def nonsplit_certificate(tag: str, tower: Tower, field: CoeffField, i: int,
             "support": len(conn.support),
         },
         "member": member,
-        "inequality": _counting_payload(tag, tower.q, i),
+        "inequality": counting_inequality(tag, tower.q, i),
         "coverage": cover,
     }
     if not member:

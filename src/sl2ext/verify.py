@@ -15,12 +15,11 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from . import cohom, grp, polyutil, towerext
-from .charmod import TorusCharacter
-from .coeff import CyclotomicField, PrimeField, RationalField, field_from_spec
+from .charmod import TorusCharacter, trivial_on_center
+from .coeff import CyclotomicField, PrimeField, RationalField, choose_prime_for_order, field_from_spec
 from .indmod import InducedModule
 from .linalg import SparseSpan
 from .tower import BudgetError, Tower
-from .towerext import CenterMismatchError
 
 MODULE_DEGREE_CAP = 12  # ambient F_p-degree cap for explicit module work
 CYCLOTOMIC_ORDER_CAP = 2000  # cap for the auto-selected cyclotomic order
@@ -182,12 +181,64 @@ class Context:
         ]
 
 
-def _skip_no_tower(ctx, lemma_id, params):
-    return Report(lemma_id, params, "SKIPPED", reason=ctx.tower_error)
+# -- preconditions --------------------------------------------------------------
+# Each takes (ctx, params) and returns the reason the check must SKIP, or
+# None.  A registry entry lists its preconditions in the order run_lemma
+# tests them, before the check body runs.
 
 
-def _skip_blocked(ctx, lemma_id, params):
-    return Report(lemma_id, params, "SKIPPED", reason=ctx.blocked())
+def _tower(ctx: Context, params: dict) -> str | None:
+    return ctx.tower_error
+
+
+def _module(ctx: Context, params: dict) -> str | None:
+    return ctx.blocked()
+
+
+def _levels(lowest: int, reason: str):
+    """The rule lowest <= i < imax: level i+1 lies inside the tower."""
+
+    def rule(ctx: Context, params: dict) -> str | None:
+        return None if lowest <= params["i"] < ctx.imax else reason
+
+    return rule
+
+
+_next_level = _levels(1, "level budget: the construction needs level i+1 inside the tower")
+_quadratic_free_level = _levels(2, "level budget: needs 2 <= i < imax")
+_CONNECTING_LEVEL = "level budget: the connecting vector needs a feasible level"
+_LACKS_ORDER = "mode lacks the character order"
+
+
+def _theta_characters(ctx: Context, params: dict) -> str | None:
+    """theta fits the mode and is trivial on the center (systems H and L)."""
+    if not ctx.char_supported(ctx.config.theta_exp):
+        return _LACKS_ORDER
+    if not ctx.theta.is_trivial_on_center():
+        return "theta is nontrivial on the center"
+    return None
+
+
+def _pair_characters(ctx: Context, params: dict) -> str | None:
+    """lambda and mu fit the mode and agree on the center (system F)."""
+    el, em = ctx.config.lambda_exp, ctx.config.mu_exp
+    if not (ctx.char_supported(el) and ctx.char_supported(em)):
+        return _LACKS_ORDER
+    if not trivial_on_center(ctx.p, el + em):
+        return towerext.CENTER_MISMATCH
+    return None
+
+
+def _system_characters(ctx: Context, params: dict) -> str | None:
+    rule = _pair_characters if params["system"] == "F" else _theta_characters
+    return rule(ctx, params)
+
+
+def _ext_group(ctx: Context, params: dict) -> str | None:
+    if grp.subgroup_order("G", ctx.q, 1) > EXT_GROUP_CAP:
+        return (f"the cocycle oracle is budgeted for level-1 groups of order "
+                f"<= {EXT_GROUP_CAP}")
+    return None
 
 
 # -- individual checks --------------------------------------------------------
@@ -195,10 +246,7 @@ def _skip_blocked(ctx, lemma_id, params):
 
 def _chk_sus(ctx: Context, params: dict) -> Report:
     i = params["i"]
-    if ctx.tower is None:
-        return _skip_no_tower(ctx, "sus", params)
     tw = ctx.tower
-    cases = 0
     for a in tw.enumerate_level(i):
         if a.val == 0:
             continue
@@ -210,8 +258,6 @@ def _chk_sus(ctx: Context, params: dict) -> Report:
 
 def _chk_bruhat(ctx: Context, params: dict) -> Report:
     i = params["i"]
-    if ctx.tower is None:
-        return _skip_no_tower(ctx, "bruhat", params)
     tw = ctx.tower
     n = tw.level_size(i)
     small = big = 0
@@ -237,13 +283,8 @@ def _chk_bruhat(ctx: Context, params: dict) -> Report:
 
 def _chk_act_oracle(ctx: Context, params: dict) -> Report:
     i = params["i"]
-    if ctx.blocked():
-        return _skip_blocked(ctx, "act-oracle", params)
     tw = ctx.tower
     exps = [e for e in sorted({0, 1, 2, ctx.config.theta_exp}) if ctx.char_supported(e)]
-    if not exps:
-        return Report("act-oracle", params, "SKIPPED",
-                      reason="no sweep exponent is representable in this mode")
     gens = grp.generators(tw, i)
     elements = grp.enumerate_subgroup(tw, "G", i, budget=ctx.budget)
     checked = 0
@@ -275,8 +316,6 @@ def _chk_act_oracle(ctx: Context, params: dict) -> Report:
 
 def _chk_m_dims(ctx: Context, params: dict) -> Report:
     i = params["i"]
-    if ctx.blocked():
-        return _skip_blocked(ctx, "M-dims", params)
     tw = ctx.tower
     n = tw.level_size(i)
     theta = ctx.theta if ctx.char_supported(ctx.config.theta_exp) else ctx.char(0)
@@ -312,8 +351,6 @@ def _chk_m_dims(ctx: Context, params: dict) -> Report:
 
 def _chk_suw(ctx: Context, params: dict) -> Report:
     i = params["i"]
-    if ctx.blocked():
-        return _skip_blocked(ctx, "P2.1-suw", params)
     tw = ctx.tower
     cases = 0
     for e in sorted({0, 1, 2, ctx.config.theta_exp}):
@@ -338,8 +375,6 @@ def _chk_suw(ctx: Context, params: dict) -> Report:
 
 def _chk_normalize(ctx: Context, params: dict) -> Report:
     i = params["i"]
-    if ctx.blocked():
-        return _skip_blocked(ctx, "L3.3-normalize", params)
     tw = ctx.tower
     field = ctx.field
     rng = random.Random(3301 + i)
@@ -397,22 +432,12 @@ def _chk_normalize(ctx: Context, params: dict) -> Report:
 def _coset_distinct_count(tw: Tower, i: int, a) -> int:
     """Number of distinct unipotent cosets among the shifted elements
     a t^2 (t over central-quotient reps); coset key is the smallest
-    element of a + (level i)."""
-    low = [x.val for x in tw.enumerate_level(i)]
-    keys = set()
-    for t in grp.center_quotient_reps(tw, i):
-        shift = (a * t * t).val
-        keys.add(min(tw._add(shift, u) for u in low))
-    return len(keys)
+    label of a t^2 + (level i)."""
+    return len({min(labels) for _, labels in towerext.shifted_cosets(tw, i, a)})
 
 
 def _chk_l44(ctx: Context, params: dict) -> Report:
     i = params["i"]
-    if ctx.tower is None:
-        return _skip_no_tower(ctx, "L4.4-basis", params)
-    if i + 1 > ctx.imax:
-        return Report("L4.4-basis", params, "SKIPPED",
-                      reason="level budget: the construction needs level i+1 inside the tower")
     tw = ctx.tower
     reps = grp.center_quotient_reps(tw, i)
     a = tw.first_outside_subfield(i)
@@ -435,8 +460,6 @@ def _chk_l44(ctx: Context, params: dict) -> Report:
 
 def _chk_l44_neg(ctx: Context, params: dict) -> Report:
     i = params["i"]
-    if ctx.tower is None:
-        return _skip_no_tower(ctx, "L4.4-neg-control", params)
     tw = ctx.tower
     reps = grp.center_quotient_reps(tw, i)
     if len(reps) < 2:
@@ -455,11 +478,6 @@ def _chk_l44_neg(ctx: Context, params: dict) -> Report:
 
 def _chk_eta_weight(ctx: Context, params: dict) -> Report:
     i = params["i"]
-    if ctx.blocked():
-        return _skip_blocked(ctx, "eta-weight", params)
-    if i + 1 > ctx.imax:
-        return Report("eta-weight", params, "SKIPPED",
-                      reason="level budget: the construction needs level i+1 inside the tower")
     tw = ctx.tower
     pairs = [(0, 0)]
     if (ctx.config.lambda_exp, ctx.config.mu_exp) != (0, 0):
@@ -469,13 +487,11 @@ def _chk_eta_weight(ctx: Context, params: dict) -> Report:
         if not (ctx.char_supported(el) and ctx.char_supported(em)):
             results.append({"pair": [el, em], "status": "skipped: mode lacks the order"})
             continue
-        lam, mu = ctx.char(el), ctx.char(em)
-        try:
-            mod_next = InducedModule(tw, mu, i + 1)
-            eta = towerext.borel_weight_vector(lam, mu, i, mod_next)
-        except CenterMismatchError:
+        if not trivial_on_center(ctx.p, el + em):
             results.append({"pair": [el, em], "status": "rejected: center mismatch"})
             continue
+        lam, mu = ctx.char(el), ctx.char(em)
+        eta = towerext.borel_weight_vector(lam, mu, i, InducedModule(tw, mu, i + 1))
         ok = bool(eta) and towerext.check_borel_weight(eta, lam, i)
         results.append({"pair": [el, em], "status": "ok" if ok else "failed", "support": len(eta.support)})
         if not ok:
@@ -485,15 +501,13 @@ def _chk_eta_weight(ctx: Context, params: dict) -> Report:
 
 def _chk_eta_weight_neg(ctx: Context, params: dict) -> Report:
     i = params["i"]
-    if ctx.blocked():
-        return _skip_blocked(ctx, "eta-weight-neg-control", params)
     tw = ctx.tower
-    if tw.level_size(i) - 1 < 2:
+    n_i = tw.level_size(i) - 1
+    if n_i < 2:
         return Report(
             "eta-weight-neg-control", params, "SKIPPED",
             reason="every character agrees on a trivial level torus",
         )
-    n_i = tw.level_size(i) - 1
     wrong = next(
         (ctx.char(e) for e in range(1, tw.size - 1)
          if e % n_i and ctx.char_supported(e)),
@@ -512,11 +526,9 @@ def _chk_eta_weight_neg(ctx: Context, params: dict) -> Report:
 
 
 def _chk_clm(ctx: Context, params: dict) -> Report:
-    i, q = params["i"], ctx.q
-    fi, fi1 = math.factorial(i), math.factorial(i + 1)
-    lhs = (q ** fi - 1) * q ** fi
-    rhs = q ** fi1
-    payload = {"lhs": lhs, "rhs": rhs, "holds": lhs < rhs}
+    i = params["i"]
+    ineq = towerext.counting_inequality("F", ctx.q, i)
+    payload = {"lhs": ineq["lhs"], "rhs": ineq["rhs"], "holds": ineq["holds"]}
     if ctx.tower is not None and i < ctx.imax and ctx.tower.level_size(i + 1) <= ctx.budget:
         tw = ctx.tower
         a = tw.first_outside_subfield(i)
@@ -528,48 +540,30 @@ def _chk_clm(ctx: Context, params: dict) -> Report:
     return Report("clm-4", params, "PASS" if payload["holds"] else "FAIL", payload)
 
 
-def _chk_ineq36(ctx: Context, params: dict) -> Report:
-    i, q = params["i"], ctx.q
-    fi, fi1 = math.factorial(i), math.factorial(i + 1)
-    lhs = q ** fi * (q ** (2 * fi) - 1)
-    rhs = 2 * q ** fi1
-    payload = {"lhs_doubled": lhs, "rhs_doubled": rhs, "holds": lhs < rhs}
-    if i == 1:
+def _ineq_check(lemma_id: str, tag: str, ctx: Context, params: dict) -> Report:
+    """The counting inequality of system H or L, both sides doubled."""
+    ineq = towerext.counting_inequality(tag, ctx.q, params["i"])
+    payload = {"lhs_doubled": ineq["lhs"], "rhs_doubled": ineq["rhs"], "holds": ineq["holds"]}
+    if params["i"] == 1:
         return Report(
-            "ineq-36", params, "SKIPPED", payload,
+            lemma_id, params, "SKIPPED", payload,
             reason="below level 2 the quadratic-free element does not exist; "
                    "the inequality is reported, not asserted",
         )
-    return Report("ineq-36", params, "PASS" if payload["holds"] else "FAIL", payload)
+    return Report(lemma_id, params, "PASS" if payload["holds"] else "FAIL", payload)
 
 
-def _chk_ineq37(ctx: Context, params: dict) -> Report:
-    i, q = params["i"], ctx.q
-    fi, fi1 = math.factorial(i), math.factorial(i + 1)
-    lhs = 2 * q ** (2 * fi)
-    rhs = q ** fi1 - 1
-    payload = {"lhs_doubled": lhs, "rhs_doubled": rhs, "holds": lhs < rhs}
-    if i == 1:
-        return Report(
-            "ineq-37", params, "SKIPPED", payload,
-            reason="below level 2 the quadratic-free element does not exist; "
-                   "the inequality is reported, not asserted",
-        )
-    return Report("ineq-37", params, "PASS" if payload["holds"] else "FAIL", payload)
+def _chk_ineq36(ctx, params):
+    return _ineq_check("ineq-36", "H", ctx, params)
+
+
+def _chk_ineq37(ctx, params):
+    return _ineq_check("ineq-37", "L", ctx, params)
 
 
 def _chk_xi(ctx: Context, params: dict) -> Report:
     i = params["i"]
-    if ctx.blocked():
-        return _skip_blocked(ctx, "L5.3-xi", params)
-    if i < 2 or i + 1 > ctx.imax:
-        return Report("L5.3-xi", params, "SKIPPED",
-                      reason="level budget: needs 2 <= i < imax")
-    if not ctx.char_supported(ctx.config.theta_exp):
-        return Report("L5.3-xi", params, "SKIPPED", reason="mode lacks the character order")
     theta = ctx.theta
-    if not theta.is_trivial_on_center():
-        return Report("L5.3-xi", params, "SKIPPED", reason="theta is nontrivial on the center")
     tw = ctx.tower
     mod_next = InducedModule(tw, theta, i + 1)
     xi = towerext.group_average_vector(theta, i, mod_next)
@@ -597,7 +591,7 @@ def _chk_xi(ctx: Context, params: dict) -> Report:
 def _sample_group(tw: Tower, i: int, rng: random.Random, count: int) -> list:
     """Deterministic PGL-representative sample via random Bruhat data."""
     out = []
-    nonzero = [t for t in grp.center_quotient_reps(tw, i)]
+    nonzero = grp.center_quotient_reps(tw, i)
     level = tw.enumerate_level(i)
     for _ in range(count):
         x = rng.choice(level)
@@ -612,16 +606,7 @@ def _sample_group(tw: Tower, i: int, rng: random.Random, count: int) -> list:
 
 def _chk_zeta(ctx: Context, params: dict) -> Report:
     i = params["i"]
-    if ctx.blocked():
-        return _skip_blocked(ctx, "L5.5-zeta", params)
-    if i < 2 or i + 1 > ctx.imax:
-        return Report("L5.5-zeta", params, "SKIPPED",
-                      reason="level budget: needs 2 <= i < imax")
-    if not ctx.char_supported(ctx.config.theta_exp):
-        return Report("L5.5-zeta", params, "SKIPPED", reason="mode lacks the character order")
     theta = ctx.theta
-    if not theta.is_trivial_on_center():
-        return Report("L5.5-zeta", params, "SKIPPED", reason="theta is nontrivial on the center")
     tw = ctx.tower
     mod_next = InducedModule(tw, theta, i + 1)
     b = tw.first_outside_double_subfield(i)
@@ -635,29 +620,17 @@ def _chk_zeta(ctx: Context, params: dict) -> Report:
     if not towerext.check_steinberg_relations(zeta, theta, i):
         return Report("L5.5-zeta", params, "FAIL", payload)
     # (1 - s) applied to the plain Borel average reproduces the expansion
-    borel = _borel_average(theta, i, mod_next, b)
+    borel = towerext.borel_average(theta, i, mod_next, b)
     alt = borel - mod_next.act(grp.weyl(tw), borel)
     payload["matches_one_minus_s"] = alt == zeta
     ok = payload["matches_one_minus_s"]
     return Report("L5.5-zeta", params, "PASS" if ok else "FAIL", payload)
 
 
-def _borel_average(theta, i, mod_next, b):
-    tw = mod_next.tower
-    out = mod_next.zero()
-    for t in grp.center_quotient_reps(tw, i):
-        c = theta.eval(t.inverse())
-        for u in tw.enumerate_level(i):
-            out = out + c * mod_next.cell_vector(b * t * t + u)
-    return out
-
-
 def _chk_zeta_neg(ctx: Context, params: dict) -> Report:
     i = params["i"]
-    if ctx.blocked():
-        return _skip_blocked(ctx, "L5.5-neg-control", params)
-    use_user = ctx.char_supported(ctx.config.theta_exp) and ctx.theta.is_trivial_on_center()
-    theta = ctx.theta if use_user else ctx.char(0)
+    # the run's theta where systems H and L admit it, else the trivial one
+    theta = ctx.char(0) if _theta_characters(ctx, params) else ctx.theta
     tw = ctx.tower
     mod_next = InducedModule(tw, theta, i + 1)
     bad = tw.generator(i)  # inside level i, hence quadratic over it
@@ -666,30 +639,14 @@ def _chk_zeta_neg(ctx: Context, params: dict) -> Report:
     return Report("L5.5-neg-control", params, "PASS" if caught else "FAIL", {"support": support})
 
 
+def _character_args(ctx: Context, tag: str) -> dict:
+    """The character arguments of system tag."""
+    return {"lam": ctx.lam, "mu": ctx.mu} if tag == "F" else {"theta": ctx.theta}
+
+
 def _certificate_check(lemma_id: str, tag: str, ctx: Context, params: dict) -> Report:
-    i = params["i"]
-    if ctx.blocked():
-        return _skip_blocked(ctx, lemma_id, params)
-    if i + 1 > ctx.imax or (tag != "F" and i < 2):
-        return Report(lemma_id, params, "SKIPPED",
-                      reason="level budget: the connecting vector needs a feasible level")
-    tw = ctx.tower
-    try:
-        if tag == "F":
-            if not (ctx.char_supported(ctx.config.lambda_exp) and ctx.char_supported(ctx.config.mu_exp)):
-                return Report(lemma_id, params, "SKIPPED", reason="mode lacks the character order")
-            payload = towerext.nonsplit_certificate(
-                "F", tw, ctx.field, i, lam=ctx.lam, mu=ctx.mu
-            )
-        else:
-            if not ctx.char_supported(ctx.config.theta_exp):
-                return Report(lemma_id, params, "SKIPPED", reason="mode lacks the character order")
-            theta = ctx.theta
-            if not theta.is_trivial_on_center():
-                return Report(lemma_id, params, "SKIPPED", reason="theta is nontrivial on the center")
-            payload = towerext.nonsplit_certificate(tag, tw, ctx.field, i, theta=theta)
-    except CenterMismatchError as e:
-        return Report(lemma_id, params, "SKIPPED", reason=str(e))
+    payload = towerext.nonsplit_certificate(tag, ctx.tower, ctx.field, params["i"],
+                                            **_character_args(ctx, tag))
     verdict = payload.pop("verdict")
     reason = payload.pop("note", "")
     return Report(lemma_id, params, verdict, payload, reason=reason)
@@ -709,23 +666,8 @@ def _chk_noLG(ctx, params):
 
 def _chk_connect(ctx: Context, params: dict) -> Report:
     i, tag = params["i"], params["system"]
-    if ctx.blocked():
-        return _skip_blocked(ctx, "connect-inj", params)
     tw = ctx.tower
-    try:
-        if tag == "F":
-            if not (ctx.char_supported(ctx.config.lambda_exp) and ctx.char_supported(ctx.config.mu_exp)):
-                return Report("connect-inj", params, "SKIPPED", reason="mode lacks the character order")
-            system = towerext.DirectSystem("F", tw, ctx.field, i, lam=ctx.lam, mu=ctx.mu)
-        else:
-            if not ctx.char_supported(ctx.config.theta_exp):
-                return Report("connect-inj", params, "SKIPPED", reason="mode lacks the character order")
-            theta = ctx.theta
-            if not theta.is_trivial_on_center():
-                return Report("connect-inj", params, "SKIPPED", reason="theta is nontrivial on the center")
-            system = towerext.DirectSystem(tag, tw, ctx.field, i, theta=theta)
-    except CenterMismatchError as e:
-        return Report("connect-inj", params, "SKIPPED", reason=str(e))
+    system = towerext.DirectSystem(tag, tw, ctx.field, i, **_character_args(ctx, tag))
     if not system.check_injective():
         return Report("connect-inj", params, "FAIL", {"stage": "injectivity"})
     if tag == "F":
@@ -747,20 +689,10 @@ def _chk_connect(ctx: Context, params: dict) -> Report:
 
 def _chk_ext1(ctx: Context, params: dict) -> Report:
     q = ctx.q
-    if ctx.blocked():
-        return _skip_blocked(ctx, "ext1-maschke", params)
-    if grp.subgroup_order("G", q, 1) > EXT_GROUP_CAP:
-        return Report(
-            "ext1-maschke", params, "SKIPPED",
-            reason=f"the cocycle oracle is budgeted for level-1 groups of order "
-                   f"<= {EXT_GROUP_CAP}",
-        )
     tw = ctx.tower
     group = cohom.GroupTable(tw, level=1, budget=ctx.budget)
     order = len(group)
     torus_order = q - 1
-    from .coeff import choose_prime_for_order
-
     ell = choose_prime_for_order(max(torus_order, 1), 5)
     while order % ell == 0 or ell == ctx.p:
         ell = choose_prime_for_order(max(torus_order, 1), ell + 1)
@@ -798,16 +730,13 @@ def _chk_ext1(ctx: Context, params: dict) -> Report:
                 if d1 != d2:
                     return Report("ext1-maschke", params, "FAIL", {"agreement": agreements})
     # Hom dimensions against the torus-twist count
-    field0 = fields[0][1]
-    hom_ok = True
-    for el in range(max(torus_order, 1)):
-        for em in range(max(torus_order, 1)):
-            lam = TorusCharacter(tw, field0, el)
-            mu = TorusCharacter(tw, field0, em)
-            Ml = cohom.FiniteRep.from_induced(group, InducedModule(tw, lam, 1))
-            Mm = cohom.FiniteRep.from_induced(group, InducedModule(tw, mu, 1))
-            if len(cohom.hom_space(Ml, Mm)) != cohom.mackey_hom_dim(lam, mu, 1):
-                hom_ok = False
+    chars = [TorusCharacter(tw, fields[0][1], e) for e in range(max(torus_order, 1))]
+    induced = [cohom.FiniteRep.from_induced(group, InducedModule(tw, c, 1)) for c in chars]
+    hom_ok = all(
+        len(cohom.hom_space(Ml, Mm)) == cohom.mackey_hom_dim(lam, mu, 1)
+        for lam, Ml in zip(chars, induced)
+        for mu, Mm in zip(chars, induced)
+    )
     payload = {"maschke_dims": dims, "agreement": agreements, "hom_matches_twist_count": hom_ok}
     return Report("ext1-maschke", params, "PASS" if hom_ok else "FAIL", payload)
 
@@ -820,23 +749,17 @@ def _module_instances(ctx: Context):
 
 
 def _group_instances(ctx: Context):
-    out = []
-    for i in range(1, ctx.imax + 1):
-        if ctx.blocked():
-            break
-        if ctx.group_order(i) <= ctx.budget:
-            out.append({"q": ctx.q, "i": i})
-    return out
+    if ctx.blocked():
+        return []
+    return [{"q": ctx.q, "i": i} for i in range(1, ctx.imax + 1)
+            if ctx.group_order(i) <= ctx.budget]
 
 
 def _eta_instances(ctx: Context):
-    out = []
-    for i in range(1, ctx.imax):
-        if ctx.blocked():
-            break
-        if ctx.tower.level_size(i + 1) + 1 <= ctx.budget:
-            out.append({"q": ctx.q, "i": i})
-    return out
+    if ctx.blocked():
+        return []
+    return [{"q": ctx.q, "i": i} for i in range(1, ctx.imax)
+            if ctx.tower.level_size(i + 1) + 1 <= ctx.budget]
 
 
 def _xi_instances(ctx: Context):
@@ -851,25 +774,24 @@ def _single_instance(ctx: Context):
     return [{"q": ctx.q}]
 
 
-def _first_control_instance(ctx: Context):
+def _first_eta_instance(ctx: Context, usable):
+    """The first eta-weight level i with usable(i), else level 1."""
     for p in _eta_instances(ctx):
-        i = p["i"]
-        if len(grp.center_quotient_reps(ctx.tower, i)) >= 2:
+        if usable(p["i"]):
             return [p]
     return [{"q": ctx.q, "i": 1}] if not ctx.blocked() else []
+
+
+def _first_control_instance(ctx: Context):
+    return _first_eta_instance(ctx, lambda i: len(grp.center_quotient_reps(ctx.tower, i)) >= 2)
 
 
 def _eta_neg_instances(ctx: Context):
-    for p in _eta_instances(ctx):
-        if ctx.tower.level_size(p["i"]) - 1 >= 2:
-            return [p]
-    return [{"q": ctx.q, "i": 1}] if not ctx.blocked() else []
+    return _first_eta_instance(ctx, lambda i: ctx.tower.level_size(i) - 1 >= 2)
 
 
 def _connect_instances(ctx: Context):
-    out = []
-    for p in _eta_instances(ctx):
-        out.append({"q": ctx.q, "i": p["i"], "system": "F"})
+    out = [{"q": ctx.q, "i": p["i"], "system": "F"} for p in _eta_instances(ctx)]
     for p in _xi_instances(ctx):
         out.append({"q": ctx.q, "i": p["i"], "system": "H"})
         out.append({"q": ctx.q, "i": p["i"], "system": "L"})
@@ -882,33 +804,48 @@ def _normalize_instances(ctx: Context):
     return [{"q": ctx.q, "i": min(2, ctx.imax)}]
 
 
+_CERT_F = (_module, _levels(1, _CONNECTING_LEVEL), _pair_characters)
+_CERT_HL = (_module, _levels(2, _CONNECTING_LEVEL), _theta_characters)
+_THETA_AT_QF_LEVEL = (_module, _quadratic_free_level, _theta_characters)
+
+# (id, instances, check body, preconditions)
 REGISTRY = [
-    ("sus", _module_instances, _chk_sus),
-    ("bruhat", _group_instances, _chk_bruhat),
-    ("act-oracle", _group_instances, _chk_act_oracle),
-    ("M-dims", _module_instances, _chk_m_dims),
-    ("P2.1-suw", _module_instances, _chk_suw),
-    ("L3.3-normalize", _normalize_instances, _chk_normalize),
-    ("L4.4-basis", _eta_instances, _chk_l44),
-    ("L4.4-neg-control", _first_control_instance, _chk_l44_neg),
-    ("eta-weight", _eta_instances, _chk_eta_weight),
-    ("eta-weight-neg-control", _eta_neg_instances, _chk_eta_weight_neg),
-    ("clm-4", _counting_instances, _chk_clm),
-    ("ineq-36", _counting_instances, _chk_ineq36),
-    ("ineq-37", _counting_instances, _chk_ineq37),
-    ("L4.6-noFU", _eta_instances, _chk_noFU),
-    ("L5.3-xi", _xi_instances, _chk_xi),
-    ("L5.5-zeta", _xi_instances, _chk_zeta),
-    ("L5.5-neg-control", _xi_instances, _chk_zeta_neg),
-    ("L5.7-noHG", _xi_instances, _chk_noHG),
-    ("L5.8-noLG", _xi_instances, _chk_noLG),
-    ("connect-inj", _connect_instances, _chk_connect),
-    ("ext1-maschke", _single_instance, _chk_ext1),
+    ("sus", _module_instances, _chk_sus, (_tower,)),
+    ("bruhat", _group_instances, _chk_bruhat, (_tower,)),
+    ("act-oracle", _group_instances, _chk_act_oracle, (_module,)),
+    ("M-dims", _module_instances, _chk_m_dims, (_module,)),
+    ("P2.1-suw", _module_instances, _chk_suw, (_module,)),
+    ("L3.3-normalize", _normalize_instances, _chk_normalize, (_module,)),
+    ("L4.4-basis", _eta_instances, _chk_l44, (_tower, _next_level)),
+    ("L4.4-neg-control", _first_control_instance, _chk_l44_neg, (_tower,)),
+    ("eta-weight", _eta_instances, _chk_eta_weight, (_module, _next_level)),
+    ("eta-weight-neg-control", _eta_neg_instances, _chk_eta_weight_neg, (_module,)),
+    ("clm-4", _counting_instances, _chk_clm, ()),
+    ("ineq-36", _counting_instances, _chk_ineq36, ()),
+    ("ineq-37", _counting_instances, _chk_ineq37, ()),
+    ("L4.6-noFU", _eta_instances, _chk_noFU, _CERT_F),
+    ("L5.3-xi", _xi_instances, _chk_xi, _THETA_AT_QF_LEVEL),
+    ("L5.5-zeta", _xi_instances, _chk_zeta, _THETA_AT_QF_LEVEL),
+    ("L5.5-neg-control", _xi_instances, _chk_zeta_neg, (_module,)),
+    ("L5.7-noHG", _xi_instances, _chk_noHG, _CERT_HL),
+    ("L5.8-noLG", _xi_instances, _chk_noLG, _CERT_HL),
+    ("connect-inj", _connect_instances, _chk_connect, (_module, _system_characters)),
+    ("ext1-maschke", _single_instance, _chk_ext1, (_module, _ext_group)),
 ]
 
 REGISTRY_IDS = [entry[0] for entry in REGISTRY]
-_RUNNERS = {entry[0]: entry[2] for entry in REGISTRY}
 _INSTANCES = {entry[0]: entry[1] for entry in REGISTRY}
+_RUNNERS = {entry[0]: entry[2] for entry in REGISTRY}
+_PRECONDITIONS = {entry[0]: entry[3] for entry in REGISTRY}
+
+
+def _unmet(ctx: Context, spec: CheckSpec) -> str | None:
+    """The reason of the first precondition the instance fails, if any."""
+    for rule in _PRECONDITIONS[spec.lemma_id]:
+        reason = rule(ctx, spec.params)
+        if reason:
+            return reason
+    return None
 
 
 def run_lemma(ctx: Context, spec: CheckSpec) -> Report:
@@ -916,7 +853,11 @@ def run_lemma(ctx: Context, spec: CheckSpec) -> Report:
         raise ValueError(f"unknown lemma id {spec.lemma_id!r}")
     t0 = time.monotonic()
     try:
-        report = _RUNNERS[spec.lemma_id](ctx, spec.params)
+        reason = _unmet(ctx, spec)
+        if reason:
+            report = Report(spec.lemma_id, spec.params, "SKIPPED", reason=reason)
+        else:
+            report = _RUNNERS[spec.lemma_id](ctx, spec.params)
     except BudgetError as e:
         report = Report(spec.lemma_id, spec.params, "SKIPPED", reason=f"level budget: {e}")
     report.seconds = time.monotonic() - t0

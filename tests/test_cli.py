@@ -32,6 +32,10 @@ def test_imax_validation():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--q", "2", "--imax", "1"])
     assert exc.value.code == 2
+    for budget in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--q", "2", "--budget", budget])
+        assert exc.value.code == 2
 
 
 def test_prime_power_q_allowed(capsys, tmp_path):
@@ -57,6 +61,10 @@ def test_fp_mode_validation():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--q", "2", "--coeff", "fp:2"])  # matches the defining prime
     assert exc.value.code == 2
+    for spec in ("fp:abc", "bogus", "fp:7:0", "cyclo:0", "cyclo:-5", "rat:1", "fp:7:2:1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--q", "2", "--coeff", spec])
+        assert exc.value.code == 2, spec
 
 
 def test_fp_mode_runs(capsys, tmp_path):
@@ -69,6 +77,26 @@ def test_fp_mode_runs(capsys, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["summary"]["fail"] == 0
     capsys.readouterr()
+
+
+def test_fp2_runs_at_odd_q(capsys, tmp_path):
+    # F_2* is trivial: only the trivial character fits, the rest SKIPs
+    out = tmp_path / "report.json"
+    code = main(["verify", "--q", "3", "--imax", "2", "--coeff", "fp:2",
+                 "--lemmas", "sus,act-oracle,L3.3-normalize", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["summary"]["fail"] == 0
+    capsys.readouterr()
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(ctx, lemmas):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("sl2ext.cli.run_all", broken)
+    assert main(["verify", "--q", "2", "--imax", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 def test_text_format_renders_json(tmp_path, capsys):

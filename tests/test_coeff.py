@@ -9,6 +9,7 @@ from sl2ext.coeff import (
     RationalField,
     choose_prime_for_order,
     field_from_spec,
+    parse_coeff_spec,
 )
 
 
@@ -140,6 +141,27 @@ def test_field_from_spec():
     assert field_from_spec("fp", 63) == PrimeField(127)
     with pytest.raises(ValueError):
         field_from_spec("float")
+
+
+@pytest.mark.parametrize("spec", ["fp:abc", "bogus", "fp:7:0", "cyclo:0", "cyclo:-5",
+                                  "fp:4", "fp:", "rat:2", "fp:7:2:1"])
+def test_parse_coeff_spec_rejects(spec):
+    with pytest.raises(ValueError):
+        parse_coeff_spec(spec)
+
+
+def test_parse_coeff_spec_forms():
+    assert parse_coeff_spec("rat") == ("rat", ())
+    assert parse_coeff_spec("cyclo") == ("cyclo", ())
+    assert parse_coeff_spec("cyclo:9") == ("cyclo", (9,))
+    assert parse_coeff_spec("fp:7:2") == ("fp", (7, 2))
+
+
+def test_f2_has_the_trivial_root():
+    # F_2* is trivial, so its generator is 1
+    F = PrimeField(2)
+    assert F.supports_order(1)
+    assert not F.supports_order(2)
 
 
 def test_serialization_shapes():

@@ -108,6 +108,18 @@ def test_degenerate_certificates_are_skipped():
     assert r.verdict == "PASS"
 
 
+@pytest.mark.parametrize("lemma, i, reason", [
+    ("eta-weight", 2, "level budget: the construction needs level i+1 inside the tower"),
+    ("L5.3-xi", 1, "level budget: needs 2 <= i < imax"),
+    ("L4.6-noFU", 2, "level budget: the connecting vector needs a feasible level"),
+])
+def test_level_preconditions_skip_direct_calls(lemma, i, reason):
+    # run_all never schedules these levels; run_lemma still refuses them
+    ctx = Context(RunConfig(q=2, imax=2, theta_exp=1))
+    r = run_lemma(ctx, CheckSpec(lemma, {"q": 2, "i": i}))
+    assert (r.verdict, r.reason, r.payload) == ("SKIPPED", reason, {})
+
+
 def test_run_all_small_config_no_failures():
     ctx = Context(RunConfig(q=2, imax=2))
     reports = run_all(ctx)

@@ -108,6 +108,17 @@ def cmd_verify(args) -> int:
     return 0 if doc["summary"]["fail"] == 0 else 1
 
 
+def _order_divides(te: int, q: int, k: int) -> bool:
+    """Whether q^k - 1 divides te, building q^k only when it is below |te| + 1."""
+    digits, rest = 0, abs(te) + 1
+    while rest:
+        rest //= q
+        digits += 1
+    if digits <= k:  # 0 <= |te| < q^k - 1
+        return te == 0
+    return te % (q ** k - 1) == 0
+
+
 def build_table(config: RunConfig) -> list:
     """The pairwise extension grid at the configured characters.
 
@@ -120,8 +131,7 @@ def build_table(config: RunConfig) -> list:
     te, le, me = config.theta_exp, config.lambda_exp, config.mu_exp
     p = polyutil.prime_power(q)[0]
     theta_central = trivial_on_center(p, te)
-    n = q ** math.factorial(imax) - 1
-    theta_trivial = te % n == 0
+    theta_trivial = _order_divides(te, q, math.factorial(imax))
     rows = []
 
     def row(pair, value, basis, witness=None):

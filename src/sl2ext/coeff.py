@@ -6,11 +6,17 @@ unique canonical representatives, so == is exact equality and every
 nonzero scalar has an exact inverse.  Character values (roots of unity)
 are produced by ``root_of_unity``; a mode supports order n exactly when
 it contains a primitive n-th root.
+
+A cyclotomic coefficient is a plain ``int`` while it is integral and a
+``Fraction`` only after a division: Phi_n is monic, so Z[zeta_n] is closed
+under +, - and *.  ``Fraction(k) == k`` and the two hash alike, so reps
+stay canonical by value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import polyutil
 
@@ -122,11 +128,11 @@ class CoeffField:
     def scalar(self, x) -> Scalar:
         return Scalar(self, self._from_rational(Fraction(x)))
 
-    @property
+    @cached_property
     def zero(self) -> Scalar:
         return self.scalar(0)
 
-    @property
+    @cached_property
     def one(self) -> Scalar:
         return self.scalar(1)
 
@@ -193,11 +199,18 @@ class RationalField(CoeffField):
         return "Q"
 
 
+def _integral(x: Fraction):
+    """x as an int when it is one; cyclotomic coefficients keep that form."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class CyclotomicField(CoeffField):
     """Q[x]/Phi_n(x), reduced mod the cyclotomic polynomial.
 
     Reduction modulo Phi_n (rather than x^n - 1) makes representatives
-    unique, so equality of scalars is tuple equality.
+    unique, so equality of scalars is tuple equality.  A coefficient is an
+    ``int`` while integral and a ``Fraction`` only after a division (an
+    inverse, or a non-integral rational input).
     """
 
     def __init__(self, n: int):
@@ -209,11 +222,11 @@ class CyclotomicField(CoeffField):
         self._phi = phi
         # x^k mod Phi_n for k in [degree, 2*degree-2], used to fold products
         rows = []
-        cur = [Fraction(-c) for c in phi[:-1]]
+        cur = [-c for c in phi[:-1]]
         rows.append(tuple(cur))
         for _ in range(self.degree - 2):
             top = cur[-1]
-            cur = [Fraction(0)] + cur[:-1]
+            cur = [0] + cur[:-1]
             if top:
                 for j in range(self.degree):
                     cur[j] += top * rows[0][j]
@@ -223,10 +236,10 @@ class CyclotomicField(CoeffField):
         self._zeta_list = [self._one_rep()]
 
     def _one_rep(self):
-        return (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
+        return (1,) + (0,) * (self.degree - 1)
 
     def _from_rational(self, x: Fraction):
-        return (x,) + (Fraction(0),) * (self.degree - 1)
+        return (_integral(x),) + (0,) * (self.degree - 1)
 
     def _add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -243,7 +256,7 @@ class CyclotomicField(CoeffField):
         if not any(b[1:]):
             c = b[0]
             return tuple(c * x for x in a) if c else b
-        out = [Fraction(0)] * (2 * d - 1)
+        out = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -257,10 +270,18 @@ class CyclotomicField(CoeffField):
                     out[j] += c * row[j]
         return tuple(out[:d])
 
+    @cached_property
+    def _root_index(self):
+        """zeta_n^k -> k: nearly every inverse taken is of a root of unity."""
+        return {self._zeta(k): k for k in range(self.n)}
+
     def _inv(self, a):
+        k = self._root_index.get(a)
+        if k is not None:
+            return self._zeta(-k)
         # extended Euclid in Q[x] against Phi_n
         r0 = [Fraction(c) for c in self._phi]
-        r1 = polyutil.trim(list(a))
+        r1 = polyutil.trim([Fraction(c) for c in a])
         t0, t1 = [], [Fraction(1)]
         while r1:
             # divide r0 by r1
@@ -288,8 +309,8 @@ class CyclotomicField(CoeffField):
         if len(r0) != 1:
             raise ZeroDivisionError("scalar is not invertible")
         lead = r0[0]
-        out = [c / lead for c in t0]
-        out += [Fraction(0)] * (self.degree - len(out))
+        out = [_integral(c / lead) for c in t0]
+        out += [0] * (self.degree - len(out))
         return tuple(out[: self.degree])
 
     def _zeta(self, k: int):
@@ -299,7 +320,7 @@ class CyclotomicField(CoeffField):
         while len(lst) <= k:
             prev = lst[-1]
             top = prev[-1]
-            cur = [Fraction(0)] + list(prev[:-1])
+            cur = [0] + list(prev[:-1])
             if top:
                 row = self._fold[0]
                 for j in range(self.degree):

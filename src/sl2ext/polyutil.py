@@ -7,6 +7,7 @@ field tower; they are deliberately minimal (small p, degree <= ~20).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 
@@ -168,11 +169,10 @@ def prime_power(q: int):
     """Return (p, k) with q = p^k, or None if q is not a prime power."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            k, m = 0, q
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-    return None
+    # the smallest divisor above 1 is prime; q itself when none is <= sqrt(q)
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k, m = 0, q
+    while m % p == 0:
+        m //= p
+        k += 1
+    return (p, k) if m == 1 else None

@@ -687,6 +687,15 @@ def _chk_connect(ctx: Context, params: dict) -> Report:
     return Report("connect-inj", params, "PASS", {"mode": mode, "elements": len(elements)})
 
 
+def _level1_reps(group, tw, field) -> dict:
+    """The level-1 trivial and Steinberg representations over one field."""
+    trivial = TorusCharacter(tw, field, 0)
+    return {
+        "tr": cohom.FiniteRep.trivial(group, field),
+        "St": cohom.FiniteRep.steinberg(group, InducedModule(tw, trivial, 1)),
+    }
+
+
 def _chk_ext1(ctx: Context, params: dict) -> Report:
     q = ctx.q
     tw = ctx.tower
@@ -698,35 +707,31 @@ def _chk_ext1(ctx: Context, params: dict) -> Report:
         ell = choose_prime_for_order(max(torus_order, 1), ell + 1)
     fields = [("char0", CyclotomicField(max(torus_order, 1)) if torus_order > 2 else RationalField()),
               (f"char{ell}", PrimeField(ell))]
-    dims = {}
+    dims, level1 = {}, {}
     for tag_f, field in fields:
+        reps = level1[tag_f] = _level1_reps(group, tw, field)
         theta1 = TorusCharacter(tw, field, ctx.config.theta_exp)
-        trivial = TorusCharacter(tw, field, 0)
-        reps = {
-            "tr": cohom.FiniteRep.trivial(group, field),
-            "St": cohom.FiniteRep.steinberg(group, InducedModule(tw, trivial, 1)),
-            "M": cohom.FiniteRep.from_induced(group, InducedModule(tw, theta1, 1)),
-        }
+        reps["M"] = cohom.FiniteRep.from_induced(group, InducedModule(tw, theta1, 1))
         for name_m, M in reps.items():
             for name_n, N in reps.items():
                 d, _ = cohom.ext1_bfs(M, N)
                 dims[f"{tag_f}:{name_m}->{name_n}"] = d
                 if d != 0:
                     return Report("ext1-maschke", params, "FAIL", {"dims": dims})
-    # dual-solver agreement on the smallest pair, including a modular case
+    # dual-solver agreement on the smallest pair, including a modular case;
+    # the char-0 BFS side is the sweep's dimension on the same reps
     field_mod = PrimeField([p for p in (2, 3, 5, 7, 11) if order % p == 0 and p != ctx.p][0])
+    level1["modular"] = _level1_reps(group, tw, field_mod)
     agreements = {}
-    for tag_f, field in [("char0", fields[0][1]), ("modular", field_mod)]:
-        trivial = TorusCharacter(tw, field, 0)
-        reps = {
-            "tr": cohom.FiniteRep.trivial(group, field),
-            "St": cohom.FiniteRep.steinberg(group, InducedModule(tw, trivial, 1)),
-        }
-        for name_m, M in reps.items():
-            for name_n, N in reps.items():
-                d1, _ = cohom.ext1_bfs(M, N)
+    for tag_f in ("char0", "modular"):
+        reps = level1[tag_f]
+        for name_m in ("tr", "St"):
+            for name_n in ("tr", "St"):
+                key = f"{tag_f}:{name_m}->{name_n}"
+                M, N = reps[name_m], reps[name_n]
+                d1 = dims[key] if key in dims else cohom.ext1_bfs(M, N)[0]
                 d2 = cohom.ext1_unreduced(M, N)
-                agreements[f"{tag_f}:{name_m}->{name_n}"] = [d1, d2]
+                agreements[key] = [d1, d2]
                 if d1 != d2:
                     return Report("ext1-maschke", params, "FAIL", {"agreement": agreements})
     # Hom dimensions against the torus-twist count

@@ -1,7 +1,10 @@
 import json
+import math
+import time
 
 import pytest
 
+from sl2ext import cli
 from sl2ext.cli import main
 
 
@@ -141,3 +144,25 @@ def test_table_trivial_theta_marks_na(capsys):
     doc = json.loads(capsys.readouterr().out)
     rows = {tuple(e["pair"]): e for e in doc["table"]}
     assert rows[("tr", "M(theta)")]["value"] == "n/a"
+
+
+def test_table_at_imax_11_is_fast(capsys):
+    # q^(11!) - 1 has about 19 million digits; the table must not build it
+    t0 = time.monotonic()
+    assert main(["table", "--q", "3", "--imax", "11", "--theta-exp", "5"]) == 0
+    assert time.monotonic() - t0 < 2
+    rows = {tuple(e["pair"]): e for e in json.loads(capsys.readouterr().out)["table"]}
+    assert rows[("tr", "M(theta)")]["value"] == "0"
+
+
+def test_table_matches_the_direct_order_test(capsys, monkeypatch):
+    def table_json(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    runs = [["table", "--q", str(q), "--imax", str(imax), "--theta-exp", str(te)]
+            for q in (2, 3, 4) for imax in (2, 3)
+            for te in (0, 1, 2, 3, -3, q ** math.factorial(imax) - 1, 2 * (q ** math.factorial(imax) - 1))]
+    fast = [table_json(argv) for argv in runs]
+    monkeypatch.setattr(cli, "_order_divides", lambda te, q, k: te % (q ** k - 1) == 0)
+    assert fast == [table_json(argv) for argv in runs]

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sl2ext import polyutil
 from sl2ext.coeff import (
     CyclotomicField,
     PrimeField,
@@ -169,3 +172,100 @@ def test_serialization_shapes():
     s = CyclotomicField(3).root_of_unity(3, 1).serialize()
     assert s == "[0/1,1/1]"
     assert PrimeField(7).scalar(10).serialize() == "3"
+
+
+# -- property tests and the integral fast path --------------------------------
+
+FIELDS = [CyclotomicField(3), CyclotomicField(12), CyclotomicField(63), RationalField(),
+          PrimeField(7), PrimeField(5, 2)]
+
+
+def _root_order(field):
+    if isinstance(field, CyclotomicField):
+        return field.n
+    if isinstance(field, RationalField):
+        return 2
+    return field.size - 1
+
+
+@st.composite
+def _elements(draw, field):
+    """Sums of c * zeta^k; Fraction c (non-integral) where the mode allows."""
+    if isinstance(field, PrimeField):
+        coeff = st.integers(-field.ell, field.ell)
+    else:
+        coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    n = _root_order(field)
+    terms = draw(st.lists(st.tuples(coeff, st.integers(0, n - 1)), max_size=4))
+    out = field.zero
+    for c, k in terms:
+        out = out + field.scalar(c) * field.root_of_unity(n, k)
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_field_axioms_property(field, data):
+    a, b, c = (data.draw(_elements(field)) for _ in range(3))
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + field.zero == a and a * field.one == a
+    assert a - a == field.zero and a + (-a) == field.zero
+    if a:
+        inv = field.one / a
+        assert a * inv == field.one and (b * inv) * a == b
+
+
+def _fraction_product_mod_phi(n, a, b):
+    """Schoolbook product over Fraction, reduced by long division by Phi_n."""
+    phi = [Fraction(c) for c in polyutil.cyclotomic(n)]
+    d = len(phi) - 1
+    out = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    for k in range(len(out) - 1, d - 1, -1):
+        c = out[k]
+        for j in range(d + 1):
+            out[k - d + j] -= c * phi[j]
+    return tuple(out[:d])
+
+
+@pytest.mark.parametrize("n", [3, 12, 63])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_mul_matches_fraction_oracle(n, data):
+    field = CyclotomicField(n)
+    a, b = data.draw(_elements(field)), data.draw(_elements(field))
+    assert field._mul(a.rep, b.rep) == _fraction_product_mod_phi(n, a.rep, b.rep)
+
+
+@pytest.mark.parametrize("n", [3, 12, 63])
+def test_integral_cyclotomic_scalars_keep_int_coefficients(n):
+    field = CyclotomicField(n)
+    rng = random.Random(n)
+    for _ in range(20):
+        a, b = (_random_scalar(field, rng) for _ in range(2))
+        for s in (a, b, a + b, a - b, a * b, -a, a * a * b, field.scalar(Fraction(6, 3))):
+            assert all(type(c) is int for c in s.rep)
+    unit = field.root_of_unity(n, 1)
+    assert all(type(c) is int for c in unit.inverse().rep)
+    assert field.scalar(Fraction(1, 2)).rep[0] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_zero_and_one_are_built_once(field):
+    zero, one = field.zero, field.one
+    zero_rep, one_rep = zero.rep, one.rep
+    assert field.zero is zero and field.one is one
+    rng = random.Random(3)
+    for _ in range(10):
+        a = _random_scalar(field, rng)
+        _ = (a + zero, zero + a, a * zero, zero - a, -zero, a * one, one * a, zero ** 3, one ** 2)
+    _ = (zero / one, one / one, one.inverse())
+    assert field.zero is zero and field.one is one
+    assert zero.rep == zero_rep and one.rep == one_rep
+    assert not zero and one

@@ -157,6 +157,29 @@ class CoeffField:
     def characteristic(self) -> int:
         raise NotImplementedError
 
+    def _sub_scaled(self, a: dict, c, b: dict) -> dict:
+        """a - c*b on dicts of raw reps, dropping the entries that cancel.
+
+        The elimination kernel of ``linalg``: the same raw calls, in the
+        same order, that the Scalar operators would make.
+        """
+        zero = self.zero.rep
+        mul, sub = self._mul, self._sub
+        out = dict(a)
+        for k, v in b.items():
+            w = out.get(k)
+            cv = mul(c, v)
+            if w is None:
+                if cv != zero:
+                    out[k] = sub(zero, cv)
+            else:
+                w = sub(w, cv)
+                if w != zero:
+                    out[k] = w
+                else:
+                    del out[k]
+        return out
+
     # subclasses: _add/_sub/_mul/_inv/_from_rational/_primitive_root/rep_str
 
 
@@ -393,6 +416,19 @@ class PrimeField(CoeffField):
         prod = polyutil.mul_mod(list(a), list(b), self.ell)
         prod = polyutil.rem_mod(prod, self._modulus, self.ell)
         return tuple(prod + [0] * (self.m - len(prod)))
+
+    def _sub_scaled(self, a: dict, c, b: dict) -> dict:
+        if self.m != 1:
+            return super()._sub_scaled(a, c, b)
+        ell = self.ell
+        out = dict(a)
+        for k, v in b.items():
+            w = (out.get(k, 0) - c * v) % ell
+            if w:
+                out[k] = w
+            else:
+                out.pop(k, None)
+        return out
 
     def _inv(self, a):
         if self.m == 1:

@@ -107,17 +107,18 @@ class InducedModule:
     def labels(self) -> list:
         return [HIGHEST] + [x.val for x in self.tower.enumerate_level(self.level)]
 
-    def _th(self, val: int) -> Scalar:
+    def _th(self, val: int):
+        """theta at a level element, as a raw field rep."""
         v = self._theta_val.get(val)
         if v is None:
-            v = self.theta.eval(self.tower.element(val, self.level))
+            v = self.theta.eval(self.tower.element(val, self.level)).rep
             self._theta_val[val] = v
         return v
 
-    def _th_inv(self, val: int) -> Scalar:
+    def _th_inv(self, val: int):
         v = self._theta_inv.get(val)
         if v is None:
-            v = self.theta.eval(self.tower.element(val, self.level).inverse())
+            v = self.theta.eval(self.tower.element(val, self.level).inverse()).rep
             self._theta_inv[val] = v
         return v
 
@@ -138,26 +139,28 @@ class InducedModule:
 
     # -- action ------------------------------------------------------------
 
-    def _act_label_atoms(self, atoms, label: int, scalar: Scalar):
+    def _act_label_atoms(self, atoms, label: int, scalar):
+        """Apply the atoms to scalar . label; the scalar is a raw field rep."""
         tw = self.tower
+        mul = self.field._mul
         for kind, arg in atoms:
             if kind == "u":
                 if label != HIGHEST:
                     label = tw._add(arg, label)
             elif kind == "h":
                 if label == HIGHEST:
-                    scalar = scalar * self._th(arg)
+                    scalar = mul(scalar, self._th(arg))
                 else:
-                    scalar = scalar * self._th_inv(arg)
+                    scalar = mul(scalar, self._th_inv(arg))
                     label = tw._mul(tw._mul(arg, arg), label)
             else:  # s
                 if label == HIGHEST:
                     label = 0
                 elif label == 0:
                     label = HIGHEST
-                    scalar = scalar * self._th((-tw.one).val)
+                    scalar = mul(scalar, self._th((-tw.one).val))
                 else:
-                    scalar = scalar * self._th(label)
+                    scalar = mul(scalar, self._th(label))
                     label = tw._neg(tw._exp[(-tw._log[label]) % (tw.size - 1)])
         return label, scalar
 
@@ -172,8 +175,12 @@ class InducedModule:
         atoms.append(("u", form.x.val))
         return atoms
 
+    def _act_label_scalar(self, atoms, label: int):
+        l2, c = self._act_label_atoms(atoms, label, self.field.one.rep)
+        return l2, Scalar(self.field, c)
+
     def act_label(self, g: GroupElement, label: int):
-        return self._act_label_atoms(self._atoms(g), label, self.field.one)
+        return self._act_label_scalar(self._atoms(g), label)
 
     def act(self, g: GroupElement, v: Vec) -> Vec:
         if g.level > self.level:
@@ -181,19 +188,24 @@ class InducedModule:
         if v.module is not self:
             raise ValueError("vector from a different module")
         atoms = self._atoms(g)
+        field = self.field
+        add, zero = field._add, field.zero.rep
         out: dict = {}
         for label, c in v.support.items():
-            l2, c2 = self._act_label_atoms(atoms, label, c)
+            f = c.field
+            if f is not field and f != field:
+                raise ValueError(f"coefficient mode mismatch: {field} vs {f}")
+            l2, c2 = self._act_label_atoms(atoms, label, c.rep)
             w = out.get(l2)
             if w is None:
                 out[l2] = c2
             else:
-                w = w + c2
-                if w:
+                w = add(w, c2)
+                if w != zero:
                     out[l2] = w
                 else:
                     del out[l2]
-        return Vec(self, out)
+        return Vec(self, {k: Scalar(field, r) for k, r in out.items()})
 
     def oracle_act_label(self, g: GroupElement, label: int):
         """Independent route: realize the basis vector as a coset
@@ -206,8 +218,8 @@ class InducedModule:
             m = g * (unip(tw.element(label, self.level)) * weyl(tw))
         form = bruhat(m)
         if not form.big_cell:
-            return HIGHEST, self._th(form.t.val)
-        return form.x.val, self._th_inv(form.t.val)
+            return HIGHEST, Scalar(self.field, self._th(form.t.val))
+        return form.x.val, Scalar(self.field, self._th_inv(form.t.val))
 
     # -- distinguished vectors ----------------------------------------------
 
@@ -269,8 +281,7 @@ class InducedModule:
         maps = []
         for g in gens:
             atoms = self._atoms(g)
-            one = self.field.one
-            maps.append(lambda l, a=atoms, o=one: self._act_label_atoms(a, l, o))
+            maps.append(lambda l, a=atoms: self._act_label_scalar(a, l))
         span = SparseSpan(self.field)
         for comp in monomial_invariants(labels, maps, self.field):
             span.insert(comp)

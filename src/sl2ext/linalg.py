@@ -4,6 +4,12 @@ Vectors are dicts keyed by sortable coordinates with nonzero Scalar
 values.  SparseSpan keeps a reduced echelon basis with deterministic
 pivoting (smallest coordinate first), which makes dimensions, membership
 tests and serialized bases reproducible bit for bit.
+
+Inside SparseSpan the rows are dicts of raw field reps: elimination calls
+the field's ``_sub_scaled``/``_mul``/``_inv`` directly and zero-tests a rep
+against the field's zero rep.  Scalars are unwrapped once, where a vector
+comes in (after checking its field), and wrapped again only where rows
+leave: ``rows``, ``basis()``, ``reduce`` and ``nullspace``.
 """
 
 from __future__ import annotations
@@ -32,22 +38,19 @@ def vec_scale(a: dict, c: Scalar) -> dict:
     return {k: v * c for k, v in a.items()}
 
 
-def vec_sub_scaled(a: dict, c: Scalar, b: dict) -> dict:
-    """a - c*b, canonical."""
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        cv = c * v
-        if w is None:
-            if cv:
-                out[k] = -cv
-        else:
-            w = w - cv
-            if w:
-                out[k] = w
-            else:
-                del out[k]
+def _unwrap(field: CoeffField, vec: dict) -> dict:
+    """The raw reps of a Scalar vector; a value from another field raises."""
+    out = {}
+    for k, v in vec.items():
+        f = v.field
+        if f is not field and f != field:
+            raise ValueError(f"coefficient mode mismatch: {field} vs {f}")
+        out[k] = v.rep
     return out
+
+
+def _wrap(field: CoeffField, raw: dict) -> dict:
+    return {k: Scalar(field, r) for k, r in raw.items()}
 
 
 class SparseSpan:
@@ -55,43 +58,54 @@ class SparseSpan:
 
     def __init__(self, field: CoeffField):
         self.field = field
-        self.rows: dict = {}  # pivot key -> vector with that pivot normalized to 1
+        self._rows: dict = {}  # pivot key -> raw row with that pivot normalized to 1
+
+    @property
+    def rows(self) -> dict:
+        return {k: _wrap(self.field, row) for k, row in self._rows.items()}
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def pivots(self) -> list:
-        return sorted(self.rows)
+        return sorted(self._rows)
 
-    def reduce(self, vec: dict) -> dict:
-        out = dict(vec)
+    def _reduce(self, out: dict) -> dict:
+        rows, sub_scaled = self._rows, self.field._sub_scaled
         for k in sorted(out):
-            if k in out and k in self.rows:
-                out = vec_sub_scaled(out, out[k], self.rows[k])
+            if k in out and k in rows:
+                out = sub_scaled(out, out[k], rows[k])
         # reductions cannot reintroduce pivot keys: rows are mutually reduced
         return out
 
+    def reduce(self, vec: dict) -> dict:
+        return _wrap(self.field, self._reduce(_unwrap(self.field, vec)))
+
     def insert(self, vec: dict) -> bool:
         """Add a vector; returns True when the span grows."""
-        rem = self.reduce(vec)
+        rem = self._reduce(_unwrap(self.field, vec))
         if not rem:
             return False
+        f = self.field
         pivot = min(rem)
-        inv = self.field.one / rem[pivot]
-        row = vec_scale(rem, inv)
-        for k, other in self.rows.items():
+        # one / pivot, computed as Scalar division computes it
+        inv = f._mul(f.one.rep, f._inv(rem[pivot]))
+        mul = f._mul
+        row = {k: mul(v, inv) for k, v in rem.items()}
+        rows, sub_scaled = self._rows, f._sub_scaled
+        for k, other in rows.items():
             c = other.get(pivot)
             if c is not None:
-                self.rows[k] = vec_sub_scaled(other, c, row)
-        self.rows[pivot] = row
+                rows[k] = sub_scaled(other, c, row)
+        rows[pivot] = row
         return True
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        return not self._reduce(_unwrap(self.field, vec))
 
     def basis(self) -> list:
-        return [self.rows[k] for k in sorted(self.rows)]
+        return [_wrap(self.field, self._rows[k]) for k in sorted(self._rows)]
 
 
 def nullspace(rows: list, variables: list, field: CoeffField) -> list:
@@ -106,16 +120,17 @@ def nullspace(rows: list, variables: list, field: CoeffField) -> list:
     for r in rows:
         if r:
             span.insert({pos[k]: v for k, v in r.items()})
-    pivots = set(span.rows)
+    echelon = span._rows
+    zero, sub = field.zero.rep, field._sub
     basis = []
     for f in range(len(variables)):
-        if f in pivots:
+        if f in echelon:
             continue
         v = {variables[f]: field.one}
-        for p, row in span.rows.items():
+        for p, row in echelon.items():
             c = row.get(f)
             if c is not None:
-                v[variables[p]] = -c
+                v[variables[p]] = Scalar(field, sub(zero, c))
         basis.append(v)
     return basis
 

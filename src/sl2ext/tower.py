@@ -115,6 +115,13 @@ class Tower:
     q: prime power; imax >= 2; the ambient field F_{q^{imax!}} is defined
     by `poly` (first irreducible in enumeration order when omitted) and
     capped at `max_size` elements since exp/log tables are materialized.
+
+    Multiplication goes through the exp/log tables of the ambient
+    generator g.  In characteristic 2 addition is XOR of the encodings; for
+    odd p it uses a Zech-logarithm table (Huber 1990): zech[d] = log(1 + g^d),
+    None where 1 + g^d = 0, so g^a + g^b = g^(a + zech[b - a]) and
+    -g^a = g^(a + (size - 1)/2).  The table is built alongside exp/log, one
+    lookup per entry.
     """
 
     def __init__(self, q: int, imax: int, poly=None, max_size: int = 2 ** 20):
@@ -164,25 +171,22 @@ class Tower:
     def _add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        v, mult = 0, 1
-        while a or b:
-            v += ((a + b) % self.p) * mult
-            a //= self.p
-            b //= self.p
-            mult *= self.p
-        return v
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        n = self.size - 1
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % n]
+        if z is None:
+            return 0
+        return self._exp[(la + z) % n]
 
     def _neg(self, a: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or a == 0:
             return a
-        v, mult = 0, 1
-        while a:
-            d = a % self.p
-            if d:
-                v += (self.p - d) * mult
-            a //= self.p
-            mult *= self.p
-        return v
+        n = self.size - 1
+        return self._exp[(self._log[a] + n // 2) % n]
 
     def _mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -217,6 +221,9 @@ class Tower:
             cur = polyutil.rem_mod(polyutil.mul_mod(cur, gvec, p), poly, p)
         self._exp = exp
         self._log = log
+        if p != 2:
+            # 1 + g^d differs from g^d only in its lowest base-p digit
+            self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp]
 
     # -- levels -----------------------------------------------------------
 

@@ -4,7 +4,7 @@ import pytest
 
 from sl2ext import grp
 from sl2ext.charmod import TorusCharacter
-from sl2ext.coeff import CyclotomicField
+from sl2ext.coeff import CyclotomicField, RationalField
 from sl2ext.grp import torus, unip, weyl
 from sl2ext.indmod import HIGHEST, InducedModule
 
@@ -38,6 +38,14 @@ def test_torus_scales_highest_line(tower32, cyc8):
         if t.val:
             got = mod.act(torus(t), mod.highest_vector())
             assert got == mod.theta.eval(t) * mod.highest_vector()
+
+
+@pytest.mark.parametrize("foreign", [CyclotomicField(4), RationalField()], ids=repr)
+def test_action_rejects_scalars_of_another_field(tower32, cyc8, foreign):
+    mod = _module(tower32, cyc8, 1, 2)
+    for g in (weyl(tower32), unip(tower32.one)):
+        with pytest.raises(ValueError, match="coefficient mode mismatch"):
+            mod.act(g, mod.vec({HIGHEST: foreign.one}))
 
 
 def test_weyl_square_on_cell0(tower32, cyc8):

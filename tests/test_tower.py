@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sl2ext import polyutil
 from sl2ext.tower import BudgetError, Tower
 
 
@@ -119,3 +122,73 @@ def test_cross_level_equality(tower23):
     assert one_low == one_high
     u = tw.enumerate_level(2)[2]
     assert (one_low + u).level == 2
+
+
+# -- raw arithmetic against a polynomial oracle ------------------------------
+
+TOWERS = {(2, 3): Tower(2, 3), (3, 3): Tower(3, 3), (5, 2): Tower(5, 2)}
+
+
+def _digits(tw, v):
+    out = []
+    for _ in range(tw.degree):
+        v, d = divmod(v, tw.p)
+        out.append(d)
+    return out
+
+
+def _encode(tw, digits):
+    return sum((d % tw.p) * tw.p ** j for j, d in enumerate(digits))
+
+
+def _oracle_add(tw, a, b):
+    return _encode(tw, [x + y for x, y in zip(_digits(tw, a), _digits(tw, b))])
+
+
+def _oracle_neg(tw, a):
+    return _encode(tw, [-x for x in _digits(tw, a)])
+
+
+def _oracle_mul(tw, a, b):
+    prod = polyutil.mul_mod(polyutil.trim(_digits(tw, a)), polyutil.trim(_digits(tw, b)), tw.p)
+    return _encode(tw, polyutil.rem_mod(prod, list(tw.poly), tw.p))
+
+
+@st.composite
+def _operands(draw, tw):
+    """(a, b) with the edge cases drawn on purpose: a zero operand,
+    b = -a (the Zech table's empty entry) and a = b."""
+    a = draw(st.integers(0, tw.size - 1))
+    b = draw(st.integers(0, tw.size - 1))
+    case = draw(st.sampled_from(["any", "a=0", "b=0", "b=-a", "a=b"]))
+    if case == "a=0":
+        a = 0
+    elif case == "b=0":
+        b = 0
+    elif case == "b=-a":
+        b = _oracle_neg(tw, a)
+    elif case == "a=b":
+        b = a
+    return a, b
+
+
+@pytest.mark.parametrize("key", sorted(TOWERS), ids=lambda k: f"Tower{k}")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_raw_ops_match_polynomial_oracle(key, data):
+    tw = TOWERS[key]
+    a, b = data.draw(_operands(tw))
+    assert tw._add(a, b) == _oracle_add(tw, a, b)
+    assert tw._neg(a) == _oracle_neg(tw, a)
+    assert tw._mul(a, b) == _oracle_mul(tw, a, b)
+    assert tw._add(a, tw._neg(a)) == 0
+
+
+@pytest.mark.parametrize("key", sorted(TOWERS), ids=lambda k: f"Tower{k}")
+def test_raw_add_exhaustive_from_one_generator_power(key):
+    # every sum g^k + y for one nonzero g^k covers each Zech entry once
+    tw = TOWERS[key]
+    a = tw._exp[1]
+    for b in range(tw.size):
+        assert tw._add(a, b) == _oracle_add(tw, a, b)
+        assert tw._add(b, a) == _oracle_add(tw, a, b)

@@ -1,15 +1,16 @@
 """Sparse exact linear algebra over the coefficient fields.
 
-Vectors are dicts keyed by sortable coordinates with nonzero Scalar
-values.  SparseSpan keeps a reduced echelon basis with deterministic
-pivoting (smallest coordinate first), which makes dimensions, membership
-tests and serialized bases reproducible bit for bit.
+Vectors that callers pass in and get back are dicts keyed by sortable
+coordinates with nonzero Scalar values.  SparseSpan keeps a reduced echelon
+basis with deterministic pivoting (smallest coordinate first), which makes
+dimensions, membership tests and serialized bases reproducible bit for bit.
 
-Inside SparseSpan the rows are dicts of raw field reps: elimination calls
+The rows SparseSpan keeps are dicts of raw field reps: elimination calls
 the field's ``_sub_scaled``/``_mul``/``_inv`` directly and zero-tests a rep
-against the field's zero rep.  Scalars are unwrapped once, where a vector
-comes in (after checking its field), and wrapped again only where rows
-leave: ``rows``, ``basis()``, ``reduce`` and ``nullspace``.
+against the field's zero rep.  An incoming vector is unwrapped once, after
+checking that its values belong to the span's field, and rows are wrapped
+as Scalars again only where they leave: ``rows``, ``basis()``, ``reduce``
+and ``nullspace``.
 """
 
 from __future__ import annotations

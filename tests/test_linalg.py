@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sl2ext.coeff import CyclotomicField, PrimeField, RationalField, Scalar
 from sl2ext.linalg import SparseSpan, monomial_invariants, nullspace, solve_affine, vec_add, vec_scale
+from test_coeff import _elements
 
 F = RationalField()
 
@@ -115,21 +116,9 @@ SYSTEM_FIELDS = [PrimeField(7), PrimeField(5, 2), RationalField(), CyclotomicFie
 
 
 @st.composite
-def _scalars(draw, field):
-    """Small combinations of roots of unity; fractions over Q."""
-    if isinstance(field, RationalField):
-        return field.scalar(draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)))
-    n = {7: 6, 25: 24}.get(getattr(field, "size", None), 12)
-    out = field.zero
-    for c, k in draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, n - 1)), max_size=2)):
-        out = out + field.scalar(c) * field.root_of_unity(n, k)
-    return out
-
-
-@st.composite
 def _sparse_vector(draw, field, nvars):
     keys = draw(st.lists(st.integers(0, nvars - 1), max_size=nvars, unique=True))
-    vec = {k: draw(_scalars(field)) for k in keys}
+    vec = {k: draw(_elements(field)) for k in keys}
     return {k: c for k, c in vec.items() if c}
 
 
@@ -185,7 +174,7 @@ def test_span_rows_membership_and_insert_agree(field, data):
     # probe with random vectors and with a combination of inserted ones
     probes = data.draw(st.lists(_sparse_vector(field, nvars), max_size=3))
     if vecs:
-        c1, c2 = data.draw(_scalars(field)), data.draw(_scalars(field))
+        c1, c2 = data.draw(_elements(field)), data.draw(_elements(field))
         probes.append(vec_add(vec_scale(vecs[0], c1), vec_scale(vecs[-1], c2)))
     for w in probes:
         before = span.dim

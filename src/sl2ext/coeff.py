@@ -7,10 +7,13 @@ nonzero scalar has an exact inverse.  Character values (roots of unity)
 are produced by ``root_of_unity``; a mode supports order n exactly when
 it contains a primitive n-th root.
 
-A cyclotomic coefficient is a plain ``int`` while it is integral and a
-``Fraction`` only after a division: Phi_n is monic, so Z[zeta_n] is closed
-under +, - and *.  ``Fraction(k) == k`` and the two hash alike, so reps
-stay canonical by value.
+Both characteristic-0 modes keep a coefficient as a plain ``int`` while it
+is integral and as a ``Fraction`` only after a real division: a rational
+rep is that number, a cyclotomic rep a tuple of such coefficients (Phi_n
+is monic, so Z[zeta_n] is closed under +, - and *).  Every operation turns
+an integral ``Fraction`` result back into an ``int``, and no operation ever
+yields a float.  ``Fraction(k) == k`` and the two hash alike, so reps stay
+canonical by value.
 """
 
 from __future__ import annotations
@@ -122,6 +125,11 @@ class Scalar:
         return self.field.rep_str(self.rep)
 
 
+def _integral(x: Fraction):
+    """x as an int when it is one; char-0 coefficients keep that form."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class CoeffField:
     """Base for the three coefficient modes."""
 
@@ -184,20 +192,37 @@ class CoeffField:
 
 
 class RationalField(CoeffField):
+    """Q; a rep is an ``int`` while integral, else a ``Fraction``."""
+
     def _add(self, a, b):
-        return a + b
+        s = a + b
+        return s if type(s) is int else _integral(s)
 
     def _sub(self, a, b):
-        return a - b
+        s = a - b
+        return s if type(s) is int else _integral(s)
 
     def _mul(self, a, b):
-        return a * b
+        s = a * b
+        return s if type(s) is int else _integral(s)
 
     def _inv(self, a):
-        return 1 / a
+        if a == 1 or a == -1:
+            return a
+        return _integral(Fraction(1) / a)
 
     def _from_rational(self, x: Fraction):
-        return x
+        return _integral(x)
+
+    def _sub_scaled(self, a: dict, c, b: dict) -> dict:
+        out = dict(a)
+        for k, v in b.items():
+            w = out.get(k, 0) - c * v
+            if w:
+                out[k] = w if type(w) is int else _integral(w)
+            else:
+                out.pop(k, None)
+        return out
 
     def _primitive_root(self, order: int, e: int) -> Scalar:
         if order == 1:
@@ -220,11 +245,6 @@ class RationalField(CoeffField):
 
     def __repr__(self):
         return "Q"
-
-
-def _integral(x: Fraction):
-    """x as an int when it is one; cyclotomic coefficients keep that form."""
-    return x.numerator if x.denominator == 1 else x
 
 
 class CyclotomicField(CoeffField):

@@ -11,6 +11,13 @@ C(gh) = rho_N(g) C(h) + C(g) rho_M(h).  Two independent solvers:
 The quotient by coboundaries rho_N(g) phi - phi rho_M(g) gives the
 extension dimension.  Maschke cases (|G| invertible in the field) are
 the built-in zero controls.
+
+The equation systems are built on raw field reps: a FiniteRep unwraps its
+matrices once, after checking that every entry belongs to its field, and
+the builders multiply and accumulate reps through the field's raw ops
+(``_acc`` is the one accumulator).  Each finished row is wrapped once, as
+it is appended, with one Scalar per distinct rep within a system, and
+handed to the public ``nullspace``/``solve_affine``.
 """
 
 from __future__ import annotations
@@ -54,6 +61,50 @@ def mat_identity(field, n):
 
 def mat_zero(field, n, m):
     return tuple(tuple(field.zero for _ in range(m)) for _ in range(n))
+
+
+# -- raw reps -----------------------------------------------------------------
+
+
+def _raw_matrix(field, A):
+    """The raw reps of a Scalar matrix; an entry from another field raises."""
+    for row in A:
+        for v in row:
+            f = v.field
+            if f is not field and f != field:
+                raise ValueError(f"coefficient mode mismatch: {field} vs {f}")
+    return tuple(tuple(v.rep for v in row) for row in A)
+
+
+def _acc(dst: dict, var, rep, add, zero):
+    """dst[var] += rep on raw reps; a zero rep or a sum that cancels leaves
+    no entry."""
+    if rep != zero:
+        prev = dst.get(var)
+        if prev is None:
+            dst[var] = rep
+        else:
+            s = add(prev, rep)
+            if s != zero:
+                dst[var] = s
+            else:
+                del dst[var]
+
+
+def _row_wrapper(field):
+    """Wraps raw rows as Scalar rows, sharing one Scalar per distinct rep."""
+    shared = {}
+
+    def wrap(raw: dict) -> dict:
+        out = {}
+        for k, r in raw.items():
+            sc = shared.get(r)
+            if sc is None:
+                sc = shared[r] = Scalar(field, r)
+            out[k] = sc
+        return out
+
+    return wrap
 
 
 class GroupTable:
@@ -113,6 +164,9 @@ class FiniteRep:
                 raise ValueError(f"relation check failed for representation {name!r}")
         self.mats = mats
         self.gen_mats = [mats[group.index[s.key()]] for s in group.gens]
+        # raw views for the system builders
+        self._mats = [_raw_matrix(field, m) for m in mats]
+        self._gen_mats = [self._mats[group.index[s.key()]] for s in group.gens]
 
     @classmethod
     def trivial(cls, group: GroupTable, field: CoeffField) -> "FiniteRep":
@@ -169,24 +223,26 @@ def hom_space(M: FiniteRep, N: FiniteRep):
     if M.field != N.field:
         raise ValueError("coefficient mode mismatch between representations")
     field = M.field
+    add, sub, zero = field._add, field._sub, field.zero.rep
+    wrap = _row_wrapper(field)
     variables = [(r, c) for r in range(N.dim) for c in range(M.dim)]
     rows = []
     for k in range(len(M.group.gens)):
-        A, B = N.gen_mats[k], M.gen_mats[k]
+        A, B = N._gen_mats[k], M._gen_mats[k]
         for r in range(N.dim):
             for c in range(M.dim):
                 row = {}
                 for j in range(N.dim):
                     v = A[r][j]
-                    if v:
-                        row[(j, c)] = row.get((j, c), field.zero) + v
+                    if v != zero:
+                        row[(j, c)] = add(row.get((j, c), zero), v)
                 for j in range(M.dim):
                     v = B[j][c]
-                    if v:
-                        row[(r, j)] = row.get((r, j), field.zero) - v
-                row = {k2: v for k2, v in row.items() if v}
+                    if v != zero:
+                        row[(r, j)] = sub(row.get((r, j), zero), v)
+                row = {k2: v for k2, v in row.items() if v != zero}
                 if row:
-                    rows.append(row)
+                    rows.append(wrap(row))
     return nullspace(rows, variables, field)
 
 
@@ -213,29 +269,22 @@ def mackey_hom_dim(lam: TorusCharacter, mu: TorusCharacter, level: int) -> int:
 # -- cocycles -----------------------------------------------------------------
 
 
-def _lin_scale_add(dst: dict, var, coeff):
-    if coeff:
-        prev = dst.get(var)
-        s = coeff if prev is None else prev + coeff
-        if s:
-            dst[var] = s
-        elif prev is not None:
-            del dst[var]
-
-
 def _expr_left(field, A, k, dM):
-    """rho_N(g) * C_k as a matrix of linear forms in the (k, *, *) vars."""
+    """rho_N(g) * C_k as a matrix of linear forms in the (k, *, *) vars;
+    A and the forms hold raw reps."""
+    add, zero = field._add, field.zero.rep
     n = len(A)
     out = [[{} for _ in range(dM)] for _ in range(n)]
     for r in range(n):
         for c in range(dM):
             for j in range(n):
-                _lin_scale_add(out[r][c], (k, j, c), A[r][j])
+                _acc(out[r][c], (k, j, c), A[r][j], add, zero)
     return out
 
 
 def _expr_right(field, E, B):
-    """E * rho_M(s) for a matrix E of linear forms."""
+    """E * rho_M(s) for a matrix E of linear forms (raw reps)."""
+    mul, add, zero = field._mul, field._add, field.zero.rep
     n, dM = len(E), len(B)
     out = [[{} for _ in range(dM)] for _ in range(n)]
     for r in range(n):
@@ -243,46 +292,48 @@ def _expr_right(field, E, B):
             acc = out[r][c]
             for j in range(dM):
                 b = B[j][c]
-                if b:
+                if b != zero:
                     for var, coeff in E[r][j].items():
-                        _lin_scale_add(acc, var, coeff * b)
+                        _acc(acc, var, mul(coeff, b), add, zero)
     return out
 
 
-def _expr_add(E, F):
+def _expr_add(field, E, F):
+    add, zero = field._add, field.zero.rep
     out = []
     for re_, rf in zip(E, F):
         row = []
         for a, b in zip(re_, rf):
             d = dict(a)
             for var, coeff in b.items():
-                _lin_scale_add(d, var, coeff)
+                _acc(d, var, coeff, add, zero)
             row.append(d)
         out.append(row)
     return out
 
 
-def coboundary_vector(M: FiniteRep, N: FiniteRep, r0: int, c0: int) -> dict:
+def coboundary_vector(M: FiniteRep, N: FiniteRep, r0: int, c0: int, wrap=None) -> dict:
     """The coboundary of the elementary map E_{r0 c0}, restricted to the
-    generators, as a vector over the (k, r, c) variables."""
+    generators, as a vector over the (k, r, c) variables.  `wrap` is the
+    row wrapper of the system the vector joins."""
     field = M.field
+    add, sub, zero = field._add, field._sub, field.zero.rep
     out = {}
     for k in range(len(M.group.gens)):
-        A, B = N.gen_mats[k], M.gen_mats[k]
+        A, B = N._gen_mats[k], M._gen_mats[k]
         for r in range(N.dim):
-            v = A[r][r0]
-            _lin_scale_add(out, (k, r, c0), v)
+            _acc(out, (k, r, c0), A[r][r0], add, zero)
         for c in range(M.dim):
-            v = B[c0][c]
-            _lin_scale_add(out, (k, r0, c), -v)
-    return out
+            _acc(out, (k, r0, c), sub(zero, B[c0][c]), add, zero)
+    return (wrap or _row_wrapper(field))(out)
 
 
 def _coboundary_span(M: FiniteRep, N: FiniteRep) -> SparseSpan:
     span = SparseSpan(M.field)
+    wrap = _row_wrapper(M.field)
     for r0 in range(N.dim):
         for c0 in range(M.dim):
-            span.insert(coboundary_vector(M, N, r0, c0))
+            span.insert(coboundary_vector(M, N, r0, c0, wrap))
     return span
 
 
@@ -291,6 +342,8 @@ def ext1_bfs(M: FiniteRep, N: FiniteRep):
     if M.field != N.field:
         raise ValueError("coefficient mode mismatch between representations")
     field = M.field
+    add, sub, zero = field._add, field._sub, field.zero.rep
+    wrap = _row_wrapper(field)
     group = M.group
     ngen = len(group.gens)
     variables = [(k, r, c) for k in range(ngen) for r in range(N.dim) for c in range(M.dim)]
@@ -300,20 +353,20 @@ def ext1_bfs(M: FiniteRep, N: FiniteRep):
     rows = []
     for ci in group.bfs_order[1:]:
         pi, k = group.tree[ci]
-        left = _expr_left(field, N.mats[pi], k, M.dim)
-        right = _expr_right(field, exprs[pi], M.gen_mats[k])
-        exprs[ci] = _expr_add(left, right)
+        left = _expr_left(field, N._mats[pi], k, M.dim)
+        right = _expr_right(field, exprs[pi], M._gen_mats[k])
+        exprs[ci] = _expr_add(field, left, right)
     for pi, k, ci in group.cross:
-        left = _expr_left(field, N.mats[pi], k, M.dim)
-        right = _expr_right(field, exprs[pi], M.gen_mats[k])
-        combined = _expr_add(left, right)
+        left = _expr_left(field, N._mats[pi], k, M.dim)
+        right = _expr_right(field, exprs[pi], M._gen_mats[k])
+        combined = _expr_add(field, left, right)
         for r in range(N.dim):
             for c in range(M.dim):
                 row = dict(combined[r][c])
                 for var, coeff in exprs[ci][r][c].items():
-                    _lin_scale_add(row, var, -coeff)
+                    _acc(row, var, sub(zero, coeff), add, zero)
                 if row:
-                    rows.append(row)
+                    rows.append(wrap(row))
     zbasis = nullspace(rows, variables, field)
     bspan = _coboundary_span(M, N)
     hom_dim = len(hom_space(M, N))
@@ -334,6 +387,9 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
     if M.field != N.field:
         raise ValueError("coefficient mode mismatch between representations")
     field = M.field
+    add, zero = field._add, field.zero.rep
+    minus_one = field._sub(zero, field.one.rep)
+    wrap = _row_wrapper(field)
     group = M.group
     e = group.identity_index
     variables = [
@@ -351,18 +407,18 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
             if hi == e:
                 continue
             ki = group.index[(g * h).key()]
-            A, B = N.mats[gi], M.mats[hi]
+            A, B = N._mats[gi], M._mats[hi]
             for r in range(N.dim):
                 for c in range(M.dim):
                     row = {}
                     if ki != e:
-                        _lin_scale_add(row, (ki, r, c), -field.one)
+                        _acc(row, (ki, r, c), minus_one, add, zero)
                     for j in range(N.dim):
-                        _lin_scale_add(row, (hi, j, c), A[r][j])
+                        _acc(row, (hi, j, c), A[r][j], add, zero)
                     for j in range(M.dim):
-                        _lin_scale_add(row, (gi, r, j), B[j][c])
+                        _acc(row, (gi, r, j), B[j][c], add, zero)
                     if row:
-                        rows.append(row)
+                        rows.append(wrap(row))
     zbasis = nullspace(rows, variables, field)
     bdim = N.dim * M.dim - len(hom_space(M, N))
     return len(zbasis) - bdim
@@ -400,19 +456,21 @@ def find_splitting(M: FiniteRep, N: FiniteRep, gen_values: list):
     if not is_cocycle(M, N, gen_values):
         raise ValueError("the generator values do not satisfy the cocycle law")
     field = M.field
+    add, sub, zero = field._add, field._sub, field.zero.rep
+    wrap = _row_wrapper(field)
     variables = [(r, c) for r in range(N.dim) for c in range(M.dim)]
     rows, rhs = [], {}
     idx = 0
     for k in range(len(M.group.gens)):
-        A, B = N.gen_mats[k], M.gen_mats[k]
+        A, B = N._gen_mats[k], M._gen_mats[k]
         for r in range(N.dim):
             for c in range(M.dim):
                 row = {}
                 for j in range(N.dim):
-                    _lin_scale_add(row, (j, c), A[r][j])
+                    _acc(row, (j, c), A[r][j], add, zero)
                 for j in range(M.dim):
-                    _lin_scale_add(row, (r, j), -B[j][c])
-                rows.append(row)
+                    _acc(row, (r, j), sub(zero, B[j][c]), add, zero)
+                rows.append(wrap(row))
                 rhs[idx] = gen_values[k][r][c]
                 idx += 1
     sol = solve_affine(rows, rhs, variables, field)

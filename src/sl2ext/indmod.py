@@ -43,18 +43,30 @@ class Vec:
         self.module = module
         self.support = {k: v for k, v in support.items() if v}
 
+    @classmethod
+    def _clean(cls, module: "InducedModule", support: dict) -> "Vec":
+        """A Vec on a support that holds no zero value; skips the filter."""
+        v = cls.__new__(cls)
+        v.module = module
+        v.support = support
+        return v
+
     def __add__(self, other: "Vec") -> "Vec":
         self._same(other)
-        return Vec(self.module, vec_add(self.support, other.support))
+        return Vec._clean(self.module, vec_add(self.support, other.support))
 
     def __sub__(self, other: "Vec") -> "Vec":
         self._same(other)
         return self + (-other)
 
     def __neg__(self) -> "Vec":
-        return Vec(self.module, {k: -v for k, v in self.support.items()})
+        return Vec._clean(self.module, {k: -v for k, v in self.support.items()})
 
     def __rmul__(self, c: Scalar) -> "Vec":
+        # a nonzero field element times nonzero values gives nonzero values;
+        # an int is coerced into the field first and may vanish there
+        if isinstance(c, Scalar):
+            return Vec._clean(self.module, vec_scale(self.support, c))
         return Vec(self.module, vec_scale(self.support, c))
 
     def _same(self, other):
@@ -205,7 +217,7 @@ class InducedModule:
                     out[l2] = w
                 else:
                     del out[l2]
-        return Vec(self, {k: Scalar(field, r) for k, r in out.items()})
+        return Vec._clean(self, {k: Scalar(field, r) for k, r in out.items()})
 
     def oracle_act_label(self, g: GroupElement, label: int):
         """Independent route: realize the basis vector as a coset

@@ -10,6 +10,7 @@ from sl2ext.coeff import (
     CyclotomicField,
     PrimeField,
     RationalField,
+    Scalar,
     choose_prime_for_order,
     field_from_spec,
     parse_coeff_spec,
@@ -271,3 +272,67 @@ def test_zero_and_one_are_built_once(field):
     assert field.zero is zero and field.one is one
     assert zero.rep == zero_rep and one.rep == one_rep
     assert not zero and one
+
+
+# -- the integer-first Q kernel ------------------------------------------------
+
+Q = RationalField()
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def _q_rep(x: Fraction):
+    """A canonical Q rep: an int while integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _check_q_rep(rep, value: Fraction):
+    assert type(rep) is not float and rep == value
+    if value.denominator == 1:
+        assert type(rep) is int
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_rationals, y=_rationals)
+def test_rational_kernel_matches_fraction_oracle(x, y):
+    a, b = Q._from_rational(x), Q._from_rational(y)
+    _check_q_rep(a, x)
+    _check_q_rep(Q._add(a, b), x + y)
+    _check_q_rep(Q._sub(a, b), x - y)
+    _check_q_rep(Q._mul(a, b), x * y)
+    if x:
+        _check_q_rep(Q._inv(a), 1 / x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.dictionaries(st.integers(0, 5), _rationals.filter(bool), max_size=5),
+    b=st.dictionaries(st.integers(0, 5), _rationals.filter(bool), max_size=5),
+    c=_rationals,
+)
+def test_rational_sub_scaled_matches_fraction_oracle(a, b, c):
+    expect = {k: a.get(k, Fraction(0)) - c * b.get(k, Fraction(0)) for k in set(a) | set(b)}
+    expect = {k: v for k, v in expect.items() if v}
+    raw = {k: _q_rep(v) for k, v in a.items()}
+    got = Q._sub_scaled(raw, _q_rep(c), {k: _q_rep(v) for k, v in b.items()})
+    assert got == expect
+    for k, v in got.items():
+        _check_q_rep(v, expect[k])
+    assert raw == {k: _q_rep(v) for k, v in a.items()}  # the input is not changed
+
+
+def test_rational_inverse_and_scalar_forms():
+    assert Q._inv(3) == Fraction(1, 3) and type(Q._inv(3)) is Fraction
+    assert Q._inv(1) == 1 and type(Q._inv(1)) is int
+    assert Q._inv(-1) == -1 and type(Q._inv(-1)) is int
+    assert Q._inv(Fraction(1, 4)) == 4 and type(Q._inv(Fraction(1, 4))) is int
+    assert Q._inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        Q._inv(0)
+    with pytest.raises(ZeroDivisionError):
+        Q.one / Q.zero
+    two = Q.scalar(2)
+    assert type(two.rep) is int
+    assert two == Scalar(Q, Fraction(2)) and hash(two) == hash(Scalar(Q, Fraction(2)))
+    assert two.serialize() == "2/1" and Q.scalar(-3).serialize() == "-3/1"
+    assert Q.scalar(Fraction(6, 3)).serialize() == "2/1"
+    assert (Q.scalar(Fraction(1, 2)) * 2).rep == 1 and type((Q.scalar(Fraction(1, 2)) * 2).rep) is int

@@ -198,3 +198,31 @@ def test_order_condition_table():
         for char in (0, 2, 3, 5, 7):
             expected = char == 0 or m % char != 0
             assert cohom.order_condition_forces_zero(m, char) == expected
+
+
+# -- coefficient fields of the raw system builders ------------------------------
+
+
+def test_foreign_scalar_in_generator_matrices_raises(tower22):
+    F7, F11 = PrimeField(7), PrimeField(11)
+    group = cohom.GroupTable(tower22, level=1)
+    gens = [((F11.one,),) for _ in group.gens]
+    with pytest.raises(ValueError, match="coefficient mode mismatch"):
+        cohom.FiniteRep(group, F7, gens, "foreign")
+
+
+def test_raw_matrix_checks_every_entry():
+    F7, F11 = PrimeField(7), PrimeField(11)
+    assert cohom._raw_matrix(F7, ((F7.one, F7.zero),)) == ((1, 0),)
+    with pytest.raises(ValueError, match="coefficient mode mismatch"):
+        cohom._raw_matrix(F7, ((F7.one, F11.one),))
+
+
+@pytest.mark.parametrize("solver", [cohom.hom_space, cohom.ext1_bfs, cohom.ext1_unreduced],
+                         ids=lambda f: f.__name__)
+def test_solvers_reject_reps_over_different_fields(tower22, rat, solver):
+    _, reps7 = _reps(tower22, PrimeField(7), 0)
+    _, reps_q = _reps(tower22, rat, 0)
+    for M, N in ((reps7["tr"], reps_q["St"]), (reps_q["St"], reps7["tr"])):
+        with pytest.raises(ValueError, match="coefficient mode mismatch between representations"):
+            solver(M, N)

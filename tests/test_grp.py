@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2ext import grp
 from sl2ext.grp import (
@@ -127,3 +129,29 @@ def test_determinant_enforced(tower22):
     tw = tower22
     with pytest.raises(ValueError):
         grp.GroupElement(tw.one, tw.one, tw.one, tw.one)
+
+
+@st.composite
+def _sl2_elements(draw, tw, level):
+    """A uniform-ish SL2 element at the level: a, c not both zero, then b, d."""
+    els = tw.enumerate_level(level)
+    nonzero = [x for x in els if x.val]
+    a = draw(st.sampled_from(els))
+    if a.val:
+        b, c = draw(st.sampled_from(els)), draw(st.sampled_from(els))
+        d = (tw.one + b * c) / a
+    else:
+        c = draw(st.sampled_from(nonzero))
+        b, d = -c.inverse(), draw(st.sampled_from(els))
+    return grp.GroupElement(a, b, c, d)
+
+
+@pytest.mark.parametrize("fix,level", [("tower23", 1), ("tower23", 2), ("tower32", 1), ("tower32", 2)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bruhat_reassemble_roundtrip_property(fix, level, data, request):
+    tw = request.getfixturevalue(fix)
+    g = data.draw(_sl2_elements(tw, level))
+    form = bruhat(g)
+    assert reassemble(form, tw) == g
+    assert form.big_cell == bool(g.c.val)

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2ext import grp
 from sl2ext.charmod import TorusCharacter
-from sl2ext.coeff import CyclotomicField, RationalField
+from sl2ext.coeff import CyclotomicField, PrimeField, RationalField
 from sl2ext.grp import torus, unip, weyl
 from sl2ext.indmod import HIGHEST, InducedModule
 
@@ -189,3 +191,56 @@ def test_vector_serialization(tower22):
     v = mod.highest_vector() - mod.basis_vector(0)
     js = v.to_json()
     assert js == [[{"cell": 0}, "[1/1,0/1]"], [{"cell": 1, "x": 0}, "[-1/1,0/1]"]]
+
+
+# -- canonical supports and the action as a group action -------------------------
+
+
+def test_vec_drops_zero_values(tower32, cyc8):
+    mod = _module(tower32, cyc8, 1, 2)
+    label = mod.labels()[3]
+    assert mod.vec({label: cyc8.zero}).support == {}
+    v = mod.vec({HIGHEST: cyc8.one, label: cyc8.zero})
+    assert v.support == {HIGHEST: cyc8.one}
+    assert (v - v).support == {} and (cyc8.zero * v).support == {}
+
+
+def test_int_multiple_that_vanishes_in_the_field_is_dropped(tower22):
+    F2 = PrimeField(2)
+    mod = _module(tower22, F2, 0, 1)
+    assert (2 * mod.highest_vector()).support == {}
+
+
+@st.composite
+def _module_vectors(draw, mod):
+    field = mod.field
+    values = st.integers(-3, 3).map(field.scalar)
+    return mod.vec(draw(st.dictionaries(st.sampled_from(mod.labels()), values, max_size=5)))
+
+
+_ELEMENTS = {}
+
+
+def _level_elements(tw, level):
+    key = (tw.q, tw.imax, level)
+    if key not in _ELEMENTS:
+        _ELEMENTS[key] = grp.enumerate_subgroup(tw, "G", level)
+    return _ELEMENTS[key]
+
+
+@pytest.mark.parametrize("fix,exp,field", [
+    ("tower32", 4, PrimeField(7)), ("tower32", 4, RationalField()),
+    ("tower22", 1, PrimeField(7)), ("tower22", 0, RationalField()),
+], ids=lambda x: repr(x) if not isinstance(x, str) else x)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_action_is_associative_property(fix, exp, field, data, request):
+    tw = request.getfixturevalue(fix)
+    mod = _module(tw, field, exp, 2)
+    elements = _level_elements(tw, 2)
+    g, h = data.draw(st.sampled_from(elements)), data.draw(st.sampled_from(elements))
+    v = data.draw(_module_vectors(mod))
+    hv = mod.act(h, v)
+    assert mod.act(g, hv) == mod.act(g * h, v)
+    for w in (hv, mod.act(g, hv)):
+        assert all(w.support.values())

@@ -312,10 +312,9 @@ def _expr_add(field, E, F):
     return out
 
 
-def coboundary_vector(M: FiniteRep, N: FiniteRep, r0: int, c0: int, wrap=None) -> dict:
+def coboundary_vector(M: FiniteRep, N: FiniteRep, r0: int, c0: int) -> dict:
     """The coboundary of the elementary map E_{r0 c0}, restricted to the
-    generators, as a vector over the (k, r, c) variables.  `wrap` is the
-    row wrapper of the system the vector joins."""
+    generators, as a vector over the (k, r, c) variables."""
     field = M.field
     add, sub, zero = field._add, field._sub, field.zero.rep
     out = {}
@@ -325,15 +324,14 @@ def coboundary_vector(M: FiniteRep, N: FiniteRep, r0: int, c0: int, wrap=None) -
             _acc(out, (k, r, c0), A[r][r0], add, zero)
         for c in range(M.dim):
             _acc(out, (k, r0, c), sub(zero, B[c0][c]), add, zero)
-    return (wrap or _row_wrapper(field))(out)
+    return _row_wrapper(field)(out)
 
 
 def _coboundary_span(M: FiniteRep, N: FiniteRep) -> SparseSpan:
     span = SparseSpan(M.field)
-    wrap = _row_wrapper(M.field)
     for r0 in range(N.dim):
         for c0 in range(M.dim):
-            span.insert(coboundary_vector(M, N, r0, c0, wrap))
+            span.insert(coboundary_vector(M, N, r0, c0))
     return span
 
 

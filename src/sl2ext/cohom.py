@@ -390,13 +390,9 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
     wrap = _row_wrapper(field)
     group = M.group
     e = group.identity_index
-    variables = [
-        (gi, r, c)
-        for gi in range(len(group))
-        if gi != e
-        for r in range(N.dim)
-        for c in range(M.dim)
-    ]
+    # one key tuple per unknown, shared by every row that mentions it
+    var = [[[(gi, r, c) for c in range(M.dim)] for r in range(N.dim)] for gi in range(len(group))]
+    variables = [v for gi, vg in enumerate(var) if gi != e for vr in vg for v in vr]
     rows = []
     for gi, g in enumerate(group.elements):
         if gi == e:
@@ -410,11 +406,11 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
                 for c in range(M.dim):
                     row = {}
                     if ki != e:
-                        _acc(row, (ki, r, c), minus_one, add, zero)
+                        _acc(row, var[ki][r][c], minus_one, add, zero)
                     for j in range(N.dim):
-                        _acc(row, (hi, j, c), A[r][j], add, zero)
+                        _acc(row, var[hi][j][c], A[r][j], add, zero)
                     for j in range(M.dim):
-                        _acc(row, (gi, r, j), B[j][c], add, zero)
+                        _acc(row, var[gi][r][j], B[j][c], add, zero)
                     if row:
                         rows.append(wrap(row))
     zbasis = nullspace(rows, variables, field)

@@ -390,7 +390,8 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
     wrap = _row_wrapper(field)
     group = M.group
     e = group.identity_index
-    # one key tuple per unknown, shared by every row that mentions it
+    # one key tuple per unknown, shared by every row that mentions it: these
+    # rows are the largest live data of the check
     var = [[[(gi, r, c) for c in range(M.dim)] for r in range(N.dim)] for gi in range(len(group))]
     variables = [v for gi, vg in enumerate(var) if gi != e for vr in vg for v in vr]
     rows = []

@@ -12,6 +12,7 @@ Exit codes: 0 all PASS/SKIPPED, 1 some FAIL, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -58,11 +59,23 @@ def _usage_error(msg: str) -> int:
 def _selected_lemmas(config: RunConfig):
     if config.lemmas == "all":
         return None
-    chosen = [x.strip() for x in config.lemmas.split(",") if x.strip()]
+    chosen = [x.strip() for x in config.lemmas.split(",")]
+    if not all(chosen) or len(set(chosen)) < len(chosen):
+        raise SystemExit(_usage_error(f"empty or repeated lemma id in --lemmas {config.lemmas!r}"))
     unknown = [x for x in chosen if x not in REGISTRY_IDS]
     if unknown:
         raise SystemExit(_usage_error(f"unknown lemma ids: {', '.join(unknown)}"))
     return chosen
+
+
+def _open_out(path: str):
+    """The --out file, opened before any check runs; a context manager."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w")
+    except OSError as e:
+        raise SystemExit(_usage_error(f"cannot write --out {path}: {e.strerror or e}"))
 
 
 def _report_json(config: RunConfig, reports) -> dict:
@@ -96,15 +109,16 @@ def render_text(doc: dict) -> str:
 def cmd_verify(args) -> int:
     config = _config_from_args(args)
     lemmas = _selected_lemmas(config)
-    ctx = Context(config)
-    reports = run_all(ctx, lemmas)
-    doc = _report_json(config, reports)
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    text = render_text(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload if args.format == "json" else text)
-    print(payload if args.format == "json" else text, end="")
+    with _open_out(args.out) as out:
+        reports = run_all(Context(config), lemmas)
+        doc = _report_json(config, reports)
+        if args.format == "json":
+            rendered = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        else:
+            rendered = render_text(doc)
+        if out:
+            out.write(rendered)
+    print(rendered, end="")
     return 0 if doc["summary"]["fail"] == 0 else 1
 
 

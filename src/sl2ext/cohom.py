@@ -8,16 +8,18 @@ C(gh) = rho_N(g) C(h) + C(g) rho_M(h).  Two independent solvers:
   * unreduced: one unknown matrix per group element and the full
     |G|^2 set of law equations, no reduction.
 
-The quotient by coboundaries rho_N(g) phi - phi rho_M(g) gives the
-extension dimension.  Maschke cases (|G| invertible in the field) are
-the built-in zero controls.
+The coboundary map phi -> rho_N(s) phi - phi rho_M(s) on the generators is
+built once (``_coboundary_map``): the Hom space is its kernel and the
+coboundaries B1 are the span of its columns, whose dimension gives the
+extension dimension as a quotient.  Maschke cases (|G| invertible in the
+field) are the built-in zero controls.
 
-The equation systems are built on raw field reps: a FiniteRep unwraps its
-matrices once, after checking that every entry belongs to its field, and
-the builders multiply and accumulate reps through the field's raw ops
-(``_acc`` is the one accumulator).  Each finished row is wrapped once, as
-it is appended, with one Scalar per distinct rep within a system, and
-handed to the public ``nullspace``/``solve_affine``.
+Everything below the generator matrices is raw.  Scalars enter only
+through the generator matrices a FiniteRep is given, each entry checked
+once against the rep's field (``_raw_matrix``); the rep keeps only the raw
+matrices.  The builders multiply and accumulate raw reps through the
+field's raw ops (``_acc`` is the one accumulator) and hand raw rows to
+``linalg.nullspace`` and ``SparseSpan.insert_raw``.
 """
 
 from __future__ import annotations
@@ -28,42 +30,31 @@ from . import grp
 from .charmod import TorusCharacter
 from .coeff import CoeffField, Scalar
 from .indmod import HIGHEST, InducedModule
-from .linalg import SparseSpan, nullspace, solve_affine
+from .linalg import SparseSpan, nullspace
 from .tower import Tower
 
 
-# -- small dense matrices over a coefficient field ---------------------------
+# -- small dense matrices of raw reps -----------------------------------------
 
 
 def mat_mul(field, A, B):
+    mul, add, zero = field._mul, field._add, field.zero.rep
     n, k, m = len(A), len(B), len(B[0])
     out = []
     for r in range(n):
         row = []
         for c in range(m):
-            s = field.zero
+            s = zero
             for j in range(k):
-                s = s + A[r][j] * B[j][c]
+                s = add(s, mul(A[r][j], B[j][c]))
             row.append(s)
         out.append(tuple(row))
     return tuple(out)
 
 
-def mat_sub(A, B):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_identity(field, n):
-    return tuple(
-        tuple(field.one if r == c else field.zero for c in range(n)) for r in range(n)
-    )
-
-
-def mat_zero(field, n, m):
-    return tuple(tuple(field.zero for _ in range(m)) for _ in range(n))
-
-
-# -- raw reps -----------------------------------------------------------------
+    one, zero = field.one.rep, field.zero.rep
+    return tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))
 
 
 def _raw_matrix(field, A):
@@ -91,31 +82,19 @@ def _acc(dst: dict, var, rep, add, zero):
                 del dst[var]
 
 
-def _row_wrapper(field):
-    """Wraps raw rows as Scalar rows, sharing one Scalar per distinct rep."""
-    shared = {}
-
-    def wrap(raw: dict) -> dict:
-        out = {}
-        for k, r in raw.items():
-            sc = shared.get(r)
-            if sc is None:
-                sc = shared[r] = Scalar(field, r)
-            out[k] = sc
-        return out
-
-    return wrap
-
-
 class GroupTable:
-    """An enumerated level group with its generator set and a BFS order."""
+    """An enumerated level group with its generator set, its multiplication
+    table and a BFS order."""
 
     def __init__(self, tower: Tower, level: int = 1, budget: int = 100000):
         self.tower = tower
         self.level = level
         self.elements = grp.enumerate_subgroup(tower, "G", level, budget=budget)
         self.index = {g.key(): i for i, g in enumerate(self.elements)}
+        # product[gi][hi] is the index of elements[gi] * elements[hi]
+        self.product = [[self.index[(g * h).key()] for h in self.elements] for g in self.elements]
         self.gens = grp.generators(tower, level)
+        gen_index = [self.index[s.key()] for s in self.gens]
         self.identity_index = self.index[grp.identity(tower).key()]
         # BFS over right multiplication by the generators
         order = [self.identity_index]
@@ -126,9 +105,8 @@ class GroupTable:
         while pos < len(order):
             gi = order[pos]
             pos += 1
-            g = self.elements[gi]
-            for k, s in enumerate(self.gens):
-                ci = self.index[(g * s).key()]
+            for k, si in enumerate(gen_index):
+                ci = self.product[gi][si]
                 if ci in seen:
                     cross.append((gi, k, ci))
                 else:
@@ -147,26 +125,24 @@ class GroupTable:
 
 class FiniteRep:
     """Exact matrices for every element, expanded from the generators along
-    the BFS tree with every cross edge verified."""
+    the BFS tree with every cross edge verified; raw reps only."""
 
-    def __init__(self, group: GroupTable, field: CoeffField, gen_mats: list, name: str):
+    def __init__(self, group: GroupTable, field: CoeffField, generator_matrices: list, name: str):
         self.group = group
         self.field = field
-        self.dim = len(gen_mats[0])
+        self.dim = len(generator_matrices[0])
         self.name = name
+        gens = [_raw_matrix(field, m) for m in generator_matrices]
         mats = [None] * len(group)
         mats[group.identity_index] = mat_identity(field, self.dim)
         for ci in group.bfs_order[1:]:
             pi, k = group.tree[ci]
-            mats[ci] = mat_mul(field, mats[pi], gen_mats[k])
+            mats[ci] = mat_mul(field, mats[pi], gens[k])
         for pi, k, ci in group.cross:
-            if mat_mul(field, mats[pi], gen_mats[k]) != mats[ci]:
+            if mat_mul(field, mats[pi], gens[k]) != mats[ci]:
                 raise ValueError(f"relation check failed for representation {name!r}")
-        self.mats = mats
-        self.gen_mats = [mats[group.index[s.key()]] for s in group.gens]
-        # raw views for the system builders
-        self._mats = [_raw_matrix(field, m) for m in mats]
-        self._gen_mats = [self._mats[group.index[s.key()]] for s in group.gens]
+        self._mats = mats
+        self._gen_mats = [mats[group.index[s.key()]] for s in group.gens]
 
     @classmethod
     def trivial(cls, group: GroupTable, field: CoeffField) -> "FiniteRep":
@@ -215,35 +191,40 @@ class FiniteRep:
         return cls(group, field, mats, "steinberg")
 
 
-# -- Hom spaces ---------------------------------------------------------------
+# -- Hom spaces and coboundaries ---------------------------------------------
 
 
-def hom_space(M: FiniteRep, N: FiniteRep):
-    """Basis of intertwiners N(g) X = X M(g); solved on the generators."""
-    if M.field != N.field:
-        raise ValueError("coefficient mode mismatch between representations")
+def _coboundary_map(M: FiniteRep, N: FiniteRep) -> dict:
+    """phi -> rho_N(s_k) phi - phi rho_M(s_k) as its rows: (k, r, c) -> the
+    raw row over the entries (r0, c0) of phi; zero rows are left out."""
     field = M.field
     add, sub, zero = field._add, field._sub, field.zero.rep
-    wrap = _row_wrapper(field)
-    variables = [(r, c) for r in range(N.dim) for c in range(M.dim)]
-    rows = []
+    rows = {}
     for k in range(len(M.group.gens)):
         A, B = N._gen_mats[k], M._gen_mats[k]
         for r in range(N.dim):
             for c in range(M.dim):
                 row = {}
                 for j in range(N.dim):
-                    v = A[r][j]
-                    if v != zero:
-                        row[(j, c)] = add(row.get((j, c), zero), v)
+                    _acc(row, (j, c), A[r][j], add, zero)
                 for j in range(M.dim):
-                    v = B[j][c]
-                    if v != zero:
-                        row[(r, j)] = sub(row.get((r, j), zero), v)
-                row = {k2: v for k2, v in row.items() if v != zero}
+                    _acc(row, (r, j), sub(zero, B[j][c]), add, zero)
                 if row:
-                    rows.append(wrap(row))
-    return nullspace(rows, variables, field)
+                    rows[(k, r, c)] = row
+    return rows
+
+
+def _kernel(delta: dict, M: FiniteRep, N: FiniteRep) -> list:
+    variables = [(r, c) for r in range(N.dim) for c in range(M.dim)]
+    return nullspace(list(delta.values()), variables, M.field)
+
+
+def hom_space(M: FiniteRep, N: FiniteRep):
+    """Basis of intertwiners N(g) X = X M(g), as raw dicts over the entries
+    (r, c) of X: the kernel of the coboundary map on the generators."""
+    if M.field != N.field:
+        raise ValueError("coefficient mode mismatch between representations")
+    return _kernel(_coboundary_map(M, N), M, N)
 
 
 def mackey_hom_dim(lam: TorusCharacter, mu: TorusCharacter, level: int) -> int:
@@ -312,42 +293,18 @@ def _expr_add(field, E, F):
     return out
 
 
-def coboundary_vector(M: FiniteRep, N: FiniteRep, r0: int, c0: int) -> dict:
-    """The coboundary of the elementary map E_{r0 c0}, restricted to the
-    generators, as a vector over the (k, r, c) variables."""
-    field = M.field
-    add, sub, zero = field._add, field._sub, field.zero.rep
-    out = {}
-    for k in range(len(M.group.gens)):
-        A, B = N._gen_mats[k], M._gen_mats[k]
-        for r in range(N.dim):
-            _acc(out, (k, r, c0), A[r][r0], add, zero)
-        for c in range(M.dim):
-            _acc(out, (k, r0, c), sub(zero, B[c0][c]), add, zero)
-    return _row_wrapper(field)(out)
-
-
-def _coboundary_span(M: FiniteRep, N: FiniteRep) -> SparseSpan:
-    span = SparseSpan(M.field)
-    for r0 in range(N.dim):
-        for c0 in range(M.dim):
-            span.insert(coboundary_vector(M, N, r0, c0))
-    return span
-
-
 def ext1_bfs(M: FiniteRep, N: FiniteRep):
-    """(dimension, transversal cocycles) of Z1/B1 with generator unknowns."""
+    """(dimension, transversal cocycles) of Z1/B1 with generator unknowns;
+    the cocycles are raw dicts over the (k, r, c) variables."""
     if M.field != N.field:
         raise ValueError("coefficient mode mismatch between representations")
     field = M.field
     add, sub, zero = field._add, field._sub, field.zero.rep
-    wrap = _row_wrapper(field)
     group = M.group
     ngen = len(group.gens)
     variables = [(k, r, c) for k in range(ngen) for r in range(N.dim) for c in range(M.dim)]
-    zero_expr = [[{} for _ in range(M.dim)] for _ in range(N.dim)]
     exprs = [None] * len(group)
-    exprs[group.identity_index] = zero_expr
+    exprs[group.identity_index] = [[{} for _ in range(M.dim)] for _ in range(N.dim)]
     rows = []
     for ci in group.bfs_order[1:]:
         pi, k = group.tree[ci]
@@ -364,19 +321,19 @@ def ext1_bfs(M: FiniteRep, N: FiniteRep):
                 for var, coeff in exprs[ci][r][c].items():
                     _acc(row, var, sub(zero, coeff), add, zero)
                 if row:
-                    rows.append(wrap(row))
+                    rows.append(row)
     zbasis = nullspace(rows, variables, field)
-    bspan = _coboundary_span(M, N)
-    hom_dim = len(hom_space(M, N))
-    if bspan.dim != N.dim * M.dim - hom_dim:
+    delta = _coboundary_map(M, N)
+    columns = {}
+    for key, row in delta.items():
+        for entry, v in row.items():
+            columns.setdefault(entry, {})[key] = v
+    span = SparseSpan(field)  # B1, then extended to Z1 in place
+    for entry in sorted(columns):
+        span.insert_raw(columns[entry])
+    if span.dim != N.dim * M.dim - len(_kernel(delta, M, N)):
         raise RuntimeError("coboundary rank is inconsistent with the Hom space")
-    transversal = []
-    span = SparseSpan(field)
-    for row in bspan.basis():
-        span.insert(row)
-    for z in zbasis:
-        if span.insert(z):
-            transversal.append(z)
+    transversal = [z for z in zbasis if span.insert_raw(z)]
     return len(transversal), transversal
 
 
@@ -387,7 +344,6 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
     field = M.field
     add, zero = field._add, field.zero.rep
     minus_one = field._sub(zero, field.one.rep)
-    wrap = _row_wrapper(field)
     group = M.group
     e = group.identity_index
     # one key tuple per unknown, shared by every row that mentions it: these
@@ -395,13 +351,12 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
     var = [[[(gi, r, c) for c in range(M.dim)] for r in range(N.dim)] for gi in range(len(group))]
     variables = [v for gi, vg in enumerate(var) if gi != e for vr in vg for v in vr]
     rows = []
-    for gi, g in enumerate(group.elements):
+    for gi in range(len(group)):
         if gi == e:
             continue
-        for hi, h in enumerate(group.elements):
+        for hi, ki in enumerate(group.product[gi]):
             if hi == e:
                 continue
-            ki = group.index[(g * h).key()]
             A, B = N._mats[gi], M._mats[hi]
             for r in range(N.dim):
                 for c in range(M.dim):
@@ -413,81 +368,10 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
                     for j in range(M.dim):
                         _acc(row, var[gi][r][j], B[j][c], add, zero)
                     if row:
-                        rows.append(wrap(row))
+                        rows.append(row)
     zbasis = nullspace(rows, variables, field)
     bdim = N.dim * M.dim - len(hom_space(M, N))
     return len(zbasis) - bdim
-
-
-def is_cocycle(M: FiniteRep, N: FiniteRep, gen_values: list) -> bool:
-    """Propagate generator values along the BFS tree and verify every
-    cross edge of the cocycle law."""
-    field = M.field
-    group = M.group
-    vals = [None] * len(group)
-    vals[group.identity_index] = mat_zero(field, N.dim, M.dim)
-
-    def step(pi, k):
-        left = mat_mul(field, N.mats[pi], gen_values[k])
-        right = mat_mul(field, vals[pi], M.gen_mats[k])
-        return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(left, right))
-
-    for ci in group.bfs_order[1:]:
-        pi, k = group.tree[ci]
-        vals[ci] = step(pi, k)
-    for pi, k, ci in group.cross:
-        if step(pi, k) != vals[ci]:
-            return False
-    return True
-
-
-def find_splitting(M: FiniteRep, N: FiniteRep, gen_values: list):
-    """A map phi with coboundary(phi) equal to the given cocycle, or None.
-
-    When found, the graph of phi is a complement subrepresentation in the
-    extension the cocycle describes; the coboundary identity is re-checked
-    on every generator before returning.
-    """
-    if not is_cocycle(M, N, gen_values):
-        raise ValueError("the generator values do not satisfy the cocycle law")
-    field = M.field
-    add, sub, zero = field._add, field._sub, field.zero.rep
-    wrap = _row_wrapper(field)
-    variables = [(r, c) for r in range(N.dim) for c in range(M.dim)]
-    rows, rhs = [], {}
-    idx = 0
-    for k in range(len(M.group.gens)):
-        A, B = N._gen_mats[k], M._gen_mats[k]
-        for r in range(N.dim):
-            for c in range(M.dim):
-                row = {}
-                for j in range(N.dim):
-                    _acc(row, (j, c), A[r][j], add, zero)
-                for j in range(M.dim):
-                    _acc(row, (r, j), sub(zero, B[j][c]), add, zero)
-                rows.append(wrap(row))
-                rhs[idx] = gen_values[k][r][c]
-                idx += 1
-    sol = solve_affine(rows, rhs, variables, field)
-    if sol is None:
-        return None
-    phi = tuple(
-        tuple(sol.get((r, c), field.zero) for c in range(M.dim)) for r in range(N.dim)
-    )
-    for k in range(len(M.group.gens)):
-        A, B = N.gen_mats[k], M.gen_mats[k]
-        if mat_sub(mat_mul(field, A, phi), mat_mul(field, phi, B)) != gen_values[k]:
-            raise RuntimeError("reconstructed splitting fails the coboundary identity")
-    return phi
-
-
-def coboundary_of(M: FiniteRep, N: FiniteRep, phi) -> list:
-    field = M.field
-    out = []
-    for k in range(len(M.group.gens)):
-        A, B = N.gen_mats[k], M.gen_mats[k]
-        out.append(mat_sub(mat_mul(field, A, phi), mat_mul(field, phi, B)))
-    return out
 
 
 # -- torus cochain normalization ----------------------------------------------

@@ -74,16 +74,6 @@ def weyl(tw: Tower) -> GroupElement:
     return GroupElement(tw.zero, -tw.one, tw.one, tw.zero)
 
 
-def negate(g: GroupElement) -> GroupElement:
-    return GroupElement(-g.a, -g.b, -g.c, -g.d)
-
-
-def pgl_canonical(g: GroupElement) -> GroupElement:
-    """The canonical representative of {g, -g}: smaller entry key wins."""
-    h = negate(g)
-    return g if g.key() <= h.key() else h
-
-
 @dataclass(frozen=True)
 class BruhatForm:
     """Either u(x) h(t) (small cell, y is None) or u(x) h(t) s u(y)."""
@@ -199,20 +189,3 @@ def enumerate_subgroup(tw: Tower, which: str, level: int, budget: int = 100000, 
                     out.append(base * unip(y))
         return out
     raise ValueError(f"unknown subgroup {which!r}")
-
-
-def coset_reps_next_level(tw: Tower, i: int, budget: int = 100000) -> list:
-    """Representatives of the additive cosets (level i+1) / (level i),
-    each the smallest element of its coset."""
-    low = [x.val for x in tw.enumerate_level(i)]
-    size = tw.level_size(i + 1)
-    if size > budget:
-        raise BudgetError(f"level {i + 1} has {size} elements, over budget {budget}")
-    seen = set()
-    reps = []
-    for x in tw.enumerate_level(i + 1):
-        key = min(tw._add(x.val, u) for u in low)
-        if key not in seen:
-            seen.add(key)
-            reps.append(x)
-    return reps

@@ -22,7 +22,7 @@ from . import grp
 from .charmod import TorusCharacter
 from .coeff import Scalar
 from .grp import GroupElement, bruhat, weyl, unip, torus
-from .linalg import SparseSpan, monomial_invariants, vec_add, vec_scale, nullspace
+from .linalg import SparseSpan, monomial_invariants, vec_add, vec_scale
 from .tower import Tower, TowerElem, BudgetError
 
 HIGHEST = -1  # label of the highest line; cell labels are element encodings
@@ -297,26 +297,6 @@ class InducedModule:
         span = SparseSpan(self.field)
         for comp in monomial_invariants(labels, maps, self.field):
             span.insert(comp)
-        return span
-
-    def invariant_subspace_dense(self, which: str) -> SparseSpan:
-        """Same fixed space by a literal stacked kernel solve; cross-check."""
-        gens = self._subgroup_generators(which)
-        labels = self.labels()
-        rows: dict = {}
-        one = self.field.one
-        for gi, g in enumerate(gens):
-            for l in labels:
-                l2, c = self.act_label(g, l)
-                row = rows.setdefault((gi, l2), {})
-                row[l] = row.get(l, self.field.zero) + c
-            for l in labels:
-                row = rows.setdefault((gi, l), {})
-                row[l] = row.get(l, self.field.zero) - one
-        sys_rows = [{k: v for k, v in r.items() if v} for r in rows.values()]
-        span = SparseSpan(self.field)
-        for v in nullspace(sys_rows, labels, self.field):
-            span.insert(v)
         return span
 
     # -- identities -----------------------------------------------------------

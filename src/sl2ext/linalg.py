@@ -1,16 +1,16 @@
 """Sparse exact linear algebra over the coefficient fields.
 
-Vectors that callers pass in and get back are dicts keyed by sortable
-coordinates with nonzero Scalar values.  SparseSpan keeps a reduced echelon
-basis with deterministic pivoting (smallest coordinate first), which makes
-dimensions, membership tests and serialized bases reproducible bit for bit.
+SparseSpan keeps a reduced echelon basis with deterministic pivoting
+(smallest coordinate first), which makes dimensions, membership tests and
+serialized bases reproducible bit for bit.
 
-The rows SparseSpan keeps are dicts of raw field reps: elimination calls
-the field's ``_sub_scaled``/``_mul``/``_inv`` directly and zero-tests a rep
-against the field's zero rep.  An incoming vector is unwrapped once, after
-checking that its values belong to the span's field, and rows are wrapped
-as Scalars again only where they leave: ``rows``, ``basis()``, ``reduce``
-and ``nullspace``.
+Elimination is raw.  Scalars enter it only through SparseSpan's ``insert``,
+``contains`` and ``reduce``, which check the field of every value once
+(``_unwrap``); below them ``insert_raw`` is the one elimination entry point
+and ``nullspace`` takes and returns dicts of raw reps, never a zero rep.
+Rows are wrapped as Scalars again only where they leave through ``basis()``
+and ``reduce``.  ``vec_add``, ``vec_scale`` and ``monomial_invariants``
+are Scalar helpers of the module layer.
 """
 
 from __future__ import annotations
@@ -62,15 +62,8 @@ class SparseSpan:
         self._rows: dict = {}  # pivot key -> raw row with that pivot normalized to 1
 
     @property
-    def rows(self) -> dict:
-        return {k: _wrap(self.field, row) for k, row in self._rows.items()}
-
-    @property
     def dim(self) -> int:
         return len(self._rows)
-
-    def pivots(self) -> list:
-        return sorted(self._rows)
 
     def _reduce(self, out: dict) -> dict:
         rows, sub_scaled = self._rows, self.field._sub_scaled
@@ -84,8 +77,12 @@ class SparseSpan:
         return _wrap(self.field, self._reduce(_unwrap(self.field, vec)))
 
     def insert(self, vec: dict) -> bool:
-        """Add a vector; returns True when the span grows."""
-        rem = self._reduce(_unwrap(self.field, vec))
+        """Add a Scalar vector; returns True when the span grows."""
+        return self.insert_raw(_unwrap(self.field, vec))
+
+    def insert_raw(self, vec: dict) -> bool:
+        """Add a vector of raw reps of the span's field; True when it grows."""
+        rem = self._reduce(vec)
         if not rem:
             return False
         f = self.field
@@ -112,54 +109,29 @@ class SparseSpan:
 def nullspace(rows: list, variables: list, field: CoeffField) -> list:
     """Basis of the solution space of a homogeneous sparse system.
 
-    `rows` are dicts var->Scalar.  Variables are ranked by their position
-    in `variables` (pivots prefer earlier ones), so the reduced basis is
-    deterministic regardless of the key types.
+    `rows` are dicts var->raw rep, and so are the basis vectors returned.
+    Variables are ranked by their position in `variables` (pivots prefer
+    earlier ones), so the reduced basis is deterministic regardless of the
+    key types.
     """
     pos = {v: i for i, v in enumerate(variables)}
     span = SparseSpan(field)
     for r in rows:
         if r:
-            span.insert({pos[k]: v for k, v in r.items()})
+            span.insert_raw({pos[k]: c for k, c in r.items()})
     echelon = span._rows
-    zero, sub = field.zero.rep, field._sub
+    one, zero, sub = field.one.rep, field.zero.rep, field._sub
     basis = []
     for f in range(len(variables)):
         if f in echelon:
             continue
-        v = {variables[f]: field.one}
+        v = {variables[f]: one}
         for p, row in echelon.items():
             c = row.get(f)
             if c is not None:
-                v[variables[p]] = Scalar(field, sub(zero, c))
+                v[variables[p]] = sub(zero, c)
         basis.append(v)
     return basis
-
-
-def solve_affine(rows: list, rhs: dict, variables: list, field: CoeffField):
-    """One solution x of (row . x) = rhs[i] per row, or None.
-
-    Implemented as a homogeneous solve with a slack variable pinned to 1;
-    deterministic like nullspace.
-    """
-    slack = object()
-    aug = []
-    for idx, r in enumerate(rows):
-        row = dict(r)
-        c = rhs.get(idx)
-        if c:
-            row[slack] = -c
-        if row:
-            aug.append(row)
-    base = nullspace(aug, variables + [slack], field)
-    for v in base:
-        c = v.get(slack)
-        if c:
-            inv = field.one / c
-            return {k: val * inv for k, val in v.items() if k is not slack}
-    if not rhs or all(not c for c in rhs.values()):
-        return {}
-    return None
 
 
 def monomial_invariants(labels, maps, field: CoeffField) -> list:

@@ -301,13 +301,6 @@ class Tower:
 
     # -- subfield membership ----------------------------------------------
 
-    def in_subfield(self, x: TowerElem, d: int) -> bool:
-        """Whether x lies in the degree-d subfield over F_p; d must divide
-        the ambient degree."""
-        if self.degree % d:
-            raise ValueError(f"{d} does not divide the ambient degree {self.degree}")
-        return self._frobenius_fixed(x.val, d)
-
     def _frobenius_fixed(self, val: int, d: int) -> bool:
         # x^(p^d) == x; meaningful for any d (fixes F_{p^gcd(d, degree)})
         if val == 0:

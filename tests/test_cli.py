@@ -57,6 +57,30 @@ def test_unknown_lemma_rejected():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("lemmas", ["", ",", "sus,", "sus,sus", "sus, bruhat,sus"])
+def test_empty_or_repeated_lemma_ids_rejected(lemmas, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "2", "--imax", "2", "--lemmas", lemmas])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty or repeated lemma id") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["missing-dir/r.json", "."])
+def test_unwritable_out_exits_2_before_any_check(where, tmp_path, monkeypatch, capsys):
+    def no_checks(ctx, lemmas):
+        raise AssertionError("a check ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_all", no_checks)
+    path = tmp_path / where
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "2", "--imax", "2", "--lemmas", "sus", "--out", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write --out {path}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_fp_mode_validation():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--q", "2", "--coeff", "fp:4"])  # 4 is not prime

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2ext.coeff import CyclotomicField, PrimeField, RationalField, Scalar
-from sl2ext.linalg import SparseSpan, monomial_invariants, nullspace, solve_affine, vec_add, vec_scale
+from sl2ext.linalg import SparseSpan, monomial_invariants, nullspace, vec_add, vec_scale
 from test_coeff import _elements
 
 F = RationalField()
@@ -30,37 +30,22 @@ def test_span_is_reduced():
     span.insert({0: F.one, 2: F.one})
     span.insert({0: F.one, 1: F.one})
     # after reduction no row contains another row's pivot
-    for p, row in span.rows.items():
-        for p2 in span.rows:
+    for p, row in span._rows.items():
+        for p2 in span._rows:
             if p2 != p:
                 assert p2 not in row
 
 
 def test_nullspace_small():
-    # x + y = 0, y + z = 0 -> one free variable
-    rows = [v(x=1, y=1), v(y=1, z=1)]
+    # x + y = 0, y + z = 0 -> one free variable; rows and basis hold raw reps
+    rows = [{"x": 1, "y": 1}, {"y": 1, "z": 1}]
     basis = nullspace(rows, ["x", "y", "z"], F)
-    assert len(basis) == 1
-    sol = basis[0]
-    assert sol["x"] == sol["z"] and sol["y"] == -sol["z"]
+    assert basis == [{"z": 1, "x": 1, "y": -1}]
 
 
 def test_nullspace_full_rank():
-    rows = [v(x=1), v(y=2)]
+    rows = [{"x": 1}, {"y": 2}]
     assert nullspace(rows, ["x", "y"], F) == []
-
-
-def test_solve_affine():
-    # x + y = 3, x - y = 1 -> x = 2, y = 1
-    rows = [v(x=1, y=1), v(x=1, y=-1)]
-    rhs = {0: F.scalar(3), 1: F.scalar(1)}
-    sol = solve_affine(rows, rhs, ["x", "y"], F)
-    assert sol["x"] == F.scalar(2) and sol["y"] == F.one
-    # inconsistent system
-    rows = [v(x=1), v(x=1)]
-    assert solve_affine(rows, {0: F.one, 1: F.scalar(2)}, ["x", "y"], F) is None
-    # zero right side always solvable
-    assert solve_affine(rows, {}, ["x", "y"], F) == {}
 
 
 def test_monomial_invariants_cycle():
@@ -148,9 +133,10 @@ def test_nullspace_of_random_sparse_systems(field, data):
     nvars = data.draw(st.integers(1, 6))
     rows = data.draw(st.lists(_sparse_vector(field, nvars), max_size=7))
     variables = list(range(nvars))
-    basis = nullspace(rows, variables, field)
-    for v in basis:
-        assert all(isinstance(c, Scalar) and c.field == field for c in v.values())
+    basis = nullspace([{k: c.rep for k, c in r.items()} for r in rows], variables, field)
+    for raw in basis:
+        assert all(not isinstance(r, Scalar) and r != field.zero.rep for r in raw.values())
+        v = {k: Scalar(field, r) for k, r in raw.items()}
         for r in rows:
             total = field.zero
             for k, c in r.items():
@@ -168,7 +154,7 @@ def test_span_rows_membership_and_insert_agree(field, data):
     span = SparseSpan(field)
     for w in vecs:
         span.insert(w)
-    for row in list(span.rows.values()) + span.basis():
+    for row in span.basis():
         assert all(isinstance(c, Scalar) and c.field is field for c in row.values())
     assert span.dim == _dense_rank(vecs, nvars, field)
     # probe with random vectors and with a combination of inserted ones
@@ -181,3 +167,16 @@ def test_span_rows_membership_and_insert_agree(field, data):
         inside = span.contains(w)
         assert span.insert(w) == (not inside)
         assert span.dim == before + (not inside)
+
+
+@pytest.mark.parametrize("field", SYSTEM_FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_insert_raw_and_insert_build_the_same_basis(field, data):
+    nvars = data.draw(st.integers(1, 6))
+    vecs = data.draw(st.lists(_sparse_vector(field, nvars), max_size=6))
+    scalar_span, raw_span = SparseSpan(field), SparseSpan(field)
+    for w in vecs:
+        grew = scalar_span.insert(w)
+        assert raw_span.insert_raw({k: c.rep for k, c in w.items()}) == grew
+    assert raw_span.basis() == scalar_span.basis()

@@ -125,6 +125,12 @@ class Scalar:
         return self.field.rep_str(self.rep)
 
 
+def require_field(field, other) -> None:
+    """Raise unless `other` is `field` or an equal instance of it."""
+    if other is not field and other != field:
+        raise ValueError(f"coefficient mode mismatch: {field} vs {other}")
+
+
 def _integral(x: Fraction):
     """x as an int when it is one; char-0 coefficients keep that form."""
     return x.numerator if x.denominator == 1 else x
@@ -457,8 +463,11 @@ class PrimeField(CoeffField):
             return pow(a, -1, self.ell)
         if not any(a):
             raise ZeroDivisionError("scalar is not invertible")
-        # x^(size-2) in the multiplicative group
-        out, base, e = self._from_rational(Fraction(1)), a, self.size - 2
+        return self._pow(a, self.size - 2)  # x^(size-2) in the multiplicative group
+
+    def _pow(self, rep, e: int):
+        """rep^e for e >= 0, by square-and-multiply over ``_mul``."""
+        out, base = self.one.rep, rep
         while e:
             if e & 1:
                 out = self._mul(out, base)
@@ -482,22 +491,11 @@ class PrimeField(CoeffField):
         if self._gen is None:
             n = self.size - 1
             primes = polyutil.factorize(n)
-            one = self._from_rational(Fraction(1))
+            one = self.one.rep
             for rep in self._elements():
-                if rep == self._from_rational(Fraction(0)):
+                if rep == self.zero.rep:
                     continue
-                ok = True
-                for r in primes:
-                    out, base, e = one, rep, n // r
-                    while e:
-                        if e & 1:
-                            out = self._mul(out, base)
-                        base = self._mul(base, base)
-                        e >>= 1
-                    if out == one:
-                        ok = False
-                        break
-                if ok:
+                if all(self._pow(rep, n // r) != one for r in primes):
                     self._gen = rep
                     break
             else:
@@ -512,14 +510,7 @@ class PrimeField(CoeffField):
         key = (order, e % order)
         rep = self._root_cache.get(key)
         if rep is None:
-            g = self._generator()
-            out, base, k = self._from_rational(Fraction(1)), g, (self.size - 1) // order * (e % order)
-            while k:
-                if k & 1:
-                    out = self._mul(out, base)
-                base = self._mul(base, base)
-                k >>= 1
-            rep = out
+            rep = self._pow(self._generator(), (self.size - 1) // order * (e % order))
             self._root_cache[key] = rep
         return Scalar(self, rep)
 

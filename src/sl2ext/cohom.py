@@ -14,12 +14,12 @@ coboundaries B1 are the span of its columns, whose dimension gives the
 extension dimension as a quotient.  Maschke cases (|G| invertible in the
 field) are the built-in zero controls.
 
-Everything below the generator matrices is raw.  Scalars enter only
-through the generator matrices a FiniteRep is given, each entry checked
-once against the rep's field (``_raw_matrix``); the rep keeps only the raw
-matrices.  The builders multiply and accumulate raw reps through the
-field's raw ops (``_acc`` is the one accumulator) and hand raw rows to
-``linalg.nullspace`` and ``SparseSpan.insert_raw``.
+Everything here is raw: a FiniteRep is given raw generator matrices (the
+induced and Steinberg ones are read off the raw module action), and the
+builders multiply and accumulate raw reps through the field's raw ops and
+``linalg._acc``, and hand raw rows to ``linalg.nullspace`` and
+``SparseSpan.insert``.  Scalars appear only in the outcome of a
+torus-cochain normalization.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from . import grp
 from .charmod import TorusCharacter
 from .coeff import CoeffField, Scalar
-from .indmod import HIGHEST, InducedModule
-from .linalg import SparseSpan, nullspace
+from .indmod import InducedModule
+from .linalg import SparseSpan, _acc, nullspace
 from .tower import Tower
 
 
@@ -55,31 +55,6 @@ def mat_mul(field, A, B):
 def mat_identity(field, n):
     one, zero = field.one.rep, field.zero.rep
     return tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))
-
-
-def _raw_matrix(field, A):
-    """The raw reps of a Scalar matrix; an entry from another field raises."""
-    for row in A:
-        for v in row:
-            f = v.field
-            if f is not field and f != field:
-                raise ValueError(f"coefficient mode mismatch: {field} vs {f}")
-    return tuple(tuple(v.rep for v in row) for row in A)
-
-
-def _acc(dst: dict, var, rep, add, zero):
-    """dst[var] += rep on raw reps; a zero rep or a sum that cancels leaves
-    no entry."""
-    if rep != zero:
-        prev = dst.get(var)
-        if prev is None:
-            dst[var] = rep
-        else:
-            s = add(prev, rep)
-            if s != zero:
-                dst[var] = s
-            else:
-                del dst[var]
 
 
 class GroupTable:
@@ -124,29 +99,28 @@ class GroupTable:
 
 
 class FiniteRep:
-    """Exact matrices for every element, expanded from the generators along
-    the BFS tree with every cross edge verified; raw reps only."""
+    """Exact matrices for every element, expanded from the raw generator
+    matrices along the BFS tree with every cross edge verified."""
 
     def __init__(self, group: GroupTable, field: CoeffField, generator_matrices: list, name: str):
         self.group = group
         self.field = field
         self.dim = len(generator_matrices[0])
         self.name = name
-        gens = [_raw_matrix(field, m) for m in generator_matrices]
         mats = [None] * len(group)
         mats[group.identity_index] = mat_identity(field, self.dim)
         for ci in group.bfs_order[1:]:
             pi, k = group.tree[ci]
-            mats[ci] = mat_mul(field, mats[pi], gens[k])
+            mats[ci] = mat_mul(field, mats[pi], generator_matrices[k])
         for pi, k, ci in group.cross:
-            if mat_mul(field, mats[pi], gens[k]) != mats[ci]:
+            if mat_mul(field, mats[pi], generator_matrices[k]) != mats[ci]:
                 raise ValueError(f"relation check failed for representation {name!r}")
         self._mats = mats
         self._gen_mats = [mats[group.index[s.key()]] for s in group.gens]
 
     @classmethod
     def trivial(cls, group: GroupTable, field: CoeffField) -> "FiniteRep":
-        one = ((field.one,),)
+        one = ((field.one.rep,),)
         return cls(group, field, [one for _ in group.gens], "trivial")
 
     @classmethod
@@ -155,15 +129,15 @@ class FiniteRep:
             raise ValueError("module level does not match the group level")
         labels = module.labels()
         col = {l: j for j, l in enumerate(labels)}
-        field = module.field
+        zero = module.field.zero.rep
         mats = []
         for s in group.gens:
-            m = [[field.zero] * len(labels) for _ in labels]
+            m = [[zero] * len(labels) for _ in labels]
             for l in labels:
                 l2, c = module.act_label(s, l)
                 m[col[l2]][col[l]] = c
             mats.append(tuple(tuple(r) for r in m))
-        return cls(group, field, mats, f"induced[{module.theta.exp}]")
+        return cls(group, module.field, mats, f"induced[{module.theta.exp}]")
 
     @classmethod
     def steinberg(cls, group: GroupTable, module_tr: InducedModule) -> "FiniteRep":
@@ -172,23 +146,15 @@ class FiniteRep:
         vecs = module_tr.steinberg_vectors()
         xs = [x.val for x in module_tr.tower.enumerate_level(module_tr.level)]
         col = {x: j for j, x in enumerate(xs)}
-        field = module_tr.field
+        zero = module_tr.field.zero.rep
         mats = []
         for s in group.gens:
-            m = [[field.zero] * len(xs) for _ in xs]
+            m = [[zero] * len(xs) for _ in xs]
             for j, v in enumerate(vecs):
-                w = module_tr.act(s, v)
-                # coordinates: coefficient of cell(x) is minus the coordinate
-                total = field.zero
-                for label, c in w.support.items():
-                    if label == HIGHEST:
-                        continue
-                    m[col[label]][j] = -c
-                    total = total - c
-                if w.coeff(HIGHEST) != total:
-                    raise ValueError("the alternating span is not stable")
+                for x, c in module_tr.steinberg_coordinates(module_tr.act(s, v)).items():
+                    m[col[x]][j] = c
             mats.append(tuple(tuple(r) for r in m))
-        return cls(group, field, mats, "steinberg")
+        return cls(group, module_tr.field, mats, "steinberg")
 
 
 # -- Hom spaces and coboundaries ---------------------------------------------
@@ -330,10 +296,10 @@ def ext1_bfs(M: FiniteRep, N: FiniteRep):
             columns.setdefault(entry, {})[key] = v
     span = SparseSpan(field)  # B1, then extended to Z1 in place
     for entry in sorted(columns):
-        span.insert_raw(columns[entry])
+        span.insert(columns[entry])
     if span.dim != N.dim * M.dim - len(_kernel(delta, M, N)):
         raise RuntimeError("coboundary rank is inconsistent with the Hom space")
-    transversal = [z for z in zbasis if span.insert_raw(z)]
+    transversal = [z for z in zbasis if span.insert(z)]
     return len(transversal), transversal
 
 

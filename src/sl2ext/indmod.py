@@ -14,15 +14,22 @@ Generator rules, theta the inducing character:
     u(a).cell(x)  = cell(a + x)
     s.cell(0)     = theta(-1) . 1
     s.cell(x)     = theta(x) . cell(-1/x)        (x != 0)
+
+A vector holds raw reps of the module's field, never a zero rep, and so
+do ``act_label`` and ``oracle_act_label``.  Scalars enter a vector only
+through ``InducedModule.vec`` and ``Vec.__rmul__``, which check each
+Scalar's field against the module's (``coeff.require_field``), and as the
+character values the ``towerext`` builders write; they leave only through
+``Vec.coeff``, ``to_json`` and ``repr``.
 """
 
 from __future__ import annotations
 
 from . import grp
 from .charmod import TorusCharacter
-from .coeff import Scalar
+from .coeff import Scalar, require_field
 from .grp import GroupElement, bruhat, weyl, unip, torus
-from .linalg import SparseSpan, monomial_invariants, vec_add, vec_scale
+from .linalg import SparseSpan, _acc, monomial_invariants
 from .tower import Tower, TowerElem, BudgetError
 
 HIGHEST = -1  # label of the highest line; cell labels are element encodings
@@ -35,39 +42,44 @@ def label_json(label: int):
 
 
 class Vec:
-    """A finitely supported combination of basis labels, canonical form."""
+    """A finitely supported combination of basis labels: label -> nonzero
+    raw rep of the module's field."""
 
     __slots__ = ("module", "support")
 
     def __init__(self, module: "InducedModule", support: dict):
         self.module = module
-        self.support = {k: v for k, v in support.items() if v}
-
-    @classmethod
-    def _clean(cls, module: "InducedModule", support: dict) -> "Vec":
-        """A Vec on a support that holds no zero value; skips the filter."""
-        v = cls.__new__(cls)
-        v.module = module
-        v.support = support
-        return v
+        self.support = support
 
     def __add__(self, other: "Vec") -> "Vec":
         self._same(other)
-        return Vec._clean(self.module, vec_add(self.support, other.support))
+        f = self.module.field
+        add, zero = f._add, f.zero.rep
+        out = dict(self.support)
+        for k, r in other.support.items():
+            _acc(out, k, r, add, zero)
+        return Vec(self.module, out)
 
     def __sub__(self, other: "Vec") -> "Vec":
         self._same(other)
         return self + (-other)
 
     def __neg__(self) -> "Vec":
-        return Vec._clean(self.module, {k: -v for k, v in self.support.items()})
+        f = self.module.field
+        sub, zero = f._sub, f.zero.rep
+        return Vec(self.module, {k: sub(zero, r) for k, r in self.support.items()})
 
-    def __rmul__(self, c: Scalar) -> "Vec":
-        # a nonzero field element times nonzero values gives nonzero values;
+    def __rmul__(self, c) -> "Vec":
         # an int is coerced into the field first and may vanish there
+        f = self.module.field
         if isinstance(c, Scalar):
-            return Vec._clean(self.module, vec_scale(self.support, c))
-        return Vec(self.module, vec_scale(self.support, c))
+            require_field(f, c.field)
+        else:
+            c = f.scalar(c)
+        if not c:
+            return Vec(self.module, {})
+        mul, r = f._mul, c.rep
+        return Vec(self.module, {k: mul(v, r) for k, v in self.support.items()})
 
     def _same(self, other):
         if not isinstance(other, Vec) or other.module is not self.module:
@@ -82,18 +94,21 @@ class Vec:
         return self.module is other.module and self.support == other.support
 
     def coeff(self, label: int) -> Scalar:
-        return self.support.get(label, self.module.field.zero)
+        f = self.module.field
+        return Scalar(f, self.support.get(label, f.zero.rep))
 
     def to_json(self):
-        return [[label_json(k), self.support[k].serialize()] for k in sorted(self.support)]
+        rep_str = self.module.field.rep_str
+        return [[label_json(k), rep_str(self.support[k])] for k in sorted(self.support)]
 
     def __repr__(self):
         if not self.support:
             return "0"
+        rep_str = self.module.field.rep_str
         bits = []
         for k in sorted(self.support):
             name = "hi" if k == HIGHEST else f"c({k})"
-            bits.append(f"{self.support[k]}*{name}")
+            bits.append(f"{rep_str(self.support[k])}*{name}")
         return " + ".join(bits)
 
 
@@ -138,10 +153,19 @@ class InducedModule:
         return Vec(self, {})
 
     def vec(self, items) -> Vec:
-        return Vec(self, dict(items))
+        """The vector of (label, Scalar) items; zero values are dropped and
+        a value from another field raises."""
+        field = self.field
+        zero = field.zero.rep
+        out = {}
+        for label, c in dict(items).items():
+            require_field(field, c.field)
+            if c.rep != zero:
+                out[label] = c.rep
+        return Vec(self, out)
 
     def basis_vector(self, label: int) -> Vec:
-        return Vec(self, {label: self.field.one})
+        return Vec(self, {label: self.field.one.rep})
 
     def highest_vector(self) -> Vec:
         return self.basis_vector(HIGHEST)
@@ -187,12 +211,9 @@ class InducedModule:
         atoms.append(("u", form.x.val))
         return atoms
 
-    def _act_label_scalar(self, atoms, label: int):
-        l2, c = self._act_label_atoms(atoms, label, self.field.one.rep)
-        return l2, Scalar(self.field, c)
-
     def act_label(self, g: GroupElement, label: int):
-        return self._act_label_scalar(self._atoms(g), label)
+        """g . label as (label, raw rep)."""
+        return self._act_label_atoms(self._atoms(g), label, self.field.one.rep)
 
     def act(self, g: GroupElement, v: Vec) -> Vec:
         if g.level > self.level:
@@ -200,14 +221,10 @@ class InducedModule:
         if v.module is not self:
             raise ValueError("vector from a different module")
         atoms = self._atoms(g)
-        field = self.field
-        add, zero = field._add, field.zero.rep
+        add, zero = self.field._add, self.field.zero.rep
         out: dict = {}
         for label, c in v.support.items():
-            f = c.field
-            if f is not field and f != field:
-                raise ValueError(f"coefficient mode mismatch: {field} vs {f}")
-            l2, c2 = self._act_label_atoms(atoms, label, c.rep)
+            l2, c2 = self._act_label_atoms(atoms, label, c)
             w = out.get(l2)
             if w is None:
                 out[l2] = c2
@@ -217,7 +234,7 @@ class InducedModule:
                     out[l2] = w
                 else:
                     del out[l2]
-        return Vec._clean(self, {k: Scalar(field, r) for k, r in out.items()})
+        return Vec(self, out)
 
     def oracle_act_label(self, g: GroupElement, label: int):
         """Independent route: realize the basis vector as a coset
@@ -230,8 +247,8 @@ class InducedModule:
             m = g * (unip(tw.element(label, self.level)) * weyl(tw))
         form = bruhat(m)
         if not form.big_cell:
-            return HIGHEST, Scalar(self.field, self._th(form.t.val))
-        return form.x.val, Scalar(self.field, self._th_inv(form.t.val))
+            return HIGHEST, self._th(form.t.val)
+        return form.x.val, self._th_inv(form.t.val)
 
     # -- distinguished vectors ----------------------------------------------
 
@@ -242,14 +259,35 @@ class InducedModule:
             raise ValueError("J is not contained in the character's support set")
         if not J:
             return self.highest_vector()
-        return Vec(self, {HIGHEST: self.field.one, 0: -self.field.one})
+        one = self.field.one
+        return Vec(self, {HIGHEST: one.rep, 0: (-one).rep})
 
     def steinberg_vectors(self) -> list:
         """u(x) . (1 - s).1 for x at this level; trivial character only."""
         if not self.theta.is_trivial():
             raise ValueError("the alternating generator needs the trivial character")
         one = self.field.one
-        return [Vec(self, {HIGHEST: one, x.val: -one}) for x in self.tower.enumerate_level(self.level)]
+        hi, cell = one.rep, (-one).rep
+        return [Vec(self, {HIGHEST: hi, x.val: cell}) for x in self.tower.enumerate_level(self.level)]
+
+    def steinberg_coordinates(self, v: Vec) -> dict:
+        """Coordinates of a Steinberg-span vector in the shifted-generator
+        basis u(x).(1 - s).1, as x -> raw rep; raises when the vector is
+        outside the span."""
+        if v.module is not self:
+            raise ValueError("vector from a different module")
+        f = self.field
+        add, sub, zero = f._add, f._sub, f.zero.rep
+        # the coordinate at x is minus the coefficient of cell(x)
+        coords = {}
+        total = zero
+        for label, c in v.support.items():
+            if label != HIGHEST:
+                coords[label] = sub(zero, c)
+                total = add(total, coords[label])
+        if v.support.get(HIGHEST, zero) != total:
+            raise ValueError("vector is not in the alternating-generator span")
+        return coords
 
     # -- subspaces -----------------------------------------------------------
 
@@ -290,10 +328,11 @@ class InducedModule:
         """
         gens = self._subgroup_generators(which)
         labels = self.labels()
+        one = self.field.one.rep
         maps = []
         for g in gens:
             atoms = self._atoms(g)
-            maps.append(lambda l, a=atoms: self._act_label_scalar(a, l))
+            maps.append(lambda l, a=atoms: self._act_label_atoms(a, l, one))
         span = SparseSpan(self.field)
         for comp in monomial_invariants(labels, maps, self.field):
             span.insert(comp)

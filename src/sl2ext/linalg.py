@@ -4,54 +4,31 @@ SparseSpan keeps a reduced echelon basis with deterministic pivoting
 (smallest coordinate first), which makes dimensions, membership tests and
 serialized bases reproducible bit for bit.
 
-Elimination is raw.  Scalars enter it only through SparseSpan's ``insert``,
-``contains`` and ``reduce``, which check the field of every value once
-(``_unwrap``); below them ``insert_raw`` is the one elimination entry point
-and ``nullspace`` takes and returns dicts of raw reps, never a zero rep.
-Rows are wrapped as Scalars again only where they leave through ``basis()``
-and ``reduce``.  ``vec_add``, ``vec_scale`` and ``monomial_invariants``
-are Scalar helpers of the module layer.
+Everything here is raw: a vector is a dict of raw reps of one field and
+never holds a zero rep.  Scalars are checked and unwrapped at the module
+boundary (``InducedModule.vec``, ``Vec.__rmul__`` and the character values
+the ``towerext`` builders write), never here.  ``_acc`` is the one
+add-and-drop-on-cancel accumulator of the vector and cocycle builders.
 """
 
 from __future__ import annotations
 
-from .coeff import CoeffField, Scalar
+from .coeff import CoeffField
 
 
-def vec_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        if w is None:
-            out[k] = v
+def _acc(dst: dict, key, rep, add, zero):
+    """dst[key] += rep on raw reps; a zero rep or a sum that cancels leaves
+    no entry."""
+    if rep != zero:
+        prev = dst.get(key)
+        if prev is None:
+            dst[key] = rep
         else:
-            w = w + v
-            if w:
-                out[k] = w
+            s = add(prev, rep)
+            if s != zero:
+                dst[key] = s
             else:
-                del out[k]
-    return out
-
-
-def vec_scale(a: dict, c: Scalar) -> dict:
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
-def _unwrap(field: CoeffField, vec: dict) -> dict:
-    """The raw reps of a Scalar vector; a value from another field raises."""
-    out = {}
-    for k, v in vec.items():
-        f = v.field
-        if f is not field and f != field:
-            raise ValueError(f"coefficient mode mismatch: {field} vs {f}")
-        out[k] = v.rep
-    return out
-
-
-def _wrap(field: CoeffField, raw: dict) -> dict:
-    return {k: Scalar(field, r) for k, r in raw.items()}
+                del dst[key]
 
 
 class SparseSpan:
@@ -65,7 +42,9 @@ class SparseSpan:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, out: dict) -> dict:
+    def reduce(self, out: dict) -> dict:
+        """The remainder of a vector modulo the span; empty when the vector
+        lies in it."""
         rows, sub_scaled = self._rows, self.field._sub_scaled
         for k in sorted(out):
             if k in out and k in rows:
@@ -73,23 +52,14 @@ class SparseSpan:
         # reductions cannot reintroduce pivot keys: rows are mutually reduced
         return out
 
-    def reduce(self, vec: dict) -> dict:
-        return _wrap(self.field, self._reduce(_unwrap(self.field, vec)))
-
     def insert(self, vec: dict) -> bool:
-        """Add a Scalar vector; returns True when the span grows."""
-        return self.insert_raw(_unwrap(self.field, vec))
-
-    def insert_raw(self, vec: dict) -> bool:
-        """Add a vector of raw reps of the span's field; True when it grows."""
-        rem = self._reduce(vec)
+        """Add a vector; returns True when the span grows."""
+        rem = self.reduce(vec)
         if not rem:
             return False
         f = self.field
         pivot = min(rem)
-        # one / pivot, computed as Scalar division computes it
-        inv = f._mul(f.one.rep, f._inv(rem[pivot]))
-        mul = f._mul
+        inv, mul = f._inv(rem[pivot]), f._mul
         row = {k: mul(v, inv) for k, v in rem.items()}
         rows, sub_scaled = self._rows, f._sub_scaled
         for k, other in rows.items():
@@ -100,10 +70,10 @@ class SparseSpan:
         return True
 
     def contains(self, vec: dict) -> bool:
-        return not self._reduce(_unwrap(self.field, vec))
+        return not self.reduce(vec)
 
     def basis(self) -> list:
-        return [_wrap(self.field, self._rows[k]) for k in sorted(self._rows)]
+        return [dict(self._rows[k]) for k in sorted(self._rows)]
 
 
 def nullspace(rows: list, variables: list, field: CoeffField) -> list:
@@ -118,7 +88,7 @@ def nullspace(rows: list, variables: list, field: CoeffField) -> list:
     span = SparseSpan(field)
     for r in rows:
         if r:
-            span.insert_raw({pos[k]: c for k, c in r.items()})
+            span.insert({pos[k]: c for k, c in r.items()})
     echelon = span._rows
     one, zero, sub = field.one.rep, field.zero.rep, field._sub
     basis = []
@@ -138,14 +108,16 @@ def monomial_invariants(labels, maps, field: CoeffField) -> list:
     """Joint fixed vectors of monomial operators.
 
     Each map sends a label l to (l2, c) meaning: the operator carries the
-    basis vector at l to c times the one at l2.  A vector fixed by all of
-    them satisfies v[l2] = c * v[l] along every edge; components where the
-    scalar constraints close up inconsistently are forced to zero.
-    Returns one weighted component-sum per consistent component, rooted at
-    the component's smallest label (coefficient 1 there).
+    basis vector at l to c times the one at l2, c a nonzero raw rep.  A
+    vector fixed by all of them satisfies v[l2] = c * v[l] along every
+    edge; components where the scalar constraints close up inconsistently
+    are forced to zero.  Returns one weighted component-sum per consistent
+    component, rooted at the component's smallest label (coefficient 1
+    there).
     """
+    mul, inv, one = field._mul, field._inv, field.one.rep
     parent = {l: l for l in labels}
-    weight = {l: field.one for l in labels}  # v[l] = weight[l] * v[root]
+    weight = {l: one for l in labels}  # v[l] = weight[l] * v[root]
     dead = set()
 
     def find(l):
@@ -153,9 +125,9 @@ def monomial_invariants(labels, maps, field: CoeffField) -> list:
         while parent[l] != l:
             path.append(l)
             l = parent[l]
-        w = field.one
+        w = one
         for node in reversed(path):
-            w = w * weight[node]
+            w = mul(w, weight[node])
             # compress: point directly at the root with the combined weight
             parent[node] = l
             weight[node] = w
@@ -167,11 +139,11 @@ def monomial_invariants(labels, maps, field: CoeffField) -> list:
             r1 = find(l)
             r2 = find(l2)
             if r1 == r2:
-                if weight[l2] != c * weight[l]:
+                if weight[l2] != mul(c, weight[l]):
                     dead.add(r1)
             else:
                 # v[l2] = c v[l]: express r2 through r1
-                weight[r2] = c * weight[l] / weight[l2]
+                weight[r2] = mul(mul(c, weight[l]), inv(weight[l2]))
                 parent[r2] = r1
                 if r2 in dead:
                     dead.discard(r2)
@@ -187,6 +159,6 @@ def monomial_invariants(labels, maps, field: CoeffField) -> list:
             continue
         members = comps[r]
         base = min(members)
-        scale = field.one / weight[base]
-        out.append({l: weight[l] * scale for l in sorted(members)})
+        scale = inv(weight[base])
+        out.append({l: mul(weight[l], scale) for l in sorted(members)})
     return out

@@ -17,6 +17,11 @@ At every finite level the action is the literal direct-sum action; what
 the certificates record is that the connecting vector escapes the
 relevant invariant subspace, which is the finite shadow of the limit
 extension being nonsplit.
+
+Vectors hold raw reps (see ``indmod``).  The builders below write
+character values into them: each checks once that the character's field
+is the module's field, then unwraps the values it writes.  A system takes
+its field from its characters.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ from dataclasses import dataclass
 
 from . import grp
 from .charmod import TorusCharacter, nu_character
-from .coeff import CoeffField
+from .coeff import require_field
 from .grp import GroupElement, unip, torus, weyl
-from .indmod import HIGHEST, InducedModule, Vec
-from .linalg import SparseSpan
+from .indmod import InducedModule, Vec
+from .linalg import SparseSpan, _acc
 from .tower import Tower, TowerElem
 
 
@@ -71,12 +76,14 @@ def borel_average(chi: TorusCharacter, i: int, mod_next: InducedModule,
                   a: TowerElem) -> Vec:
     """sum_t chi(t)^-1 (sum_u cell(a t^2 + u)) in mod_next, over the
     shifted cosets of level i."""
+    field = mod_next.field
+    require_field(field, chi.field)
+    add, zero = field._add, field.zero.rep
     out: dict = {}
     for t, labels in shifted_cosets(mod_next.tower, i, a):
-        c = chi.eval(t.inverse())
+        c = chi.eval(t.inverse()).rep
         for label in labels:
-            prev = out.get(label)
-            out[label] = c if prev is None else prev + c
+            _acc(out, label, c, add, zero)
     return Vec(mod_next, out)
 
 
@@ -150,17 +157,18 @@ def steinberg_weight_vector(theta: TorusCharacter, i: int, mod_next: InducedModu
     """(1 - s) applied to the Borel average of cell(b): the expansion has
     one positive term cell(b t^2 + u) and one negative term at the
     reflected label, all 2 * |T/±| * q^{i!} labels pairwise distinct."""
-    tw = mod_next.tower
+    tw, field = mod_next.tower, mod_next.field
     b = _quadratic_free_element(theta, i, tw, b)
+    require_field(field, theta.field)
+    add, sub, mul, zero = field._add, field._sub, field._mul, field.zero.rep
     out: dict = {}
     for t, labels in shifted_cosets(tw, i, b):
-        cpos = theta.eval(t.inverse())
+        cpos = theta.eval(t.inverse()).rep
         for label in labels:
-            out[label] = out.get(label, mod_next.field.zero) + cpos
+            _acc(out, label, cpos, add, zero)
             c_elem = tw.element(label)
-            cneg = cpos * theta.eval(c_elem)
-            neg_label = (-c_elem.inverse()).val
-            out[neg_label] = out.get(neg_label, mod_next.field.zero) - cneg
+            cneg = mul(cpos, theta.eval(c_elem).rep)
+            _acc(out, (-c_elem.inverse()).val, sub(zero, cneg), add, zero)
     return Vec(mod_next, out)
 
 
@@ -227,14 +235,13 @@ class ExtVec:
 class DirectSystem:
     """One step i -> i+1 of a system, with its connecting map."""
 
-    def __init__(self, tag: str, tower: Tower, field: CoeffField, i: int,
+    def __init__(self, tag: str, tower: Tower, i: int,
                  lam: TorusCharacter | None = None, mu: TorusCharacter | None = None,
                  theta: TorusCharacter | None = None):
         if tag not in ("F", "H", "L"):
             raise ValueError("system tag must be F, H or L")
         self.tag = tag
         self.tower = tower
-        self.field = field
         self.i = i
         if tag == "F" and (lam is None or mu is None):
             raise ValueError("system F needs the pair of characters")
@@ -242,6 +249,7 @@ class DirectSystem:
             raise ValueError(f"system {tag} needs a character")
         self.lam, self.mu, self.theta = lam, mu, theta
         bottom = mu if tag == "F" else theta
+        self.field = field = bottom.field
         self.mod_i = InducedModule(tower, bottom, i)
         self.mod_next = InducedModule(tower, bottom, i + 1)
         if tag == "F":
@@ -283,17 +291,20 @@ class DirectSystem:
         return ExtVec(top, bottom_mod.act(g, v.bottom))
 
     def connect(self, v: ExtVec) -> ExtVec:
-        bottom = _lift(v.bottom, self.mod_next)
-        if self.tag in ("F", "H"):
+        if self.tag != "L":
+            bottom = _lift(v.bottom, self.mod_next)
             if v.top:
                 bottom = bottom + v.top * self.conn
             return ExtVec(v.top, bottom)
-        coords = steinberg_coordinates(v.top)
-        tw = self.tower
-        for xval, a in coords.items():
+        # the top's coordinate a at x adds a u(x).conn to the lifted bottom
+        tw, f = self.tower, self.field
+        mul, add, zero = f._mul, f._add, f.zero.rep
+        out = dict(v.bottom.support)  # the lifted bottom: labels embed
+        for xval, a in self.st_i.steinberg_coordinates(v.top).items():
             shifted = self.mod_next.act(unip(tw.element(xval, self.i)), self.conn)
-            bottom = bottom + a * shifted
-        return ExtVec(_lift(v.top, self.st_next), bottom)
+            for label, c in shifted.support.items():
+                _acc(out, label, mul(c, a), add, zero)
+        return ExtVec(_lift(v.top, self.st_next), Vec(self.mod_next, out))
 
     # checks
 
@@ -302,9 +313,8 @@ class DirectSystem:
         if self.tag == "L":
             for k, c in v.top.support.items():
                 out[(0, k)] = c
-        else:
-            if v.top:
-                out[(0, 0)] = v.top
+        elif v.top:
+            out[(0, 0)] = v.top.rep
         for k, c in v.bottom.support.items():
             out[(1, k)] = c
         return out
@@ -326,21 +336,6 @@ class DirectSystem:
                 if lhs.top != rhs.top or lhs.bottom != rhs.bottom:
                     return False
         return True
-
-
-def steinberg_coordinates(v: Vec) -> dict:
-    """Coordinates of a Steinberg-span vector in the shifted-generator
-    basis u(x).(1 - s).1; raises when the vector is outside the span."""
-    coords = {}
-    total = v.module.field.zero
-    for label, c in v.support.items():
-        if label == HIGHEST:
-            continue
-        coords[label] = -c
-        total = total + (-c)
-    if v.coeff(HIGHEST) != total:
-        raise ValueError("vector is not in the alternating-generator span")
-    return {k: c for k, c in coords.items() if c}
 
 
 # -- escape certificates -----------------------------------------------------
@@ -376,7 +371,7 @@ def _coverage(tag: str, tower: Tower, i: int) -> dict:
     return {"covered_labels": covered, "total_labels": total, "tight": covered >= total}
 
 
-def nonsplit_certificate(tag: str, tower: Tower, field: CoeffField, i: int,
+def nonsplit_certificate(tag: str, tower: Tower, i: int,
                          lam: TorusCharacter | None = None,
                          mu: TorusCharacter | None = None,
                          theta: TorusCharacter | None = None) -> dict:
@@ -388,13 +383,14 @@ def nonsplit_certificate(tag: str, tower: Tower, field: CoeffField, i: int,
     the instance is degenerate rather than wrong, and is SKIPPED with a
     note; membership at non-tight parameters would be a genuine FAIL.
     """
-    system = DirectSystem(tag, tower, field, i, lam=lam, mu=mu, theta=theta)
+    system = DirectSystem(tag, tower, i, lam=lam, mu=mu, theta=theta)
     mod_next, conn = system.mod_next, system.conn
     inv = mod_next.invariant_subspace("T" if tag == "L" else "U")
 
-    total = SparseSpan(field)
+    total = SparseSpan(system.field)
+    one = system.field.one.rep
     for label in system.mod_i.labels():
-        total.insert({label: field.one})
+        total.insert({label: one})
     d_lower = total.dim
     for row in inv.basis():
         total.insert(row)

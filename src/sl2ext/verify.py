@@ -645,8 +645,7 @@ def _character_args(ctx: Context, tag: str) -> dict:
 
 
 def _certificate_check(lemma_id: str, tag: str, ctx: Context, params: dict) -> Report:
-    payload = towerext.nonsplit_certificate(tag, ctx.tower, ctx.field, params["i"],
-                                            **_character_args(ctx, tag))
+    payload = towerext.nonsplit_certificate(tag, ctx.tower, params["i"], **_character_args(ctx, tag))
     verdict = payload.pop("verdict")
     reason = payload.pop("note", "")
     return Report(lemma_id, params, verdict, payload, reason=reason)
@@ -667,7 +666,7 @@ def _chk_noLG(ctx, params):
 def _chk_connect(ctx: Context, params: dict) -> Report:
     i, tag = params["i"], params["system"]
     tw = ctx.tower
-    system = towerext.DirectSystem(tag, tw, ctx.field, i, **_character_args(ctx, tag))
+    system = towerext.DirectSystem(tag, tw, i, **_character_args(ctx, tag))
     if not system.check_injective():
         return Report("connect-inj", params, "FAIL", {"stage": "injectivity"})
     if tag == "F":

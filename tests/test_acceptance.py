@@ -212,17 +212,17 @@ def test_c09_escape_certificates(towers):
     tr2 = TorusCharacter(tw2, f63, 0)
     th2 = TorusCharacter(tw2, f63, 1)
     certs = [
-        towerext.nonsplit_certificate("F", tw2, f63, 2, lam=tr2, mu=tr2),
-        towerext.nonsplit_certificate("H", tw2, f63, 2, theta=th2),
-        towerext.nonsplit_certificate("L", tw2, f63, 2, theta=th2),
+        towerext.nonsplit_certificate("F", tw2, 2, lam=tr2, mu=tr2),
+        towerext.nonsplit_certificate("H", tw2, 2, theta=th2),
+        towerext.nonsplit_certificate("L", tw2, 2, theta=th2),
     ]
     rat = RationalField()
     tw3 = towers[(3, 3)]
     tr3 = TorusCharacter(tw3, rat, 0)
     th3 = TorusCharacter(tw3, rat, 364)
     certs += [
-        towerext.nonsplit_certificate("F", tw3, rat, 2, lam=tr3, mu=tr3),
-        towerext.nonsplit_certificate("H", tw3, rat, 2, theta=th3),
+        towerext.nonsplit_certificate("F", tw3, 2, lam=tr3, mu=tr3),
+        towerext.nonsplit_certificate("H", tw3, 2, theta=th3),
     ]
     for cert in certs:
         assert cert["verdict"] == "PASS", cert

@@ -336,3 +336,17 @@ def test_rational_inverse_and_scalar_forms():
     assert two.serialize() == "2/1" and Q.scalar(-3).serialize() == "-3/1"
     assert Q.scalar(Fraction(6, 3)).serialize() == "2/1"
     assert (Q.scalar(Fraction(1, 2)) * 2).rep == 1 and type((Q.scalar(Fraction(1, 2)) * 2).rep) is int
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(5, 2), PrimeField(5, 3)], ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_prime_field_pow_matches_repeated_mul(field, data):
+    a = data.draw(_elements(field)).rep
+    e = data.draw(st.integers(0, 2 * field.size))
+    expect = field.one.rep
+    for _ in range(e):
+        expect = field._mul(expect, a)
+    assert field._pow(a, e) == expect
+    if a != field.zero.rep:
+        assert field._mul(a, field._inv(a)) == field.one.rep

@@ -290,22 +290,7 @@ def test_order_condition_table():
             assert cohom.order_condition_forces_zero(m, char) == expected
 
 
-# -- coefficient fields of the raw system builders ------------------------------
-
-
-def test_foreign_scalar_in_generator_matrices_raises(tower22):
-    F7, F11 = PrimeField(7), PrimeField(11)
-    group = cohom.GroupTable(tower22, level=1)
-    gens = [((F11.one,),) for _ in group.gens]
-    with pytest.raises(ValueError, match="coefficient mode mismatch"):
-        cohom.FiniteRep(group, F7, gens, "foreign")
-
-
-def test_raw_matrix_checks_every_entry():
-    F7, F11 = PrimeField(7), PrimeField(11)
-    assert cohom._raw_matrix(F7, ((F7.one, F7.zero),)) == ((1, 0),)
-    with pytest.raises(ValueError, match="coefficient mode mismatch"):
-        cohom._raw_matrix(F7, ((F7.one, F11.one),))
+# -- coefficient fields of the solvers --------------------------------------------
 
 
 @pytest.mark.parametrize("solver", [cohom.hom_space, cohom.ext1_bfs, cohom.ext1_unreduced],

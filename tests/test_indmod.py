@@ -1,15 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2ext import grp
+from sl2ext import grp, towerext
 from sl2ext.charmod import TorusCharacter
-from sl2ext.coeff import CyclotomicField, PrimeField, RationalField
+from sl2ext.coeff import CyclotomicField, PrimeField, RationalField, Scalar
 from sl2ext.grp import torus, unip, weyl
 from sl2ext.indmod import HIGHEST, InducedModule
 from sl2ext.linalg import SparseSpan, nullspace
+from test_coeff import _elements
 
 
 def _module(tw, field, exp, level):
@@ -123,15 +125,15 @@ def test_unipotent_invariants(tower22):
     mod = _module(tw, field, 1, 2)
     inv = mod.invariant_subspace("U")
     assert inv.dim == 2
-    assert inv.contains({HIGHEST: field.one})
-    orbit_sum = {x.val: field.one for x in tw.enumerate_level(2)}
+    assert inv.contains({HIGHEST: field.one.rep})
+    orbit_sum = {x.val: field.one.rep for x in tw.enumerate_level(2)}
     assert inv.contains(orbit_sum)
 
 
 def test_torus_invariants_contain_highest_for_trivial(tower32, cyc8):
     mod = _module(tower32, cyc8, 0, 1)
     inv = mod.invariant_subspace("T")
-    assert inv.contains({HIGHEST: cyc8.one})
+    assert inv.contains({HIGHEST: cyc8.one.rep})
 
 
 def test_group_invariants(tower32, cyc8):
@@ -141,7 +143,7 @@ def test_group_invariants(tower32, cyc8):
     mod = _module(tower32, cyc8, 0, 1)
     inv = mod.invariant_subspace("G")
     assert inv.dim == 1
-    allsum = {l: cyc8.one for l in mod.labels()}
+    allsum = {l: cyc8.one.rep for l in mod.labels()}
     assert inv.contains(allsum)
 
 
@@ -155,14 +157,14 @@ def _invariant_subspace_dense(mod, which):
         for l in labels:
             l2, c = mod.act_label(g, l)
             row = rows.setdefault((gi, l2), {})
-            row[l] = row.get(l, field.zero) + c
+            row[l] = row.get(l, field.zero) + Scalar(field, c)
         for l in labels:
             row = rows.setdefault((gi, l), {})
             row[l] = row.get(l, field.zero) - field.one
     sys_rows = [{k: v.rep for k, v in r.items() if v} for r in rows.values()]
     span = SparseSpan(field)
     for v in nullspace(sys_rows, labels, field):
-        span.insert_raw(v)
+        span.insert(v)
     return span
 
 
@@ -223,8 +225,48 @@ def test_vec_drops_zero_values(tower32, cyc8):
     label = mod.labels()[3]
     assert mod.vec({label: cyc8.zero}).support == {}
     v = mod.vec({HIGHEST: cyc8.one, label: cyc8.zero})
-    assert v.support == {HIGHEST: cyc8.one}
+    assert v.support == {HIGHEST: cyc8.one.rep}
     assert (v - v).support == {} and (cyc8.zero * v).support == {}
+
+
+def test_steinberg_coordinates_roundtrip(tower22):
+    F = CyclotomicField(3)
+    tw = tower22
+    mod = _module(tw, F, 0, 2)
+    vecs = mod.steinberg_vectors()
+    v = F.scalar(2) * vecs[0] - F.scalar(5) * vecs[2]
+    coords = mod.steinberg_coordinates(v)
+    xs = [x.val for x in tw.enumerate_level(2)]
+    assert coords == {xs[0]: F.scalar(2).rep, xs[2]: F.scalar(-5).rep}
+    with pytest.raises(ValueError):
+        mod.steinberg_coordinates(mod.highest_vector())
+    with pytest.raises(ValueError):
+        _module(tw, F, 0, 1).steinberg_coordinates(v)
+
+
+# -- the Scalar boundary: InducedModule.vec and Vec.__rmul__ -------------------
+
+
+@pytest.mark.parametrize("foreign", [PrimeField(11), RationalField()], ids=repr)
+@pytest.mark.parametrize("filled", [False, True], ids=["empty", "nonempty"])
+def test_vec_and_scaling_reject_scalars_of_another_field(tower22, foreign, filled):
+    F7 = PrimeField(7)
+    mod = _module(tower22, F7, 1, 2)
+    label = mod.labels()[2]
+    own = {HIGHEST: F7.one, label: F7.scalar(3)} if filled else {}
+    for c in (foreign.one, foreign.zero):
+        with pytest.raises(ValueError, match="coefficient mode mismatch"):
+            mod.vec({**own, 0: c})
+        with pytest.raises(ValueError, match="coefficient mode mismatch"):
+            c * mod.vec(own)
+
+
+def test_vec_and_scaling_accept_an_equal_field_instance(tower22):
+    mod = _module(tower22, PrimeField(7), 1, 2)
+    v = mod.vec({HIGHEST: PrimeField(7).scalar(2)})
+    assert v.support == {HIGHEST: 2}
+    assert (PrimeField(7).scalar(3) * v).support == {HIGHEST: 6}
+    assert (PrimeField(7).zero * v).support == {}
 
 
 def test_int_multiple_that_vanishes_in_the_field_is_dropped(tower22):
@@ -240,7 +282,26 @@ def _module_vectors(draw, mod):
     return mod.vec(draw(st.dictionaries(st.sampled_from(mod.labels()), values, max_size=5)))
 
 
+def _assert_raw(v):
+    """Every value of v is a nonzero raw rep of its module's field."""
+    field = v.module.field
+    for r in v.support.values():
+        assert not isinstance(r, Scalar) and r != field.zero.rep
+        if isinstance(field, PrimeField):
+            coeffs = (r,) if field.m == 1 else r
+            assert isinstance(coeffs, tuple) and len(coeffs) == field.m
+            assert all(type(x) is int and 0 <= x < field.ell for x in coeffs)
+        elif isinstance(field, RationalField):
+            assert type(r) is int or (type(r) is Fraction and r.denominator > 1)
+        else:
+            # a cyclotomic product with a non-integral factor may leave an
+            # integral Fraction coefficient, equal and hashed alike to the int
+            assert isinstance(r, tuple) and len(r) == field.degree
+            assert all(type(x) in (int, Fraction) for x in r)
+
+
 _ELEMENTS = {}
+_BUILT = {}
 
 
 def _level_elements(tw, level):
@@ -250,9 +311,29 @@ def _level_elements(tw, level):
     return _ELEMENTS[key]
 
 
+def _builder_vectors(tw, field, exp):
+    """The towerext builders' vectors: the Borel average into level 2, and
+    where the tower has a level 3 the group average and the Steinberg
+    weight vector into it."""
+    key = (tw.q, tw.imax, exp, field)
+    if key not in _BUILT:
+        theta = TorusCharacter(tw, field, exp)
+        mod2 = InducedModule(tw, theta, 2)
+        out = [towerext.borel_average(theta, 1, mod2, tw.first_outside_subfield(1))]
+        if tw.imax >= 3:
+            mod3 = InducedModule(tw, theta, 3)
+            out += [towerext.group_average_vector(theta, 2, mod3),
+                    towerext.steinberg_weight_vector(theta, 2, mod3)]
+        _BUILT[key] = out
+    return _BUILT[key]
+
+
 @pytest.mark.parametrize("fix,exp,field", [
     ("tower32", 4, PrimeField(7)), ("tower32", 4, RationalField()),
     ("tower22", 1, PrimeField(7)), ("tower22", 0, RationalField()),
+    ("tower32", 4, PrimeField(5, 2)), ("tower32", 1, CyclotomicField(8)),
+    ("tower23", 21, PrimeField(7)), ("tower23", 21, PrimeField(5, 2)),
+    ("tower23", 0, RationalField()), ("tower23", 0, CyclotomicField(8)),
 ], ids=lambda x: repr(x) if not isinstance(x, str) else x)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -261,8 +342,14 @@ def test_action_is_associative_property(fix, exp, field, data, request):
     mod = _module(tw, field, exp, 2)
     elements = _level_elements(tw, 2)
     g, h = data.draw(st.sampled_from(elements)), data.draw(st.sampled_from(elements))
-    v = data.draw(_module_vectors(mod))
+    v, w = data.draw(_module_vectors(mod)), data.draw(_module_vectors(mod))
+    c = data.draw(_elements(field))
     hv = mod.act(h, v)
     assert mod.act(g, hv) == mod.act(g * h, v)
-    for w in (hv, mod.act(g, hv)):
-        assert all(w.support.values())
+    # every vector holds raw reps of the module's field, never a zero rep
+    for x in (hv, mod.act(g, hv), v + w, v - w, v - v, -v, c * v):
+        _assert_raw(x)
+    for b in _builder_vectors(tw, field, exp):
+        assert b
+        for x in (b, b.module.act(g, b), c * b - b, b + b.module.act(h, b)):
+            _assert_raw(x)

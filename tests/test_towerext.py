@@ -4,13 +4,14 @@ import pytest
 
 from sl2ext import grp
 from sl2ext.charmod import TorusCharacter
-from sl2ext.coeff import CyclotomicField, RationalField
+from sl2ext.coeff import CyclotomicField, PrimeField, RationalField
 from sl2ext.grp import weyl
 from sl2ext.indmod import InducedModule
 from sl2ext.towerext import (
     CenterMismatchError,
     DirectSystem,
     ExtVec,
+    borel_average,
     borel_weight_vector,
     check_borel_weight,
     check_steinberg_relations,
@@ -18,7 +19,6 @@ from sl2ext.towerext import (
     group_average_vector,
     naive_group_average,
     nonsplit_certificate,
-    steinberg_coordinates,
     steinberg_weight_vector,
 )
 
@@ -38,7 +38,7 @@ def test_eta_frozen_at_q2_level1(tower23, cyc63):
     a = tw.first_outside_subfield(1)
     # one representative, two unipotent shifts: cell(a) + cell(a + 1)
     assert sorted(eta.support) == sorted([a.val, (a + tw.one).val])
-    assert all(c == cyc63.one for c in eta.support.values())
+    assert all(c == cyc63.one.rep for c in eta.support.values())
 
 
 def test_eta_support_size_and_units(tower33):
@@ -50,7 +50,7 @@ def test_eta_support_size_and_units(tower33):
     eta = borel_weight_vector(lam, mu, 2, m3)
     reps = len(grp.center_quotient_reps(tw, 2))
     assert len(eta.support) == reps * tw.level_size(2)
-    assert all(bool(c) for c in eta.support.values())
+    assert all(c != F.zero.rep for c in eta.support.values())
 
 
 def test_eta_weight_checks(tower23, tower32, cyc63, cyc8):
@@ -90,7 +90,7 @@ def test_eta_scaling_insensitivity(tower23, cyc63):
     span = SparseSpan(cyc63)
     m2 = InducedModule(tw, tr, 2)
     for label in m2.labels():
-        span.insert({label: cyc63.one})
+        span.insert({label: cyc63.one.rep})
     for row in inv.basis():
         span.insert(row)
     assert span.contains(eta.support) == span.contains(scaled.support)
@@ -118,6 +118,34 @@ def test_xi_needs_level_two(tower23, cyc63):
     m2 = InducedModule(tower23, th, 2)
     with pytest.raises(ValueError):
         group_average_vector(th, 1, m2)
+
+
+_BUILDERS = {
+    "borel_average": lambda chi, m3: borel_average(chi, 2, m3, m3.tower.first_outside_subfield(2)),
+    "group_average_vector": lambda chi, m3: group_average_vector(chi, 2, m3),
+    "steinberg_weight_vector": lambda chi, m3: steinberg_weight_vector(chi, 2, m3),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(_BUILDERS))
+def test_builder_rejects_a_character_of_another_field(tower23, cyc63, builder):
+    tw = tower23
+    m3 = InducedModule(tw, _char(tw, cyc63, 0), 3)
+    build = _BUILDERS[builder]
+    for foreign in (PrimeField(7), RationalField()):
+        with pytest.raises(ValueError, match="coefficient mode mismatch"):
+            build(_char(tw, foreign, 0), m3)
+    # an equal field instance is accepted
+    assert build(_char(tw, CyclotomicField(63), 0), m3) == build(_char(tw, cyc63, 0), m3)
+
+
+def test_systems_take_the_field_of_their_characters(tower23):
+    F7 = PrimeField(7)
+    tr = _char(tower23, F7, 0)
+    for tag, kw in (("F", {"lam": tr, "mu": tr}), ("H", {"theta": tr}), ("L", {"theta": tr})):
+        system = DirectSystem(tag, tower23, 2, **kw)
+        assert system.field is F7 and system.conn.module.field is F7
+        assert system.check_injective()
 
 
 def test_xi_center_condition(tower33):
@@ -186,7 +214,7 @@ def test_zeta_negative_control_collides(tower23, tower33, cyc63):
 def test_connect_F_restriction_is_inclusion(tower23, cyc63):
     tw = tower23
     tr = _char(tw, cyc63, 0)
-    sys_f = DirectSystem("F", tw, cyc63, 1, lam=tr, mu=tr)
+    sys_f = DirectSystem("F", tw, 1, lam=tr, mu=tr)
     m = sys_f.mod_i.basis_vector(0)
     out = sys_f.connect(ExtVec(cyc63.zero, m))
     assert not out.top and out.bottom.support == m.support
@@ -195,7 +223,7 @@ def test_connect_F_restriction_is_inclusion(tower23, cyc63):
 def test_connect_H_definition(tower23, cyc63):
     tw = tower23
     th = _char(tw, cyc63, 1)
-    sys_h = DirectSystem("H", tw, cyc63, 2, theta=th)
+    sys_h = DirectSystem("H", tw, 2, theta=th)
     out = sys_h.connect(ExtVec(cyc63.one, sys_h.mod_i.zero()))
     assert out.top == cyc63.one and out.bottom == sys_h.conn
 
@@ -203,41 +231,27 @@ def test_connect_H_definition(tower23, cyc63):
 def test_connect_L_definition(tower23, cyc63):
     tw = tower23
     th = _char(tw, cyc63, 1)
-    sys_l = DirectSystem("L", tw, cyc63, 2, theta=th)
+    sys_l = DirectSystem("L", tw, 2, theta=th)
     eta = sys_l.st_i.alternating_vector(frozenset({1}))
     out = sys_l.connect(ExtVec(eta, sys_l.mod_i.zero()))
     assert out.top.support == eta.support
     assert out.bottom == sys_l.conn
 
 
-def test_steinberg_coordinates_roundtrip(tower22):
-    F = CyclotomicField(3)
-    tw = tower22
-    tr = _char(tw, F, 0)
-    mod = InducedModule(tw, tr, 2)
-    vecs = mod.steinberg_vectors()
-    v = F.scalar(2) * vecs[0] - F.scalar(5) * vecs[2]
-    coords = steinberg_coordinates(v)
-    xs = [x.val for x in tw.enumerate_level(2)]
-    assert coords == {xs[0]: F.scalar(2), xs[2]: F.scalar(-5)}
-    with pytest.raises(ValueError):
-        steinberg_coordinates(mod.highest_vector())
-
-
 def test_injectivity_all_systems(tower23, cyc63):
     tw = tower23
     tr = _char(tw, cyc63, 0)
     th = _char(tw, cyc63, 1)
-    assert DirectSystem("F", tw, cyc63, 1, lam=tr, mu=tr).check_injective()
-    assert DirectSystem("F", tw, cyc63, 2, lam=tr, mu=tr).check_injective()
-    assert DirectSystem("H", tw, cyc63, 2, theta=th).check_injective()
-    assert DirectSystem("L", tw, cyc63, 2, theta=th).check_injective()
+    assert DirectSystem("F", tw, 1, lam=tr, mu=tr).check_injective()
+    assert DirectSystem("F", tw, 2, lam=tr, mu=tr).check_injective()
+    assert DirectSystem("H", tw, 2, theta=th).check_injective()
+    assert DirectSystem("L", tw, 2, theta=th).check_injective()
 
 
 def test_equivariance_F_exhaustive_borel(tower23, cyc63):
     tw = tower23
     tr = _char(tw, cyc63, 0)
-    sys_f = DirectSystem("F", tw, cyc63, 1, lam=tr, mu=tr)
+    sys_f = DirectSystem("F", tw, 1, lam=tr, mu=tr)
     assert sys_f.check_equivariance(grp.enumerate_subgroup(tw, "B", 1))
     with pytest.raises(ValueError):
         sys_f.act(weyl(tw), ExtVec(cyc63.one, sys_f.mod_i.zero()))
@@ -246,14 +260,14 @@ def test_equivariance_F_exhaustive_borel(tower23, cyc63):
 def test_equivariance_H_exhaustive(tower23, cyc63):
     tw = tower23
     th = _char(tw, cyc63, 1)
-    sys_h = DirectSystem("H", tw, cyc63, 2, theta=th)
+    sys_h = DirectSystem("H", tw, 2, theta=th)
     assert sys_h.check_equivariance(grp.enumerate_subgroup(tw, "G", 2, pgl=True))
 
 
 def test_equivariance_L_sampled(tower23, cyc63):
     tw = tower23
     th = _char(tw, cyc63, 1)
-    sys_l = DirectSystem("L", tw, cyc63, 2, theta=th)
+    sys_l = DirectSystem("L", tw, 2, theta=th)
     rng = random.Random(11)
     elements = grp.generators(tw, 2)
     pool = grp.enumerate_subgroup(tw, "G", 2, pgl=True)
@@ -265,8 +279,8 @@ def test_coherence_two_steps(tower23, cyc63):
     # composing level-1 and level-2 steps of F is equivariant for level-1 Borel
     tw = tower23
     tr = _char(tw, cyc63, 0)
-    f1 = DirectSystem("F", tw, cyc63, 1, lam=tr, mu=tr)
-    f2 = DirectSystem("F", tw, cyc63, 2, lam=tr, mu=tr)
+    f1 = DirectSystem("F", tw, 1, lam=tr, mu=tr)
+    f2 = DirectSystem("F", tw, 2, lam=tr, mu=tr)
 
     def two_step(v):
         mid = f1.connect(v)
@@ -287,7 +301,7 @@ def test_certificates_pass_q2(tower23, cyc63):
     tr = _char(tw, cyc63, 0)
     th = _char(tw, cyc63, 1)
     for tag, kw in (("F", {"lam": tr, "mu": tr}), ("H", {"theta": th}), ("L", {"theta": th})):
-        cert = nonsplit_certificate(tag, tw, cyc63, 2, **kw)
+        cert = nonsplit_certificate(tag, tw, 2, **kw)
         assert cert["verdict"] == "PASS" and not cert["member"]
         assert cert["inequality"]["holds"]
 
@@ -296,10 +310,10 @@ def test_certificate_degenerate_cases(tower23, cyc63):
     tw = tower23
     tr = _char(tw, cyc63, 0)
     # the level-1 F instance is tight: membership genuinely holds
-    cert = nonsplit_certificate("F", tw, cyc63, 1, lam=tr, mu=tr)
+    cert = nonsplit_certificate("F", tw, 1, lam=tr, mu=tr)
     assert cert["verdict"] == "SKIPPED" and cert["member"] and cert["coverage"]["tight"]
     # the trivial-character H instance at level 2 is the other tight case
-    cert = nonsplit_certificate("H", tw, cyc63, 2, theta=tr)
+    cert = nonsplit_certificate("H", tw, 2, theta=tr)
     assert cert["verdict"] == "SKIPPED" and cert["member"] and cert["coverage"]["tight"]
 
 
@@ -308,8 +322,8 @@ def test_certificates_pass_q3(tower33):
     tr = _char(tower33, F, 0)
     th = _char(tower33, F, 364)
     for tag, kw in (("F", {"lam": tr, "mu": tr}), ("H", {"theta": th})):
-        cert = nonsplit_certificate(tag, tower33, F, 2, **kw)
+        cert = nonsplit_certificate(tag, tower33, 2, **kw)
         assert cert["verdict"] == "PASS", cert
     # level-1 F at q=3 is not degenerate and passes
-    cert = nonsplit_certificate("F", tower33, F, 1, lam=tr, mu=tr)
+    cert = nonsplit_certificate("F", tower33, 1, lam=tr, mu=tr)
     assert cert["verdict"] == "PASS"

@@ -65,11 +65,6 @@ class TorusCharacter:
     def is_trivial_on_level(self, i: int) -> bool:
         return self.restriction_exp(i) == 0
 
-    def parabolic_support(self) -> frozenset:
-        """The subset of simple indices where the character dies: {1} for
-        the trivial character, empty otherwise (rank 1)."""
-        return frozenset({1}) if self.is_trivial() else frozenset()
-
     def __eq__(self, other):
         if not isinstance(other, TorusCharacter):
             return NotImplemented

@@ -7,17 +7,19 @@ nonzero scalar has an exact inverse.  Character values (roots of unity)
 are produced by ``root_of_unity``; a mode supports order n exactly when
 it contains a primitive n-th root.
 
-Both characteristic-0 modes keep a coefficient as a plain ``int`` while it
-is integral and as a ``Fraction`` only after a real division: a rational
-rep is that number, a cyclotomic rep a tuple of such coefficients (Phi_n
-is monic, so Z[zeta_n] is closed under +, - and *).  Every operation turns
-an integral ``Fraction`` result back into an ``int``, and no operation ever
-yields a float.  ``Fraction(k) == k`` and the two hash alike, so reps stay
-canonical by value.
+Both characteristic-0 modes keep a coefficient as a plain ``int`` until a
+division and as a ``Fraction`` only after one: a rational rep is that
+number, a cyclotomic rep a tuple of such coefficients (Phi_n is monic, so
+Z[zeta_n] is closed under +, - and *).  Every rational operation, and the
+cyclotomic ``_inv`` and ``_from_rational``, turn an integral ``Fraction``
+result back into an ``int``; later cyclotomic arithmetic may leave an
+integral ``Fraction`` in place.  ``Fraction(k) == k`` and the two hash
+alike, so reps stay canonical by value.  No operation ever yields a float.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -90,17 +92,9 @@ class Scalar:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        base = self
         if e < 0:
-            base = self.field.one / self
-            e = -e
-        out = self.field.one
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+            return self.inverse() ** -e
+        return Scalar(self.field, self.field._pow(self.rep, e))
 
     def inverse(self):
         return self.field.one / self
@@ -155,8 +149,6 @@ class CoeffField:
         e %= n
         if e == 0:
             return self.one
-        import math
-
         g = math.gcd(e, n)
         return self._primitive_root(n // g, e // g)
 
@@ -170,6 +162,16 @@ class CoeffField:
 
     def characteristic(self) -> int:
         raise NotImplementedError
+
+    def _pow(self, rep, e: int):
+        """rep^e for e >= 0, by square-and-multiply over ``_mul``."""
+        out, base = self.one.rep, rep
+        while e:
+            if e & 1:
+                out = self._mul(out, base)
+            base = self._mul(base, base)
+            e >>= 1
+        return out
 
     def _sub_scaled(self, a: dict, c, b: dict) -> dict:
         """a - c*b on dicts of raw reps, dropping the entries that cancel.
@@ -258,8 +260,10 @@ class CyclotomicField(CoeffField):
 
     Reduction modulo Phi_n (rather than x^n - 1) makes representatives
     unique, so equality of scalars is tuple equality.  A coefficient is an
-    ``int`` while integral and a ``Fraction`` only after a division (an
-    inverse, or a non-integral rational input).
+    ``int`` until a division (an inverse, or a non-integral rational input)
+    and may stay a ``Fraction`` after one, integral or not: only ``_inv``
+    and ``_from_rational`` turn integral results back into ``int``s, and
+    the hot ``_mul`` does not normalise.
     """
 
     def __init__(self, n: int):
@@ -268,21 +272,12 @@ class CyclotomicField(CoeffField):
         self.n = n
         phi = polyutil.cyclotomic(n)
         self.degree = len(phi) - 1
-        self._phi = phi
-        # x^k mod Phi_n for k in [degree, 2*degree-2], used to fold products
-        rows = []
-        cur = [-c for c in phi[:-1]]
-        rows.append(tuple(cur))
-        for _ in range(self.degree - 2):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                for j in range(self.degree):
-                    cur[j] += top * rows[0][j]
-            rows.append(tuple(cur))
-        self._fold = rows
+        # x^k mod Phi_n for k in [degree, 2*degree-2], used to fold products;
+        # the first row drives _zeta, which gives the others
+        self._fold = [tuple(-c for c in phi[:-1])]
         # x^k mod Phi_n, extended on demand by shift-and-fold
         self._zeta_list = [self._one_rep()]
+        self._fold += [self._zeta(k) for k in range(self.degree + 1, 2 * self.degree - 1)]
 
     def _one_rep(self):
         return (1,) + (0,) * (self.degree - 1)
@@ -325,42 +320,30 @@ class CyclotomicField(CoeffField):
         return {self._zeta(k): k for k in range(self.n)}
 
     def _inv(self, a):
+        """a^-1 = prod_{k != 1} sigma_k(a) / N(a), k over (Z/n)^*, where
+        sigma_k(a) = sum_j a_j zeta^(jk).  With the denominators of a
+        cleared first, the product stays in Z[zeta_n] and one division by
+        the norm ends it."""
         k = self._root_index.get(a)
         if k is not None:
             return self._zeta(-k)
-        # extended Euclid in Q[x] against Phi_n
-        r0 = [Fraction(c) for c in self._phi]
-        r1 = polyutil.trim([Fraction(c) for c in a])
-        t0, t1 = [], [Fraction(1)]
-        while r1:
-            # divide r0 by r1
-            q = [Fraction(0)] * max(len(r0) - len(r1) + 1, 0)
-            rem = list(r0)
-            for k in range(len(q) - 1, -1, -1):
-                if len(rem) - 1 < k + len(r1) - 1:
-                    continue
-                c = rem[k + len(r1) - 1] / r1[-1]
-                q[k] = c
-                if c:
-                    for j in range(len(r1)):
-                        rem[k + j] -= c * r1[j]
-            rem = polyutil.trim(rem)
-            # t2 = t0 - q*t1
-            qt = [Fraction(0)] * (len(q) + len(t1) - 1) if q and t1 else []
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(t1):
-                        qt[i + j] += x * y
-            n = max(len(t0), len(qt))
-            t2 = [(t0[i] if i < len(t0) else 0) - (qt[i] if i < len(qt) else 0) for i in range(n)]
-            r0, r1 = r1, rem
-            t0, t1 = t1, polyutil.trim(t2)
-        if len(r0) != 1:
+        den = math.lcm(*(c.denominator for c in a))
+        a = tuple(c.numerator * (den // c.denominator) for c in a)
+        d = self.degree
+        prod = self._one_rep()
+        for k in range(2, self.n):
+            if math.gcd(k, self.n) == 1:
+                conj = [0] * d
+                for j, c in enumerate(a):
+                    if c:
+                        z = self._zeta(j * k)
+                        for m in range(d):
+                            conj[m] += c * z[m]
+                prod = self._mul(prod, tuple(conj))
+        norm = self._mul(a, prod)[0]
+        if norm == 0:
             raise ZeroDivisionError("scalar is not invertible")
-        lead = r0[0]
-        out = [_integral(c / lead) for c in t0]
-        out += [0] * (self.degree - len(out))
-        return tuple(out[: self.degree])
+        return tuple(_integral(Fraction(c * den, norm)) for c in prod)
 
     def _zeta(self, k: int):
         """x^k mod Phi_n, from an incrementally extended power table."""
@@ -465,27 +448,10 @@ class PrimeField(CoeffField):
             raise ZeroDivisionError("scalar is not invertible")
         return self._pow(a, self.size - 2)  # x^(size-2) in the multiplicative group
 
-    def _pow(self, rep, e: int):
-        """rep^e for e >= 0, by square-and-multiply over ``_mul``."""
-        out, base = self.one.rep, rep
-        while e:
-            if e & 1:
-                out = self._mul(out, base)
-            base = self._mul(base, base)
-            e >>= 1
-        return out
-
     def _elements(self):
         if self.m == 1:
-            for v in range(self.ell):
-                yield v
-        else:
-            for k in range(self.size):
-                coeffs, t = [], k
-                for _ in range(self.m):
-                    coeffs.append(t % self.ell)
-                    t //= self.ell
-                yield tuple(coeffs)
+            return range(self.ell)
+        return (tuple(polyutil.digits(k, self.ell, self.m)) for k in range(self.size))
 
     def _generator(self):
         if self._gen is None:

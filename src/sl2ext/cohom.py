@@ -201,9 +201,7 @@ def mackey_hom_dim(lam: TorusCharacter, mu: TorusCharacter, level: int) -> int:
     count = 0
     for twisted in (False, True):
         ok = True
-        for t in tw.enumerate_level(level):
-            if t.val == 0:
-                continue
+        for t in tw.units(level):
             lv = lam.eval(t.inverse()) if twisted else lam.eval(t)
             if lv != mu.eval(t):
                 ok = False
@@ -362,7 +360,7 @@ def normalize_torus_cochain(theta: TorusCharacter, level: int, phi: dict) -> Nor
     """
     tw = theta.tower
     field = theta.field
-    torus_vals = [t for t in tw.enumerate_level(level) if t.val != 0]
+    torus_vals = tw.units(level)
     for t in torus_vals:
         if t.val not in phi:
             raise ValueError("cochain must be defined on the whole level torus")

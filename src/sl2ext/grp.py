@@ -149,13 +149,7 @@ def subgroup_order(which: str, q: int, i: int, pgl: bool = False) -> int:
 def center_quotient_reps(tw: Tower, i: int) -> list:
     """One torus value per pair {t, -t} (all of F* when -1 = 1), the
     smaller encoding first."""
-    out = []
-    for t in tw.enumerate_level(i):
-        if t.val == 0:
-            continue
-        if tw.p == 2 or t.val <= (-t).val:
-            out.append(t)
-    return out
+    return [t for t in tw.units(i) if tw.p == 2 or t.val <= (-t).val]
 
 
 def enumerate_subgroup(tw: Tower, which: str, level: int, budget: int = 100000, pgl: bool = False):
@@ -168,9 +162,7 @@ def enumerate_subgroup(tw: Tower, which: str, level: int, budget: int = 100000, 
     if size > budget:
         raise BudgetError(f"|{which}_{level}| = {size} exceeds budget {budget}")
     s = weyl(tw)
-    torus_vals = center_quotient_reps(tw, level) if pgl else [
-        t for t in tw.enumerate_level(level) if t.val != 0
-    ]
+    torus_vals = center_quotient_reps(tw, level) if pgl else tw.units(level)
     if which == "U":
         return [unip(x) for x in tw.enumerate_level(level)]
     if which == "T":

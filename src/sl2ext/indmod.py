@@ -197,7 +197,7 @@ class InducedModule:
                     scalar = mul(scalar, self._th((-tw.one).val))
                 else:
                     scalar = mul(scalar, self._th(label))
-                    label = tw._neg(tw._exp[(-tw._log[label]) % (tw.size - 1)])
+                    label = tw._neg(tw._inv(label))
         return label, scalar
 
     def _atoms(self, g: GroupElement):
@@ -251,16 +251,6 @@ class InducedModule:
         return form.x.val, self._th_inv(form.t.val)
 
     # -- distinguished vectors ----------------------------------------------
-
-    def alternating_vector(self, J: frozenset) -> Vec:
-        """Sum over the parabolic Weyl subgroup with sign; J must sit inside
-        the character's support set."""
-        if not J <= self.theta.parabolic_support():
-            raise ValueError("J is not contained in the character's support set")
-        if not J:
-            return self.highest_vector()
-        one = self.field.one
-        return Vec(self, {HIGHEST: one.rep, 0: (-one).rep})
 
     def steinberg_vectors(self) -> list:
         """u(x) . (1 - s).1 for x at this level; trivial character only."""
@@ -363,7 +353,8 @@ class InducedModule:
         if not self.theta.is_trivial():
             raise ValueError("the relation lives in the trivial-character module")
         tw = self.tower
-        eta = self.alternating_vector(frozenset({1}))
+        one = self.field.one
+        eta = Vec(self, {HIGHEST: one.rep, 0: (-one).rep})
         lhs = self.act(weyl(tw), self.act(unip(x), eta))
         rhs = self.act(unip(-x.inverse()), eta) - eta
         return lhs == rhs

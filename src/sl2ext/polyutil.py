@@ -89,6 +89,15 @@ def is_irreducible(f: list, p: int) -> bool:
     return True
 
 
+def digits(k: int, p: int, n: int) -> list:
+    """The n lowest base-p digits of k, least significant first."""
+    out = []
+    for _ in range(n):
+        k, r = divmod(k, p)
+        out.append(r)
+    return out
+
+
 def first_irreducible(p: int, n: int) -> list:
     """Smallest monic irreducible of degree n over F_p.
 
@@ -96,11 +105,7 @@ def first_irreducible(p: int, n: int) -> list:
     non-leading coefficient vector, constant coefficient varying fastest.
     """
     for k in range(p ** n):
-        coeffs, t = [], k
-        for _ in range(n):
-            coeffs.append(t % p)
-            t //= p
-        f = coeffs + [1]
+        f = digits(k, p, n) + [1]
         if is_irreducible(f, p):
             return f
     raise ValueError(f"no irreducible polynomial of degree {n} over F_{p}")

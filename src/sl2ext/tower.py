@@ -79,10 +79,7 @@ class TowerElem:
         return self * o.inverse()
 
     def inverse(self):
-        t = self.tower
-        if self.val == 0:
-            raise ZeroDivisionError("inverting 0 in the tower")
-        return TowerElem(t, t._exp[(-t._log[self.val]) % (t.size - 1)], self.level)
+        return TowerElem(self.tower, self.tower._inv(self.val), self.level)
 
     def __pow__(self, e: int):
         t = self.tower
@@ -154,13 +151,6 @@ class Tower:
 
     # -- integer encoding <-> coefficient vectors ------------------------
 
-    def _digits(self, v: int):
-        out = []
-        for _ in range(self.degree):
-            out.append(v % self.p)
-            v //= self.p
-        return out
-
     def _encode(self, digits) -> int:
         v, mult = 0, 1
         for d in digits:
@@ -193,6 +183,11 @@ class Tower:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.size - 1)]
 
+    def _inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverting 0 in the tower")
+        return self._exp[(-self._log[a]) % (self.size - 1)]
+
     def _build_tables(self):
         p, poly = self.p, list(self.poly)
         n = self.size - 1
@@ -203,7 +198,7 @@ class Tower:
 
         gen_val = None
         for v in range(2, self.size):
-            vec = polyutil.trim(self._digits(v))
+            vec = polyutil.trim(polyutil.digits(v, p, self.degree))
             if all(raw_pow(vec, n // r) != [1] for r in primes):
                 gen_val = v
                 break
@@ -213,7 +208,7 @@ class Tower:
         exp = [0] * n
         log = [None] * self.size
         cur = [1]
-        gvec = polyutil.trim(self._digits(gen_val))
+        gvec = polyutil.trim(polyutil.digits(gen_val, p, self.degree))
         for k in range(n):
             val = self._encode(cur + [0] * (self.degree - len(cur)))
             exp[k] = val
@@ -236,18 +231,16 @@ class Tower:
     def _cofactor(self, i: int) -> int:
         return (self.size - 1) // (self.level_size(i) - 1)
 
-    def _in_level(self, val: int, i: int) -> bool:
-        return val == 0 or self._log[val] % self._cofactor(i) == 0
-
     def element(self, val: int, level: int | None = None) -> TowerElem:
         if not 0 <= val < self.size:
             raise ValueError("value out of range")
         if level is None:
-            level = next(i for i in range(1, self.imax + 1) if self._in_level(val, i))
+            level = next(i for i in range(1, self.imax + 1)
+                         if self._frobenius_fixed(val, self.level_degree(i)))
         else:
             if not 1 <= level <= self.imax:
                 raise ValueError("level out of range")
-            if not self._in_level(val, level):
+            if not self._frobenius_fixed(val, self.level_degree(level)):
                 raise ValueError(f"value {val} is not fixed by Frobenius^{self.level_degree(level)}")
         return TowerElem(self, val, level)
 
@@ -265,9 +258,14 @@ class Tower:
     def enumerate_level(self, i: int):
         """All q^{i!} elements of level i, by increasing encoding."""
         if i not in self._levels:
-            vals = [v for v in range(self.size) if self._in_level(v, i)]
-            self._levels[i] = [TowerElem(self, v, i) for v in vals]
+            d = self.level_degree(i)
+            self._levels[i] = [TowerElem(self, v, i) for v in range(self.size)
+                               if self._frobenius_fixed(v, d)]
         return self._levels[i]
+
+    def units(self, i: int):
+        """The q^{i!} - 1 nonzero elements of level i, by increasing encoding."""
+        return self.enumerate_level(i)[1:]
 
     def generator(self, i: int) -> TowerElem:
         """The chain generator g_i of the level-i multiplicative group."""
@@ -302,35 +300,36 @@ class Tower:
     # -- subfield membership ----------------------------------------------
 
     def _frobenius_fixed(self, val: int, d: int) -> bool:
-        # x^(p^d) == x; meaningful for any d (fixes F_{p^gcd(d, degree)})
+        """x^(p^d) == x; meaningful for any d (fixes F_{p^gcd(d, degree)}).
+
+        The one subfield test: level i is the fixed set of d = level_degree(i).
+        """
         if val == 0:
             return True
         return self._log[val] * (self.p ** d - 1) % (self.size - 1) == 0
 
-    def first_outside_subfield(self, i: int) -> TowerElem:
-        """First element of level i+1 (in enumeration order) outside level i."""
+    def _first_outside(self, i: int, d: int) -> TowerElem:
+        """First element of level i+1 (in enumeration order) not fixed by
+        Frobenius^d."""
         if i + 1 > self.imax:
             raise ValueError("level i+1 exceeds the tower")
-        d = self.level_degree(i)
         for x in self.enumerate_level(i + 1):
             if not self._frobenius_fixed(x.val, d):
                 return x
-        raise RuntimeError("unreachable: proper subfield")
+        raise RuntimeError("unreachable: the escape set is nonempty")
+
+    def first_outside_subfield(self, i: int) -> TowerElem:
+        """First element of level i+1 (in enumeration order) outside level i."""
+        return self._first_outside(i, self.level_degree(i))
 
     def first_outside_double_subfield(self, i: int) -> TowerElem:
         """First element of level i+1 not fixed by Frobenius^(2 * i! * d0),
         i.e. not a root of any quadratic over level i.  Empty for i = 1."""
-        if i + 1 > self.imax:
-            raise ValueError("level i+1 exceeds the tower")
         if i < 2:
             raise ValueError(
                 "empty selection set: every element of level 2 is quadratic over level 1"
             )
-        d = 2 * self.level_degree(i)
-        for x in self.enumerate_level(i + 1):
-            if not self._frobenius_fixed(x.val, d):
-                return x
-        raise RuntimeError("unreachable: the escape set is nonempty for i >= 2")
+        return self._first_outside(i, 2 * self.level_degree(i))
 
     def __repr__(self):
         return f"Tower(q={self.q}, imax={self.imax}, F_{self.p}^{self.degree})"

@@ -106,9 +106,7 @@ def check_borel_weight(eta: Vec, lam: TorusCharacter, i: int) -> bool:
     for u in tw.enumerate_level(i):
         if mod.act(unip(u), eta) != eta:
             return False
-    for t in tw.enumerate_level(i):
-        if t.val == 0:
-            continue
+    for t in tw.units(i):
         if mod.act(torus(t), eta) != lam.eval(t) * eta:
             return False
     return True
@@ -205,14 +203,10 @@ def check_steinberg_relations(zeta: Vec, theta: TorusCharacter, i: int) -> bool:
     s = weyl(tw)
     if mod.act(s, zeta) != -zeta:
         return False
-    for t in tw.enumerate_level(i):
-        if t.val == 0:
-            continue
+    for t in tw.units(i):
         if mod.act(torus(t), zeta) != zeta:
             return False
-    for x in tw.enumerate_level(i):
-        if x.val == 0:
-            continue
+    for x in tw.units(i):
         lhs = mod.act(s, mod.act(unip(x), zeta))
         rhs = mod.act(unip(-x.inverse()), zeta) - zeta
         if lhs != rhs:

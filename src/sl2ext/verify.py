@@ -247,9 +247,7 @@ def _ext_group(ctx: Context, params: dict) -> str | None:
 def _chk_sus(ctx: Context, params: dict) -> Report:
     i = params["i"]
     tw = ctx.tower
-    for a in tw.enumerate_level(i):
-        if a.val == 0:
-            continue
+    for a in tw.units(i):
         if not grp.check_big_cell_rewrite(a):
             return Report("sus", params, "FAIL", {"counterexample": a.val})
     cases = tw.level_size(i) - 1
@@ -357,16 +355,12 @@ def _chk_suw(ctx: Context, params: dict) -> Report:
         if not ctx.char_supported(e):
             continue
         mod = InducedModule(tw, ctx.char(e), i)
-        for x in tw.enumerate_level(i):
-            if x.val == 0:
-                continue
+        for x in tw.units(i):
             if not mod.check_lowering_formula(x):
                 return Report("P2.1-suw", params, "FAIL", {"exp": e, "x": x.val, "part": "lowering"})
             cases += 1
     mod_tr = InducedModule(tw, ctx.char(0), i)
-    for x in tw.enumerate_level(i):
-        if x.val == 0:
-            continue
+    for x in tw.units(i):
         if not mod_tr.check_alternating_relation(x):
             return Report("P2.1-suw", params, "FAIL", {"x": x.val, "part": "alternating"})
         cases += 1
@@ -387,17 +381,13 @@ def _chk_normalize(ctx: Context, params: dict) -> Report:
         if theta.is_trivial_on_level(i):
             continue
         a = field.scalar(rng.randrange(-9, 10))  # may vanish mod small characteristics
-        phi = {
-            t.val: a * (theta.eval(t) - field.one)
-            for t in tw.enumerate_level(i)
-            if t.val != 0
-        }
+        phi = {t.val: a * (theta.eval(t) - field.one) for t in tw.units(i)}
         out = cohom.normalize_torus_cochain(theta, i, phi)
         if a and (out.status != "corrected" or out.correction != a):
             return Report("L3.3-normalize", params, "FAIL", {"round_trip_exp": e})
         rounds += 1
     theta0 = ctx.char(0)
-    zero_phi = {t.val: field.zero for t in tw.enumerate_level(i) if t.val != 0}
+    zero_phi = {t.val: field.zero for t in tw.units(i)}
     if cohom.normalize_torus_cochain(theta0, i, zero_phi).status != "normal":
         return Report("L3.3-normalize", params, "FAIL", {"case": "zero cochain"})
     # a non-cochain must be rejected: theta(x)^2 - 1 for theta of order > 2
@@ -406,13 +396,9 @@ def _chk_normalize(ctx: Context, params: dict) -> Report:
         if not ctx.char_supported(e):
             continue
         theta = ctx.char(e)
-        vals = {theta.eval(t).serialize() for t in tw.enumerate_level(i) if t.val != 0}
+        vals = {theta.eval(t).serialize() for t in tw.units(i)}
         if len(vals) > 2:
-            bad = {
-                t.val: theta.eval(t) * theta.eval(t) - field.one
-                for t in tw.enumerate_level(i)
-                if t.val != 0
-            }
+            bad = {t.val: theta.eval(t) * theta.eval(t) - field.one for t in tw.units(i)}
             try:
                 cohom.normalize_torus_cochain(theta, i, bad)
                 rejected = False

@@ -96,12 +96,6 @@ def test_nu_character(tower32, cyc8):
     assert nu_character(lam, mu).is_trivial_on_center()
 
 
-def test_parabolic_support(tower32, cyc8):
-    assert TorusCharacter(tower32, cyc8, 0).parabolic_support() == frozenset({1})
-    assert TorusCharacter(tower32, cyc8, 1).parabolic_support() == frozenset()
-    assert TorusCharacter(tower32, cyc8, 4).parabolic_support() == frozenset()
-
-
 def test_eval_at_zero_rejected(tower32, cyc8):
     th = TorusCharacter(tower32, cyc8, 1)
     with pytest.raises(ZeroDivisionError):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl2ext import polyutil
@@ -252,7 +252,7 @@ def test_integral_cyclotomic_scalars_keep_int_coefficients(n):
         a, b = (_random_scalar(field, rng) for _ in range(2))
         for s in (a, b, a + b, a - b, a * b, -a, a * a * b, field.scalar(Fraction(6, 3))):
             assert all(type(c) is int for c in s.rep)
-    # zeta^-1 is a table lookup; 1 + zeta is a unit inverted by Euclid
+    # zeta^-1 is a table lookup; 1 + zeta is a unit inverted by its norm
     for unit in (field.root_of_unity(n, 1), field.one + field.root_of_unity(n, 1)):
         inv = unit.inverse()
         assert unit * inv == field.one and all(type(c) is int for c in inv.rep)
@@ -350,3 +350,97 @@ def test_prime_field_pow_matches_repeated_mul(field, data):
     assert field._pow(a, e) == expect
     if a != field.zero.rep:
         assert field._mul(a, field._inv(a)) == field.one.rep
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_scalar_pow_matches_repeated_mul(field, data):
+    a = data.draw(_elements(field))
+    e = data.draw(st.integers(-5, 12))
+    base = a if e >= 0 else field.one / a if a else None
+    if base is None:
+        with pytest.raises(ZeroDivisionError):
+            a ** e
+        return
+    expect = field.one
+    for _ in range(abs(e)):
+        expect = expect * base
+    assert a ** e == expect
+
+
+CYCLO_INV_ORDERS = [1, 2, 3, 8, 12, 15, 63]
+
+
+@st.composite
+def _cyclo_non_roots(draw, field):
+    """A nonzero rep that is no root of unity, with up to four nonzero
+    coefficients drawn from ints, 1/2, -3/4 and small fractions (integral
+    ``Fraction``s included)."""
+    coeff = st.one_of(st.integers(-3, 3), st.sampled_from([Fraction(1, 2), Fraction(-3, 4)]),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=6))
+    terms = draw(st.dictionaries(st.integers(0, field.degree - 1), coeff, min_size=1, max_size=4))
+    rep = tuple(terms.get(j, 0) for j in range(field.degree))
+    assume(any(rep) and rep not in field._root_index)
+    return rep
+
+
+@pytest.mark.parametrize("n", CYCLO_INV_ORDERS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_norm_inverse_property(n, data):
+    field = CyclotomicField(n)
+    a = data.draw(_cyclo_non_roots(field))
+    inv = field._inv(a)
+    assert len(inv) == field.degree
+    assert field._mul(a, inv) == field._one_rep()
+    # integral results are ints, every other coefficient a Fraction
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in inv)
+
+
+@pytest.mark.parametrize("n", CYCLO_INV_ORDERS)
+def test_cyclotomic_inverse_of_zero_raises(n):
+    field = CyclotomicField(n)
+    for zero in (field.zero.rep, (Fraction(0),) * field.degree):
+        with pytest.raises(ZeroDivisionError):
+            field._inv(zero)
+
+
+def _monomial_mod_phi(n, k):
+    """x^k mod Phi_n by long division, as a tuple of degree ints."""
+    phi = polyutil.cyclotomic(n)
+    d = len(phi) - 1
+    out = [0] * k + [1]
+    for top in range(k, d - 1, -1):
+        c = out[top]
+        for j in range(d + 1):
+            out[top - d + j] -= c * phi[j]
+    out = out[:d]
+    return tuple(out + [0] * (d - len(out)))
+
+
+def test_fold_rows_are_reduced_monomials():
+    for n in range(1, 61):
+        field = CyclotomicField(n)
+        d = field.degree
+        assert len(field._fold) == max(1, d - 1)
+        for r, row in enumerate(field._fold):
+            assert row == _monomial_mod_phi(n, d + r)
+            assert all(type(c) is int for c in row)
+
+
+def integral_fraction_cases(field):
+    """(rep left by +, - or *, its int form) over a cyclotomic field: the
+    first holds an integral Fraction where the second holds an int."""
+    half, zeta = field.scalar(Fraction(1, 2)), field.root_of_unity(field.n, 1)
+    return [(half + half, field.one), (half * zeta + half * zeta, zeta),
+            (half * zeta - half * zeta, field.zero)]
+
+
+def test_integral_fraction_coefficients_equal_ints(cyc8):
+    # cyclotomic +, - and * leave integral Fractions in place; such a rep
+    # equals and hashes like its int form
+    for got, want in integral_fraction_cases(cyc8):
+        assert any(type(c) is Fraction for c in got.rep) and all(type(c) is int for c in want.rep)
+        assert got == want and hash(got) == hash(want) and got.serialize() == want.serialize()
+        assert got.rep == want.rep and hash(got.rep) == hash(want.rep)

@@ -11,7 +11,7 @@ from sl2ext.coeff import CyclotomicField, PrimeField, RationalField, Scalar
 from sl2ext.grp import torus, unip, weyl
 from sl2ext.indmod import HIGHEST, InducedModule
 from sl2ext.linalg import SparseSpan, nullspace
-from test_coeff import _elements
+from test_coeff import _elements, integral_fraction_cases
 
 
 def _module(tw, field, exp, level):
@@ -88,14 +88,19 @@ def test_associativity_random(tower32, cyc8):
 
 
 def test_alternating_vector(tower32, cyc8):
+    # eta = (1 - s).1 is the Steinberg vector at x = 0; its relation needs
+    # the trivial character and a nonzero x
     tw = tower32
     mod_tr = _module(tw, cyc8, 0, 1)
-    eta = mod_tr.alternating_vector(frozenset({1}))
+    hv = mod_tr.highest_vector()
+    eta = mod_tr.steinberg_vectors()[0]
+    assert eta == hv - mod_tr.act(weyl(tw), hv)
     assert eta.coeff(HIGHEST) == cyc8.one and eta.coeff(0) == -cyc8.one
-    assert mod_tr.alternating_vector(frozenset()) == mod_tr.highest_vector()
+    with pytest.raises(ValueError):
+        mod_tr.check_alternating_relation(tw.zero)
     mod_nt = _module(tw, cyc8, 1, 1)
     with pytest.raises(ValueError):
-        mod_nt.alternating_vector(frozenset({1}))
+        mod_nt.check_alternating_relation(tw.one)
 
 
 @pytest.mark.parametrize("fix,i,expected", [("tower22", 1, 2), ("tower22", 2, 4), ("tower32", 2, 9)])
@@ -192,13 +197,22 @@ def test_lowering_and_alternating_relations(tower32, cyc8):
     tw = tower32
     for e in (0, 1, 2):
         mod = _module(tw, cyc8, e, 2)
-        for x in tw.enumerate_level(2):
-            if x.val:
-                assert mod.check_lowering_formula(x)
+        for x in tw.units(2):
+            assert mod.check_lowering_formula(x)
     mod_tr = _module(tw, cyc8, 0, 2)
-    for x in tw.enumerate_level(2):
-        if x.val:
-            assert mod_tr.check_alternating_relation(x)
+    for x in tw.units(2):
+        assert mod_tr.check_alternating_relation(x)
+
+
+def test_integral_fraction_reps_compare_equal_in_vectors(tower32, cyc8):
+    mod = _module(tower32, cyc8, 0, 1)
+    (p1, one), (pz, zeta), (p0, _) = integral_fraction_cases(cyc8)
+    for got, want in ((p1, one), (pz, zeta)):
+        v, w = mod.vec({0: got, 1: cyc8.one}), mod.vec({0: want, 1: cyc8.one})
+        assert v == w and v.to_json() == w.to_json()
+        assert hash(frozenset(v.support.items())) == hash(frozenset(w.support.items()))
+        assert not (v - w).support and v + w == 2 * w
+    assert not mod.vec({0: p0}).support
 
 
 def test_level_mismatch_rejected(tower23, cyc63):

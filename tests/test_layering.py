@@ -1,0 +1,29 @@
+"""Layering lint: the tower's exp, log and Zech tables are private to
+`tower.py`.  Every other module reaches tower arithmetic through the raw
+ops (`_add`, `_neg`, `_mul`, `_inv`) or `TowerElem`, so no module but
+`tower.py` may read an attribute named `_exp`, `_log` or `_zech`."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "sl2ext"
+PRIVATE = {"_exp", "_log", "_zech"}
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "tower.py")
+
+
+def _private_reads(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.lineno, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in PRIVATE]
+
+
+def test_every_module_is_checked():
+    assert (SRC / "tower.py").exists()
+    assert {p.name for p in MODULES} >= {"coeff.py", "grp.py", "indmod.py", "cohom.py", "towerext.py", "verify.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_tower_tables_stay_private(path):
+    assert _private_reads(path) == []

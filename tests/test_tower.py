@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,3 +202,79 @@ def test_raw_add_exhaustive_from_one_generator_power(key):
     for b in range(tw.size):
         assert tw._add(a, b) == _oracle_add(tw, a, b)
         assert tw._add(b, a) == _oracle_add(tw, a, b)
+
+
+# -- the single definitions: units, escape searches, inverse, digits ----------
+
+SMALL_TOWERS = {(2, 2): Tower(2, 2), (3, 2): Tower(3, 2), (4, 2): Tower(4, 2),
+                (2, 3): Tower(2, 3), (3, 3): Tower(3, 3)}
+
+
+def _oracle_frobenius_fixed(tw, v, d):
+    """x^(p^d) == x by polynomial powering, without the log tables."""
+    vec = polyutil.trim(_digits(tw, v))
+    return polyutil.pow_mod(vec, tw.p ** d, list(tw.poly), tw.p) == vec
+
+
+@pytest.mark.parametrize("key", [(2, 2), (3, 2), (4, 2)], ids=lambda k: f"Tower{k}")
+def test_raw_inverse_exhaustive(key):
+    tw = SMALL_TOWERS[key]
+    for v in range(1, tw.size):
+        vec = polyutil.trim(_digits(tw, v))
+        expect = _encode(tw, polyutil.pow_mod(vec, tw.size - 2, list(tw.poly), tw.p))
+        assert tw._inv(v) == expect and tw._mul(v, tw._inv(v)) == 1
+        assert tw.element(v).inverse().val == expect
+    with pytest.raises(ZeroDivisionError):
+        tw._inv(0)
+
+
+@pytest.mark.parametrize("key", sorted(SMALL_TOWERS), ids=lambda k: f"Tower{k}")
+def test_units_are_the_nonzero_level_elements(key):
+    tw = SMALL_TOWERS[key]
+    for i in range(1, tw.imax + 1):
+        units = tw.units(i)
+        assert units == [x for x in tw.enumerate_level(i) if x.val != 0]
+        assert len(units) == tw.q ** math.factorial(i) - 1
+        assert all(x.level == i for x in units)
+
+
+@pytest.mark.parametrize("key", sorted(SMALL_TOWERS), ids=lambda k: f"Tower{k}")
+def test_level_membership_matches_polynomial_frobenius(key):
+    tw = SMALL_TOWERS[key]
+    for i in range(1, tw.imax + 1):
+        d = tw.level_degree(i)
+        expect = [v for v in range(tw.size) if _oracle_frobenius_fixed(tw, v, d)]
+        assert [x.val for x in tw.enumerate_level(i)] == expect
+    for v in range(tw.size):
+        lowest = next(i for i in range(1, tw.imax + 1)
+                      if _oracle_frobenius_fixed(tw, v, tw.level_degree(i)))
+        assert tw.element(v).level == lowest
+
+
+@pytest.mark.parametrize("key", sorted(SMALL_TOWERS), ids=lambda k: f"Tower{k}")
+def test_escape_searches_match_a_brute_force_scan(key):
+    tw = SMALL_TOWERS[key]
+    for i in range(1, tw.imax):
+        for d, search in ((tw.level_degree(i), tw.first_outside_subfield),
+                          (2 * tw.level_degree(i), tw.first_outside_double_subfield)):
+            scan = [v for v in range(tw.size) if _oracle_frobenius_fixed(tw, v, tw.level_degree(i + 1))
+                    and not _oracle_frobenius_fixed(tw, v, d)]
+            if search == tw.first_outside_double_subfield and i < 2:
+                assert scan == []  # every element of level 2 is quadratic over level 1
+                with pytest.raises(ValueError):
+                    search(i)
+                continue
+            x = search(i)
+            assert x.val == scan[0] and x.level == i + 1
+    for search in (tw.first_outside_subfield, tw.first_outside_double_subfield):
+        with pytest.raises(ValueError):
+            search(tw.imax)
+
+
+@pytest.mark.parametrize("key", sorted(SMALL_TOWERS), ids=lambda k: f"Tower{k}")
+def test_digits_round_trip_with_encode(key):
+    tw = SMALL_TOWERS[key]
+    for v in range(tw.size):
+        ds = polyutil.digits(v, tw.p, tw.degree)
+        assert len(ds) == tw.degree and all(0 <= c < tw.p for c in ds)
+        assert ds == _digits(tw, v) and tw._encode(ds) == v

@@ -232,7 +232,7 @@ def test_connect_L_definition(tower23, cyc63):
     tw = tower23
     th = _char(tw, cyc63, 1)
     sys_l = DirectSystem("L", tw, 2, theta=th)
-    eta = sys_l.st_i.alternating_vector(frozenset({1}))
+    eta = sys_l.st_i.steinberg_vectors()[0]  # (1 - s).1, at x = 0
     out = sys_l.connect(ExtVec(eta, sys_l.mod_i.zero()))
     assert out.top.support == eta.support
     assert out.bottom == sys_l.conn

@@ -254,18 +254,23 @@ def test_level_membership_matches_polynomial_frobenius(key):
 @pytest.mark.parametrize("key", sorted(SMALL_TOWERS), ids=lambda k: f"Tower{k}")
 def test_escape_searches_match_a_brute_force_scan(key):
     tw = SMALL_TOWERS[key]
+
+    def scan(i, d):
+        """First level-(i+1) encoding not fixed by Frobenius^d, or None."""
+        return next((v for v in range(tw.size)
+                     if _oracle_frobenius_fixed(tw, v, tw.level_degree(i + 1))
+                     and not _oracle_frobenius_fixed(tw, v, d)), None)
+
     for i in range(1, tw.imax):
-        for d, search in ((tw.level_degree(i), tw.first_outside_subfield),
-                          (2 * tw.level_degree(i), tw.first_outside_double_subfield)):
-            scan = [v for v in range(tw.size) if _oracle_frobenius_fixed(tw, v, tw.level_degree(i + 1))
-                    and not _oracle_frobenius_fixed(tw, v, d)]
-            if search == tw.first_outside_double_subfield and i < 2:
-                assert scan == []  # every element of level 2 is quadratic over level 1
-                with pytest.raises(ValueError):
-                    search(i)
-                continue
-            x = search(i)
-            assert x.val == scan[0] and x.level == i + 1
+        a = tw.first_outside_subfield(i)
+        assert a.val == scan(i, tw.level_degree(i)) and a.level == i + 1
+        if i < 2:
+            assert scan(i, 2 * tw.level_degree(i)) is None  # all of level 2 is quadratic
+            with pytest.raises(ValueError):
+                tw.first_outside_double_subfield(i)
+        else:
+            b = tw.first_outside_double_subfield(i)
+            assert b.val == scan(i, 2 * tw.level_degree(i)) and b.level == i + 1
     for search in (tw.first_outside_subfield, tw.first_outside_double_subfield):
         with pytest.raises(ValueError):
             search(tw.imax)

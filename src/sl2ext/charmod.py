@@ -44,13 +44,6 @@ class TorusCharacter:
         """Conjugation by the Weyl element inverts torus values: e -> -e."""
         return TorusCharacter(self.tower, self.field, -self.exp)
 
-    def __mul__(self, other: "TorusCharacter") -> "TorusCharacter":
-        if not isinstance(other, TorusCharacter):
-            return NotImplemented
-        if other.tower is not self.tower or other.field != self.field:
-            raise ValueError("characters live on different towers or fields")
-        return TorusCharacter(self.tower, self.field, self.exp + other.exp)
-
     def is_trivial(self) -> bool:
         return self.exp == 0
 

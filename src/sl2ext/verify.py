@@ -1,10 +1,19 @@
 """The check registry: every finitely verifiable statement the workbench
-covers, as one entry with stable id, parameter instances, and a Report.
+covers, as one `Check` record.
 
-Counting certificates run at arbitrary levels with big integers; module
-level checks stop at the enumeration budget and the ambient-degree cap,
-and report SKIPPED with a reason beyond them.  Negative controls are
-their own entries: they PASS exactly when the sabotaged input is caught.
+A record holds the check's stable id, its body, the level range it
+accepts, its other SKIP preconditions and its schedule.  `run_lemma`
+tests the tower or module rule, then the level range, then the other
+preconditions, and SKIPs with the first reason it meets, so a direct
+call at a level `run_all` would never schedule SKIPs as well.  Otherwise
+the body returns `(verdict, payload)` or `(verdict, payload, reason)` and
+`run_lemma` builds the Report.  `run_all` schedules the range's levels
+that fit the enumeration budget unless the record names its own schedule.
+
+Counting certificates run at any level i >= 1 with big integers; module
+level checks stop at the enumeration budget and the ambient-degree cap.
+Negative controls are their own records: they PASS exactly when the
+sabotaged input is caught.
 """
 
 from __future__ import annotations
@@ -12,7 +21,9 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import cohom, grp, polyutil, towerext
 from .charmod import TorusCharacter, trivial_on_center
@@ -39,16 +50,7 @@ class RunConfig:
     budget: int = 100000
 
     def to_json(self):
-        return {
-            "q": self.q,
-            "imax": self.imax,
-            "coeff": self.coeff,
-            "theta_exp": self.theta_exp,
-            "lambda_exp": self.lambda_exp,
-            "mu_exp": self.mu_exp,
-            "lemmas": self.lemmas,
-            "budget": self.budget,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -170,21 +172,11 @@ class Context:
     def group_order(self, i: int, pgl=False) -> int:
         return grp.subgroup_order("G", self.q, i, pgl=pgl)
 
-    def module_levels(self):
-        """Levels whose induced module fits the budget."""
-        if self.blocked():
-            return []
-        return [
-            i
-            for i in range(1, self.imax + 1)
-            if self.tower.level_size(i) + 1 <= self.budget
-        ]
-
 
 # -- preconditions --------------------------------------------------------------
 # Each takes (ctx, params) and returns the reason the check must SKIP, or
-# None.  A registry entry lists its preconditions in the order run_lemma
-# tests them, before the check body runs.
+# None.  run_lemma tests a record's tower or module rule, then its level
+# range, then its other rules, in that order, before the check body runs.
 
 
 def _tower(ctx: Context, params: dict) -> str | None:
@@ -195,18 +187,26 @@ def _module(ctx: Context, params: dict) -> str | None:
     return ctx.blocked()
 
 
-def _levels(lowest: int, reason: str):
-    """The rule lowest <= i < imax: level i+1 lies inside the tower."""
+class Levels(NamedTuple):
+    """The levels a check accepts: lowest <= i <= imax - margin, or every
+    i >= lowest when margin is None (counting checks run at any level)."""
 
-    def rule(ctx: Context, params: dict) -> str | None:
-        return None if lowest <= params["i"] < ctx.imax else reason
+    lowest: int
+    margin: int | None
+    reason: str
 
-    return rule
+    def __call__(self, ctx: Context, params: dict) -> str | None:
+        i = params.get("i")
+        inside = isinstance(i, int) and self.lowest <= i and (
+            self.margin is None or i <= ctx.imax - self.margin)
+        return None if inside else self.reason
+
+    def candidates(self, ctx: Context) -> range:
+        """The levels run_all may schedule, before the budget."""
+        top = max(COUNTING_LEVELS, ctx.imax) if self.margin is None else ctx.imax - self.margin
+        return range(self.lowest, top + 1)
 
 
-_next_level = _levels(1, "level budget: the construction needs level i+1 inside the tower")
-_quadratic_free_level = _levels(2, "level budget: needs 2 <= i < imax")
-_CONNECTING_LEVEL = "level budget: the connecting vector needs a feasible level"
 _LACKS_ORDER = "mode lacks the character order"
 
 
@@ -244,17 +244,16 @@ def _ext_group(ctx: Context, params: dict) -> str | None:
 # -- individual checks --------------------------------------------------------
 
 
-def _chk_sus(ctx: Context, params: dict) -> Report:
+def _chk_sus(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     for a in tw.units(i):
         if not grp.check_big_cell_rewrite(a):
-            return Report("sus", params, "FAIL", {"counterexample": a.val})
-    cases = tw.level_size(i) - 1
-    return Report("sus", params, "PASS", {"cases": cases})
+            return "FAIL", {"counterexample": a.val}
+    return "PASS", {"cases": tw.level_size(i) - 1}
 
 
-def _chk_bruhat(ctx: Context, params: dict) -> Report:
+def _chk_bruhat(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     n = tw.level_size(i)
@@ -262,7 +261,7 @@ def _chk_bruhat(ctx: Context, params: dict) -> Report:
     for g in grp.enumerate_subgroup(tw, "G", i, budget=ctx.budget):
         form = grp.bruhat(g)
         if grp.reassemble(form, tw) != g:
-            return Report("bruhat", params, "FAIL", {"element": g.key()})
+            return "FAIL", {"element": g.key()}
         if form.big_cell:
             big += 1
         else:
@@ -276,10 +275,10 @@ def _chk_bruhat(ctx: Context, params: dict) -> Report:
         "big_cell": big,
         "expected": [expect_small, expect_big],
     }
-    return Report("bruhat", params, "PASS" if ok else "FAIL", payload)
+    return ("PASS" if ok else "FAIL"), payload
 
 
-def _chk_act_oracle(ctx: Context, params: dict) -> Report:
+def _chk_act_oracle(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     exps = [e for e in sorted({0, 1, 2, ctx.config.theta_exp}) if ctx.char_supported(e)]
@@ -291,10 +290,7 @@ def _chk_act_oracle(ctx: Context, params: dict) -> Report:
         for g in gens:
             for label in mod.labels():
                 if mod.act_label(g, label) != mod.oracle_act_label(g, label):
-                    return Report(
-                        "act-oracle", params, "FAIL",
-                        {"exp": e, "label": label, "generator": g.key()},
-                    )
+                    return "FAIL", {"exp": e, "label": label, "generator": g.key()}
                 checked += 1
         rng = random.Random(20240 + i)
         labels = mod.labels()
@@ -304,15 +300,11 @@ def _chk_act_oracle(ctx: Context, params: dict) -> Report:
             label = rng.choice(labels)
             v = mod.basis_vector(label)
             if mod.act(g1 * g2, v) != mod.act(g1, mod.act(g2, v)):
-                return Report(
-                    "act-oracle", params, "FAIL",
-                    {"exp": e, "associativity": [g1.key(), g2.key(), label]},
-                )
-    return Report("act-oracle", params, "PASS",
-                  {"exponents": exps, "oracle_pairs": checked, "random_pairs": 200 * len(exps)})
+                return "FAIL", {"exp": e, "associativity": [g1.key(), g2.key(), label]}
+    return "PASS", {"exponents": exps, "oracle_pairs": checked, "random_pairs": 200 * len(exps)}
 
 
-def _chk_m_dims(ctx: Context, params: dict) -> Report:
+def _chk_m_dims(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     n = tw.level_size(i)
@@ -326,11 +318,8 @@ def _chk_m_dims(ctx: Context, params: dict) -> Report:
         st.insert(v.support)
     st_closure = mod_tr.span_closure(mod_tr.steinberg_vectors())
     # the quotient by the Steinberg piece carries the trivial action
-    quotient_ok = True
     hv = mod_tr.highest_vector()
-    for g in grp.generators(tw, i):
-        if not st_closure.contains((mod_tr.act(g, hv) - hv).support):
-            quotient_ok = False
+    quotient_ok = all(st_closure.contains((mod_tr.act(g, hv) - hv).support) for g in grp.generators(tw, i))
     payload = {
         "dim_module": closure.dim,
         "dim_steinberg": st.dim,
@@ -338,16 +327,11 @@ def _chk_m_dims(ctx: Context, params: dict) -> Report:
         "steinberg_stable": st_closure.dim == st.dim,
         "quotient_trivial": quotient_ok,
     }
-    ok = (
-        closure.dim == n + 1
-        and st.dim == n
-        and payload["steinberg_stable"]
-        and quotient_ok
-    )
-    return Report("M-dims", params, "PASS" if ok else "FAIL", payload)
+    ok = closure.dim == n + 1 and st.dim == n and payload["steinberg_stable"] and quotient_ok
+    return ("PASS" if ok else "FAIL"), payload
 
 
-def _chk_suw(ctx: Context, params: dict) -> Report:
+def _chk_suw(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     cases = 0
@@ -357,17 +341,17 @@ def _chk_suw(ctx: Context, params: dict) -> Report:
         mod = InducedModule(tw, ctx.char(e), i)
         for x in tw.units(i):
             if not mod.check_lowering_formula(x):
-                return Report("P2.1-suw", params, "FAIL", {"exp": e, "x": x.val, "part": "lowering"})
+                return "FAIL", {"exp": e, "x": x.val, "part": "lowering"}
             cases += 1
     mod_tr = InducedModule(tw, ctx.char(0), i)
     for x in tw.units(i):
         if not mod_tr.check_alternating_relation(x):
-            return Report("P2.1-suw", params, "FAIL", {"x": x.val, "part": "alternating"})
+            return "FAIL", {"x": x.val, "part": "alternating"}
         cases += 1
-    return Report("P2.1-suw", params, "PASS", {"cases": cases})
+    return "PASS", {"cases": cases}
 
 
-def _chk_normalize(ctx: Context, params: dict) -> Report:
+def _chk_normalize(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     field = ctx.field
@@ -384,12 +368,12 @@ def _chk_normalize(ctx: Context, params: dict) -> Report:
         phi = {t.val: a * (theta.eval(t) - field.one) for t in tw.units(i)}
         out = cohom.normalize_torus_cochain(theta, i, phi)
         if a and (out.status != "corrected" or out.correction != a):
-            return Report("L3.3-normalize", params, "FAIL", {"round_trip_exp": e})
+            return "FAIL", {"round_trip_exp": e}
         rounds += 1
     theta0 = ctx.char(0)
     zero_phi = {t.val: field.zero for t in tw.units(i)}
     if cohom.normalize_torus_cochain(theta0, i, zero_phi).status != "normal":
-        return Report("L3.3-normalize", params, "FAIL", {"case": "zero cochain"})
+        return "FAIL", {"case": "zero cochain"}
     # a non-cochain must be rejected: theta(x)^2 - 1 for theta of order > 2
     rejected = None
     for e in range(1, tw.size - 1):
@@ -405,14 +389,13 @@ def _chk_normalize(ctx: Context, params: dict) -> Report:
             except ValueError:
                 rejected = True
             break
-    table_ok = all(
-        cohom.order_condition_forces_zero(m, c) == (c == 0 or m % c != 0)
-        for m in (2, 3, 4, 6)
-        for c in (0, 2, 3, 5, 7)
-    )
+    # m * x = 0 forces x = 0 exactly when m * 1 != 0 in the characteristic
+    fields = {c: PrimeField(c) if c else RationalField() for c in (0, 2, 3, 5, 7)}
+    table_ok = all(cohom.order_condition_forces_zero(m, c) == bool(f.scalar(m))
+                   for m in (2, 3, 4, 6) for c, f in fields.items())
     ok = rejected is not False and table_ok
     payload = {"round_trips": rounds, "non_cochain_rejected": rejected, "order_table": table_ok}
-    return Report("L3.3-normalize", params, "PASS" if ok else "FAIL", payload)
+    return ("PASS" if ok else "FAIL"), payload
 
 
 def _coset_distinct_count(tw: Tower, i: int, a) -> int:
@@ -422,7 +405,7 @@ def _coset_distinct_count(tw: Tower, i: int, a) -> int:
     return len({min(labels) for _, labels in towerext.shifted_cosets(tw, i, a)})
 
 
-def _chk_l44(ctx: Context, params: dict) -> Report:
+def _chk_l44(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     reps = grp.center_quotient_reps(tw, i)
@@ -441,28 +424,22 @@ def _chk_l44(ctx: Context, params: dict) -> Report:
                     count -= 1
     ok = count == len(reps)
     payload = {"distinct_cosets": count, "expected": len(reps), "mode": "explicit" if explicit else "criterion"}
-    return Report("L4.4-basis", params, "PASS" if ok else "FAIL", payload)
+    return ("PASS" if ok else "FAIL"), payload
 
 
-def _chk_l44_neg(ctx: Context, params: dict) -> Report:
+def _chk_l44_neg(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     reps = grp.center_quotient_reps(tw, i)
     if len(reps) < 2:
-        return Report(
-            "L4.4-neg-control", params, "SKIPPED",
-            reason="a collision needs at least two quotient representatives",
-        )
+        return "SKIPPED", {}, "a collision needs at least two quotient representatives"
     bad = tw.generator(i)  # deliberately inside level i
     count = _coset_distinct_count(tw, i, bad)
     caught = count < len(reps)
-    return Report(
-        "L4.4-neg-control", params, "PASS" if caught else "FAIL",
-        {"distinct_cosets": count, "expected_if_valid": len(reps)},
-    )
+    return ("PASS" if caught else "FAIL"), {"distinct_cosets": count, "expected_if_valid": len(reps)}
 
 
-def _chk_eta_weight(ctx: Context, params: dict) -> Report:
+def _chk_eta_weight(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     pairs = [(0, 0)]
@@ -481,37 +458,31 @@ def _chk_eta_weight(ctx: Context, params: dict) -> Report:
         ok = bool(eta) and towerext.check_borel_weight(eta, lam, i)
         results.append({"pair": [el, em], "status": "ok" if ok else "failed", "support": len(eta.support)})
         if not ok:
-            return Report("eta-weight", params, "FAIL", {"pairs": results})
-    return Report("eta-weight", params, "PASS", {"pairs": results})
+            return "FAIL", {"pairs": results}
+    return "PASS", {"pairs": results}
 
 
-def _chk_eta_weight_neg(ctx: Context, params: dict) -> Report:
+def _chk_eta_weight_neg(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     n_i = tw.level_size(i) - 1
     if n_i < 2:
-        return Report(
-            "eta-weight-neg-control", params, "SKIPPED",
-            reason="every character agrees on a trivial level torus",
-        )
+        return "SKIPPED", {}, "every character agrees on a trivial level torus"
     wrong = next(
         (ctx.char(e) for e in range(1, tw.size - 1)
          if e % n_i and ctx.char_supported(e)),
         None,
     )
     if wrong is None:
-        return Report(
-            "eta-weight-neg-control", params, "SKIPPED",
-            reason="no representable character distinguishes the level torus in this mode",
-        )
+        return "SKIPPED", {}, "no representable character distinguishes the level torus in this mode"
     lam, mu = ctx.char(0), ctx.char(0)
     mod_next = InducedModule(tw, mu, i + 1)
     eta = towerext.borel_weight_vector(lam, mu, i, mod_next)
     caught = not towerext.check_borel_weight(eta, wrong, i)
-    return Report("eta-weight-neg-control", params, "PASS" if caught else "FAIL", {})
+    return ("PASS" if caught else "FAIL"), {}
 
 
-def _chk_clm(ctx: Context, params: dict) -> Report:
+def _chk_clm(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     ineq = towerext.counting_inequality("F", ctx.q, i)
     payload = {"lhs": ineq["lhs"], "rhs": ineq["rhs"], "holds": ineq["holds"]}
@@ -522,46 +493,35 @@ def _chk_clm(ctx: Context, params: dict) -> Report:
         total = tw.level_size(i + 1) // tw.level_size(i)
         payload["explicit"] = {"covered_cosets": covered, "total_cosets": total, "proper": covered < total}
         if not payload["explicit"]["proper"]:
-            return Report("clm-4", params, "FAIL", payload)
-    return Report("clm-4", params, "PASS" if payload["holds"] else "FAIL", payload)
+            return "FAIL", payload
+    return ("PASS" if payload["holds"] else "FAIL"), payload
 
 
-def _ineq_check(lemma_id: str, tag: str, ctx: Context, params: dict) -> Report:
+def _chk_ineq(tag: str, ctx: Context, params: dict) -> tuple:
     """The counting inequality of system H or L, both sides doubled."""
     ineq = towerext.counting_inequality(tag, ctx.q, params["i"])
     payload = {"lhs_doubled": ineq["lhs"], "rhs_doubled": ineq["rhs"], "holds": ineq["holds"]}
     if params["i"] == 1:
-        return Report(
-            lemma_id, params, "SKIPPED", payload,
-            reason="below level 2 the quadratic-free element does not exist; "
-                   "the inequality is reported, not asserted",
-        )
-    return Report(lemma_id, params, "PASS" if payload["holds"] else "FAIL", payload)
+        return ("SKIPPED", payload, "below level 2 the quadratic-free element does not exist; "
+                "the inequality is reported, not asserted")
+    return ("PASS" if payload["holds"] else "FAIL"), payload
 
 
-def _chk_ineq36(ctx, params):
-    return _ineq_check("ineq-36", "H", ctx, params)
-
-
-def _chk_ineq37(ctx, params):
-    return _ineq_check("ineq-37", "L", ctx, params)
-
-
-def _chk_xi(ctx: Context, params: dict) -> Report:
+def _chk_xi(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     theta = ctx.theta
     tw = ctx.tower
     mod_next = InducedModule(tw, theta, i + 1)
     xi = towerext.group_average_vector(theta, i, mod_next)
     if not xi:
-        return Report("L5.3-xi", params, "FAIL", {"nonzero": False})
+        return "FAIL", {"nonzero": False}
     pgl_order = ctx.group_order(i, pgl=True)
     payload = {"support": len(xi.support), "group_order": pgl_order}
     if pgl_order <= ctx.budget:
         naive = towerext.naive_group_average(theta, i, mod_next, tw.first_outside_double_subfield(i), budget=ctx.budget)
         payload["structured_equals_naive"] = xi == naive
         if not payload["structured_equals_naive"]:
-            return Report("L5.3-xi", params, "FAIL", payload)
+            return "FAIL", payload
         elements = grp.enumerate_subgroup(tw, "G", i, budget=ctx.budget, pgl=True)
         payload["invariance"] = "exhaustive"
     else:
@@ -570,8 +530,8 @@ def _chk_xi(ctx: Context, params: dict) -> Report:
         payload["invariance"] = "sampled-200"
     for g in elements:
         if mod_next.act(g, xi) != xi:
-            return Report("L5.3-xi", params, "FAIL", {"moved_by": g.key()})
-    return Report("L5.3-xi", params, "PASS", payload)
+            return "FAIL", {"moved_by": g.key()}
+    return "PASS", payload
 
 
 def _sample_group(tw: Tower, i: int, rng: random.Random, count: int) -> list:
@@ -590,7 +550,7 @@ def _sample_group(tw: Tower, i: int, rng: random.Random, count: int) -> list:
     return out
 
 
-def _chk_zeta(ctx: Context, params: dict) -> Report:
+def _chk_zeta(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     theta = ctx.theta
     tw = ctx.tower
@@ -601,19 +561,18 @@ def _chk_zeta(ctx: Context, params: dict) -> Report:
     reps = len(grp.center_quotient_reps(tw, i))
     expected_terms = 2 * reps * tw.level_size(i)
     payload = {"support": support, "expected_terms": expected_terms}
-    if not support["distinct"] or len(zeta.support) != expected_terms:
-        return Report("L5.5-zeta", params, "FAIL", payload)
-    if not towerext.check_steinberg_relations(zeta, theta, i):
-        return Report("L5.5-zeta", params, "FAIL", payload)
+    if (not support["distinct"] or len(zeta.support) != expected_terms
+            or not towerext.check_steinberg_relations(zeta, theta, i)):
+        return "FAIL", payload
     # (1 - s) applied to the plain Borel average reproduces the expansion
     borel = towerext.borel_average(theta, i, mod_next, b)
     alt = borel - mod_next.act(grp.weyl(tw), borel)
     payload["matches_one_minus_s"] = alt == zeta
     ok = payload["matches_one_minus_s"]
-    return Report("L5.5-zeta", params, "PASS" if ok else "FAIL", payload)
+    return ("PASS" if ok else "FAIL"), payload
 
 
-def _chk_zeta_neg(ctx: Context, params: dict) -> Report:
+def _chk_zeta_neg(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     # the run's theta where systems H and L admit it, else the trivial one
     theta = ctx.char(0) if _theta_characters(ctx, params) else ctx.theta
@@ -622,7 +581,7 @@ def _chk_zeta_neg(ctx: Context, params: dict) -> Report:
     bad = tw.generator(i)  # inside level i, hence quadratic over it
     support = towerext.expansion_support(theta, i, mod_next, bad)
     caught = not support["distinct"]
-    return Report("L5.5-neg-control", params, "PASS" if caught else "FAIL", {"support": support})
+    return ("PASS" if caught else "FAIL"), {"support": support}
 
 
 def _character_args(ctx: Context, tag: str) -> dict:
@@ -630,31 +589,19 @@ def _character_args(ctx: Context, tag: str) -> dict:
     return {"lam": ctx.lam, "mu": ctx.mu} if tag == "F" else {"theta": ctx.theta}
 
 
-def _certificate_check(lemma_id: str, tag: str, ctx: Context, params: dict) -> Report:
+def _chk_certificate(tag: str, ctx: Context, params: dict) -> tuple:
+    """The escape certificate that system tag does not split."""
     payload = towerext.nonsplit_certificate(tag, ctx.tower, params["i"], **_character_args(ctx, tag))
     verdict = payload.pop("verdict")
-    reason = payload.pop("note", "")
-    return Report(lemma_id, params, verdict, payload, reason=reason)
+    return verdict, payload, payload.pop("note", "")
 
 
-def _chk_noFU(ctx, params):
-    return _certificate_check("L4.6-noFU", "F", ctx, params)
-
-
-def _chk_noHG(ctx, params):
-    return _certificate_check("L5.7-noHG", "H", ctx, params)
-
-
-def _chk_noLG(ctx, params):
-    return _certificate_check("L5.8-noLG", "L", ctx, params)
-
-
-def _chk_connect(ctx: Context, params: dict) -> Report:
+def _chk_connect(ctx: Context, params: dict) -> tuple:
     i, tag = params["i"], params["system"]
     tw = ctx.tower
     system = towerext.DirectSystem(tag, tw, i, **_character_args(ctx, tag))
     if not system.check_injective():
-        return Report("connect-inj", params, "FAIL", {"stage": "injectivity"})
+        return "FAIL", {"stage": "injectivity"}
     if tag == "F":
         elements = grp.enumerate_subgroup(tw, "B", i, budget=min(ctx.budget, 2000))
         mode = "exhaustive-borel"
@@ -668,8 +615,8 @@ def _chk_connect(ctx: Context, params: dict) -> Report:
             elements = grp.generators(tw, i) + _sample_group(tw, i, rng, 50)
             mode = "generators+sampled-50"
     if not system.check_equivariance(elements):
-        return Report("connect-inj", params, "FAIL", {"stage": "equivariance", "mode": mode})
-    return Report("connect-inj", params, "PASS", {"mode": mode, "elements": len(elements)})
+        return "FAIL", {"stage": "equivariance", "mode": mode}
+    return "PASS", {"mode": mode, "elements": len(elements)}
 
 
 def _level1_reps(group, tw, field) -> dict:
@@ -681,7 +628,7 @@ def _level1_reps(group, tw, field) -> dict:
     }
 
 
-def _chk_ext1(ctx: Context, params: dict) -> Report:
+def _chk_ext1(ctx: Context, params: dict) -> tuple:
     q = ctx.q
     tw = ctx.tower
     group = cohom.GroupTable(tw, level=1, budget=ctx.budget)
@@ -702,7 +649,7 @@ def _chk_ext1(ctx: Context, params: dict) -> Report:
                 d, _ = cohom.ext1_bfs(M, N)
                 dims[f"{tag_f}:{name_m}->{name_n}"] = d
                 if d != 0:
-                    return Report("ext1-maschke", params, "FAIL", {"dims": dims})
+                    return "FAIL", {"dims": dims}
     # dual-solver agreement on the smallest pair, including a modular case;
     # the char-0 BFS side is the sweep's dimension on the same reps
     field_mod = PrimeField([p for p in (2, 3, 5, 7, 11) if order % p == 0 and p != ctx.p][0])
@@ -718,7 +665,7 @@ def _chk_ext1(ctx: Context, params: dict) -> Report:
                 d2 = cohom.ext1_unreduced(M, N)
                 agreements[key] = [d1, d2]
                 if d1 != d2:
-                    return Report("ext1-maschke", params, "FAIL", {"agreement": agreements})
+                    return "FAIL", {"agreement": agreements}
     # Hom dimensions against the torus-twist count
     chars = [TorusCharacter(tw, fields[0][1], e) for e in range(max(torus_order, 1))]
     induced = [cohom.FiniteRep.from_induced(group, InducedModule(tw, c, 1)) for c in chars]
@@ -728,148 +675,147 @@ def _chk_ext1(ctx: Context, params: dict) -> Report:
         for mu, Mm in zip(chars, induced)
     )
     payload = {"maschke_dims": dims, "agreement": agreements, "hom_matches_twist_count": hom_ok}
-    return Report("ext1-maschke", params, "PASS" if hom_ok else "FAIL", payload)
+    return ("PASS" if hom_ok else "FAIL"), payload
 
 
 # -- registry -----------------------------------------------------------------
 
 
-def _module_instances(ctx: Context):
-    return [{"q": ctx.q, "i": i} for i in ctx.module_levels()]
+class Check(NamedTuple):
+    """One registry record: the check's id and body, the level range it
+    accepts (per system for connect-inj; None for a check without a
+    level), the tower or module rule, its other SKIP preconditions, the
+    enumeration cost of a level and an optional schedule."""
+
+    lemma_id: str
+    body: Callable  # (ctx, params) -> (verdict, payload[, reason])
+    needs: Callable | None
+    levels: Levels | dict | None
+    rules: tuple = ()
+    cost: Callable | None = None  # (ctx, i) -> elements that must fit the budget
+    schedule: Callable | None = None  # (ctx, check) -> instance params
+
+    def unmet(self, ctx: Context, params: dict) -> str | None:
+        """The reason of the first precondition the instance fails, if any."""
+        levels = self.levels.get(params.get("system")) if isinstance(self.levels, dict) else self.levels
+        for rule in (self.needs, levels, *self.rules):
+            reason = rule and rule(ctx, params)
+            if reason:
+                return reason
+        return None
+
+    def fitting(self, ctx: Context, levels: Levels | None = None) -> list:
+        """The levels of the range whose cost fits the budget."""
+        return [i for i in (levels or self.levels).candidates(ctx)
+                if self.cost is None or self.cost(ctx, i) <= ctx.budget]
+
+    def instances(self, ctx: Context) -> list:
+        if self.needs and ctx.blocked():
+            return []
+        if self.schedule:
+            return self.schedule(ctx, self)
+        if self.levels is None:
+            return [{"q": ctx.q}]
+        return [{"q": ctx.q, "i": i} for i in self.fitting(ctx)]
 
 
-def _group_instances(ctx: Context):
-    if ctx.blocked():
-        return []
-    return [{"q": ctx.q, "i": i} for i in range(1, ctx.imax + 1)
-            if ctx.group_order(i) <= ctx.budget]
+_ALL_LEVELS = Levels(1, 0, "level budget: needs 1 <= i <= imax")
+_NEXT_LEVEL = Levels(1, 1, "level budget: the construction needs level i+1 inside the tower")
+_QUADRATIC_FREE = Levels(2, 1, "level budget: needs 2 <= i < imax")
+_CONNECT_F = Levels(1, 1, "level budget: the connecting vector needs a feasible level")
+_CONNECT_HL = Levels(2, 1, _CONNECT_F.reason)
+_ANY_LEVEL = Levels(1, None, "level budget: needs i >= 1")
+_THETA = (_theta_characters,)
 
 
-def _eta_instances(ctx: Context):
-    if ctx.blocked():
-        return []
-    return [{"q": ctx.q, "i": i} for i in range(1, ctx.imax)
-            if ctx.tower.level_size(i + 1) + 1 <= ctx.budget]
+def _module_cost(ctx: Context, i: int) -> int:
+    return ctx.tower.level_size(i) + 1
 
 
-def _xi_instances(ctx: Context):
-    return [p for p in _eta_instances(ctx) if p["i"] >= 2]
+def _next_cost(ctx: Context, i: int) -> int:
+    return ctx.tower.level_size(i + 1) + 1
 
 
-def _counting_instances(ctx: Context):
-    return [{"q": ctx.q, "i": i} for i in range(1, max(COUNTING_LEVELS, ctx.imax) + 1)]
+def _first_where(usable):
+    """Schedule the first fitting level where usable(ctx, i), else the lowest."""
+
+    def schedule(ctx: Context, check: Check) -> list:
+        i = next((i for i in check.fitting(ctx) if usable(ctx, i)), check.levels.lowest)
+        return [{"q": ctx.q, "i": i}]
+
+    return schedule
 
 
-def _single_instance(ctx: Context):
-    return [{"q": ctx.q}]
+def _connect_schedule(ctx: Context, check: Check) -> list:
+    """System F at each fitting level, then H and L at each quadratic-free one."""
+    out = [{"q": ctx.q, "i": i, "system": "F"} for i in check.fitting(ctx, _CONNECT_F)]
+    return out + [{"q": ctx.q, "i": i, "system": tag}
+                  for i in check.fitting(ctx, _CONNECT_HL) for tag in "HL"]
 
 
-def _first_eta_instance(ctx: Context, usable):
-    """The first eta-weight level i with usable(i), else level 1."""
-    for p in _eta_instances(ctx):
-        if usable(p["i"]):
-            return [p]
-    return [{"q": ctx.q, "i": 1}] if not ctx.blocked() else []
-
-
-def _first_control_instance(ctx: Context):
-    return _first_eta_instance(ctx, lambda i: len(grp.center_quotient_reps(ctx.tower, i)) >= 2)
-
-
-def _eta_neg_instances(ctx: Context):
-    return _first_eta_instance(ctx, lambda i: ctx.tower.level_size(i) - 1 >= 2)
-
-
-def _connect_instances(ctx: Context):
-    out = [{"q": ctx.q, "i": p["i"], "system": "F"} for p in _eta_instances(ctx)]
-    for p in _xi_instances(ctx):
-        out.append({"q": ctx.q, "i": p["i"], "system": "H"})
-        out.append({"q": ctx.q, "i": p["i"], "system": "L"})
-    return out
-
-
-def _normalize_instances(ctx: Context):
-    if ctx.blocked():
-        return []
-    return [{"q": ctx.q, "i": min(2, ctx.imax)}]
-
-
-_CERT_F = (_module, _levels(1, _CONNECTING_LEVEL), _pair_characters)
-_CERT_HL = (_module, _levels(2, _CONNECTING_LEVEL), _theta_characters)
-_THETA_AT_QF_LEVEL = (_module, _quadratic_free_level, _theta_characters)
-
-# (id, instances, check body, preconditions)
 REGISTRY = [
-    ("sus", _module_instances, _chk_sus, (_tower,)),
-    ("bruhat", _group_instances, _chk_bruhat, (_tower,)),
-    ("act-oracle", _group_instances, _chk_act_oracle, (_module,)),
-    ("M-dims", _module_instances, _chk_m_dims, (_module,)),
-    ("P2.1-suw", _module_instances, _chk_suw, (_module,)),
-    ("L3.3-normalize", _normalize_instances, _chk_normalize, (_module,)),
-    ("L4.4-basis", _eta_instances, _chk_l44, (_tower, _next_level)),
-    ("L4.4-neg-control", _first_control_instance, _chk_l44_neg, (_tower,)),
-    ("eta-weight", _eta_instances, _chk_eta_weight, (_module, _next_level)),
-    ("eta-weight-neg-control", _eta_neg_instances, _chk_eta_weight_neg, (_module,)),
-    ("clm-4", _counting_instances, _chk_clm, ()),
-    ("ineq-36", _counting_instances, _chk_ineq36, ()),
-    ("ineq-37", _counting_instances, _chk_ineq37, ()),
-    ("L4.6-noFU", _eta_instances, _chk_noFU, _CERT_F),
-    ("L5.3-xi", _xi_instances, _chk_xi, _THETA_AT_QF_LEVEL),
-    ("L5.5-zeta", _xi_instances, _chk_zeta, _THETA_AT_QF_LEVEL),
-    ("L5.5-neg-control", _xi_instances, _chk_zeta_neg, (_module,)),
-    ("L5.7-noHG", _xi_instances, _chk_noHG, _CERT_HL),
-    ("L5.8-noLG", _xi_instances, _chk_noLG, _CERT_HL),
-    ("connect-inj", _connect_instances, _chk_connect, (_module, _system_characters)),
-    ("ext1-maschke", _single_instance, _chk_ext1, (_module, _ext_group)),
+    Check("sus", _chk_sus, _tower, _ALL_LEVELS, cost=_module_cost),
+    Check("bruhat", _chk_bruhat, _tower, _ALL_LEVELS, cost=Context.group_order),
+    Check("act-oracle", _chk_act_oracle, _module, _ALL_LEVELS, cost=Context.group_order),
+    Check("M-dims", _chk_m_dims, _module, _ALL_LEVELS, cost=_module_cost),
+    Check("P2.1-suw", _chk_suw, _module, _ALL_LEVELS, cost=_module_cost),
+    Check("L3.3-normalize", _chk_normalize, _module, _ALL_LEVELS,
+          schedule=lambda ctx, check: [{"q": ctx.q, "i": min(2, ctx.imax)}]),
+    Check("L4.4-basis", _chk_l44, _tower, _NEXT_LEVEL, cost=_next_cost),
+    Check("L4.4-neg-control", _chk_l44_neg, _tower, _NEXT_LEVEL, cost=_next_cost,
+          schedule=_first_where(lambda ctx, i: len(grp.center_quotient_reps(ctx.tower, i)) >= 2)),
+    Check("eta-weight", _chk_eta_weight, _module, _NEXT_LEVEL, cost=_next_cost),
+    Check("eta-weight-neg-control", _chk_eta_weight_neg, _module, _NEXT_LEVEL, cost=_next_cost,
+          schedule=_first_where(lambda ctx, i: ctx.tower.level_size(i) - 1 >= 2)),
+    Check("clm-4", _chk_clm, None, _ANY_LEVEL),
+    Check("ineq-36", partial(_chk_ineq, "H"), None, _ANY_LEVEL),
+    Check("ineq-37", partial(_chk_ineq, "L"), None, _ANY_LEVEL),
+    Check("L4.6-noFU", partial(_chk_certificate, "F"), _module, _CONNECT_F,
+          (_pair_characters,), _next_cost),
+    Check("L5.3-xi", _chk_xi, _module, _QUADRATIC_FREE, _THETA, _next_cost),
+    Check("L5.5-zeta", _chk_zeta, _module, _QUADRATIC_FREE, _THETA, _next_cost),
+    Check("L5.5-neg-control", _chk_zeta_neg, _module, _QUADRATIC_FREE, cost=_next_cost),
+    Check("L5.7-noHG", partial(_chk_certificate, "H"), _module, _CONNECT_HL, _THETA, _next_cost),
+    Check("L5.8-noLG", partial(_chk_certificate, "L"), _module, _CONNECT_HL, _THETA, _next_cost),
+    Check("connect-inj", _chk_connect, _module, {"F": _CONNECT_F, "H": _CONNECT_HL, "L": _CONNECT_HL},
+          (_system_characters,), _next_cost, _connect_schedule),
+    Check("ext1-maschke", _chk_ext1, _module, None, (_ext_group,)),
 ]
 
-REGISTRY_IDS = [entry[0] for entry in REGISTRY]
-_INSTANCES = {entry[0]: entry[1] for entry in REGISTRY}
-_RUNNERS = {entry[0]: entry[2] for entry in REGISTRY}
-_PRECONDITIONS = {entry[0]: entry[3] for entry in REGISTRY}
-
-
-def _unmet(ctx: Context, spec: CheckSpec) -> str | None:
-    """The reason of the first precondition the instance fails, if any."""
-    for rule in _PRECONDITIONS[spec.lemma_id]:
-        reason = rule(ctx, spec.params)
-        if reason:
-            return reason
-    return None
+REGISTRY_IDS = [check.lemma_id for check in REGISTRY]
+CHECKS = {check.lemma_id: check for check in REGISTRY}
 
 
 def run_lemma(ctx: Context, spec: CheckSpec) -> Report:
-    if spec.lemma_id not in _RUNNERS:
+    check = CHECKS.get(spec.lemma_id)
+    if check is None:
         raise ValueError(f"unknown lemma id {spec.lemma_id!r}")
     t0 = time.monotonic()
     try:
-        reason = _unmet(ctx, spec)
-        if reason:
-            report = Report(spec.lemma_id, spec.params, "SKIPPED", reason=reason)
-        else:
-            report = _RUNNERS[spec.lemma_id](ctx, spec.params)
+        reason = check.unmet(ctx, spec.params)
+        outcome = ("SKIPPED", {}, reason) if reason else check.body(ctx, spec.params)
     except BudgetError as e:
-        report = Report(spec.lemma_id, spec.params, "SKIPPED", reason=f"level budget: {e}")
+        outcome = ("SKIPPED", {}, f"level budget: {e}")
+    report = Report(spec.lemma_id, spec.params, *outcome)
     report.seconds = time.monotonic() - t0
     return report
 
 
 def run_all(ctx: Context, lemmas: list | None = None) -> list:
     selected = REGISTRY_IDS if lemmas is None else lemmas
-    unknown = [l for l in selected if l not in _RUNNERS]
+    unknown = [l for l in selected if l not in CHECKS]
     if unknown:
         raise ValueError(f"unknown lemma ids {unknown}")
     reports = []
-    for lemma_id in REGISTRY_IDS:
-        if lemma_id not in selected:
+    for check in REGISTRY:
+        if check.lemma_id not in selected:
             continue
-        instances = _INSTANCES[lemma_id](ctx)
+        instances = check.instances(ctx)
         if not instances:
             reason = ctx.blocked() or "no valid level at this configuration"
-            reports.append(Report(lemma_id, {"q": ctx.q}, "SKIPPED", reason=reason))
-            continue
+            reports.append(Report(check.lemma_id, {"q": ctx.q}, "SKIPPED", reason=reason))
         for params in instances:
-            reports.append(run_lemma(ctx, CheckSpec(lemma_id, params)))
+            reports.append(run_lemma(ctx, CheckSpec(check.lemma_id, params)))
     return reports
 
 

@@ -1,7 +1,13 @@
-"""Layering lint: the tower's exp, log and Zech tables are private to
-`tower.py`.  Every other module reaches tower arithmetic through the raw
-ops (`_add`, `_neg`, `_mul`, `_inv`) or `TowerElem`, so no module but
-`tower.py` may read an attribute named `_exp`, `_log` or `_zech`."""
+"""Layering lints.
+
+The tower's exp, log and Zech tables are private to `tower.py`.  Every
+other module reaches tower arithmetic through the raw ops (`_add`, `_neg`,
+`_mul`, `_inv`) or `TowerElem`, so no module but `tower.py` may read an
+attribute named `_exp`, `_log` or `_zech`.
+
+In `verify.py` only the runner builds a `Report`: check bodies return
+`(verdict, payload[, reason])` and `run_lemma` turns that into the report,
+with `run_all` adding one SKIP for a check it cannot schedule."""
 
 import ast
 import pathlib
@@ -27,3 +33,17 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_tower_tables_stay_private(path):
     assert _private_reads(path) == []
+
+
+def _report_calls(node):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "Report"]
+
+
+def test_only_the_runner_builds_reports():
+    tree = ast.parse((SRC / "verify.py").read_text(), filename="verify.py")
+    runners = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in ("run_lemma", "run_all")]
+    assert len(runners) == 2
+    inside = sum(len(_report_calls(node)) for node in runners)
+    assert inside > 0 and len(_report_calls(tree)) == inside

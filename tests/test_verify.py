@@ -1,7 +1,9 @@
 import json
+import pathlib
 
 import pytest
 
+from sl2ext.cli import _config_from_args, _selected_lemmas, make_parser
 from sl2ext.verify import (
     REGISTRY_IDS,
     CheckSpec,
@@ -118,6 +120,65 @@ def test_level_preconditions_skip_direct_calls(lemma, i, reason):
     ctx = Context(RunConfig(q=2, imax=2, theta_exp=1))
     r = run_lemma(ctx, CheckSpec(lemma, {"q": 2, "i": i}))
     assert (r.verdict, r.reason, r.payload) == ("SKIPPED", reason, {})
+
+
+_ALL = "level budget: needs 1 <= i <= imax"
+_NEXT = "level budget: the construction needs level i+1 inside the tower"
+_QF = "level budget: needs 2 <= i < imax"
+_CONNECT = "level budget: the connecting vector needs a feasible level"
+_ANY = "level budget: needs i >= 1"
+LEVEL_REASONS = {_ALL, _NEXT, _QF, _CONNECT, _ANY}
+
+# (check, extra params, level reason, levels outside its range at q=2
+# imax=2): i=0; i=imax+1 unless the check counts (any i >= 1); i=imax where
+# it builds level i+1; i=1 where it needs i >= 2.
+OUT_OF_RANGE = [
+    *[(lemma, {}, _ALL, [0, 3]) for lemma in
+      ("sus", "bruhat", "act-oracle", "M-dims", "P2.1-suw", "L3.3-normalize")],
+    *[(lemma, {}, _NEXT, [0, 2, 3]) for lemma in
+      ("L4.4-basis", "L4.4-neg-control", "eta-weight", "eta-weight-neg-control")],
+    *[(lemma, {}, _ANY, [0]) for lemma in ("clm-4", "ineq-36", "ineq-37")],
+    ("L4.6-noFU", {}, _CONNECT, [0, 2, 3]),
+    *[(lemma, {}, _QF, [0, 1, 2, 3]) for lemma in ("L5.3-xi", "L5.5-zeta", "L5.5-neg-control")],
+    *[(lemma, {}, _CONNECT, [0, 1, 2, 3]) for lemma in ("L5.7-noHG", "L5.8-noLG")],
+    ("connect-inj", {"system": "F"}, _CONNECT, [0, 2, 3]),
+    ("connect-inj", {"system": "H"}, _CONNECT, [0, 1, 2, 3]),
+    ("connect-inj", {"system": "L"}, _CONNECT, [0, 1, 2, 3]),
+]
+
+
+def test_every_leveled_check_has_out_of_range_cases():
+    # ext1-maschke has no level parameter
+    assert {case[0] for case in OUT_OF_RANGE} == set(EXPECTED_IDS) - {"ext1-maschke"}
+
+
+@pytest.mark.parametrize("lemma, extra, reason, i", [
+    pytest.param(lemma, extra, reason, i, id="-".join([lemma, *extra.values(), f"i{i}"]))
+    for lemma, extra, reason, levels in OUT_OF_RANGE for i in levels
+])
+def test_out_of_range_levels_skip(lemma, extra, reason, i):
+    ctx = Context(RunConfig(q=2, imax=2, theta_exp=1))
+    r = run_lemma(ctx, CheckSpec(lemma, {"q": 2, "i": i, **extra}))
+    assert (r.verdict, r.reason, r.payload) == ("SKIPPED", reason, {})
+
+
+def test_module_rule_comes_before_the_level_range():
+    # ambient degree 24 is over the module cap, and i=4 is outside 1 <= i < imax
+    ctx = Context(RunConfig(q=2, imax=4))
+    for lemma in ("sus", "eta-weight", "L5.3-xi", "ext1-maschke"):
+        r = run_lemma(ctx, CheckSpec(lemma, {"q": 2, "i": 4}))
+        assert (r.verdict, r.reason) == ("SKIPPED", ctx.blocked())
+
+
+GOLDEN_CONFIGS = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "configs.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_run_all_schedules_no_level_outside_its_range(name):
+    config = _config_from_args(make_parser().parse_args(["verify", *GOLDEN_CONFIGS[name].split()]))
+    reports = run_all(Context(config), _selected_lemmas(config))
+    assert reports and not [r.lemma_id for r in reports if r.reason in LEVEL_REASONS]
 
 
 def test_run_all_small_config_no_failures():

@@ -14,12 +14,19 @@ from .tower import Tower, TowerElem, BudgetError
 
 
 class GroupElement:
-    """A 2x2 determinant-1 matrix over the tower."""
+    """A 2x2 determinant-1 matrix over the tower.
+
+    Products, inverses, the determinant check and the Bruhat factorization
+    run on the tower's raw values; each result entry is wrapped once, at
+    the largest level among the entries it was computed from."""
 
     __slots__ = ("a", "b", "c", "d", "level")
 
     def __init__(self, a: TowerElem, b: TowerElem, c: TowerElem, d: TowerElem):
-        if (a * d - b * c).val != 1:
+        tw = a.tower
+        if b.tower is not tw or c.tower is not tw or d.tower is not tw:
+            raise ValueError("elements of different towers")
+        if tw._add(tw._mul(a.val, d.val), tw._neg(tw._mul(b.val, c.val))) != 1:
             raise ValueError("matrix does not have determinant 1")
         self.a, self.b, self.c, self.d = a, b, c, d
         self.level = max(a.level, b.level, c.level, d.level)
@@ -34,12 +41,18 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             return NotImplemented
+        tw = self.a.tower
+        if other.a.tower is not tw:
+            raise ValueError("elements of different towers")
         a, b, c, d = self.a, self.b, self.c, self.d
         e, f, g, h = other.a, other.b, other.c, other.d
-        return GroupElement(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return GroupElement(_dot(tw, a, e, b, g), _dot(tw, a, f, b, h),
+                            _dot(tw, c, e, d, g), _dot(tw, c, f, d, h))
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.d, -self.b, -self.c, self.a)
+        tw, b, c = self.a.tower, self.b, self.c
+        return GroupElement(self.d, TowerElem(tw, tw._neg(b.val), b.level),
+                            TowerElem(tw, tw._neg(c.val), c.level), self.a)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -51,6 +64,12 @@ class GroupElement:
 
     def __repr__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
+
+
+def _dot(tw: Tower, p: TowerElem, q: TowerElem, r: TowerElem, s: TowerElem) -> TowerElem:
+    """p q + r s on raw values."""
+    return TowerElem(tw, tw._add(tw._mul(p.val, q.val), tw._mul(r.val, s.val)),
+                     max(p.level, q.level, r.level, s.level))
 
 
 def identity(tw: Tower) -> GroupElement:
@@ -89,10 +108,13 @@ class BruhatForm:
 
 def bruhat(g: GroupElement) -> BruhatForm:
     """The unique Bruhat factorization of g; total on SL2."""
-    if g.c.val == 0:
-        return BruhatForm(x=g.a * g.b, t=g.a, y=None)
-    cinv = g.c.inverse()
-    return BruhatForm(x=g.a * cinv, t=cinv, y=g.d * cinv)
+    tw, a, c = g.tower, g.a, g.c
+    if c.val == 0:
+        return BruhatForm(x=TowerElem(tw, tw._mul(a.val, g.b.val), max(a.level, g.b.level)), t=a, y=None)
+    cinv = tw._inv(c.val)
+    return BruhatForm(x=TowerElem(tw, tw._mul(a.val, cinv), max(a.level, c.level)),
+                      t=TowerElem(tw, cinv, c.level),
+                      y=TowerElem(tw, tw._mul(g.d.val, cinv), max(g.d.level, c.level)))
 
 
 def reassemble(form: BruhatForm, tw: Tower) -> GroupElement:

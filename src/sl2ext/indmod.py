@@ -15,6 +15,14 @@ Generator rules, theta the inducing character:
     s.cell(0)     = theta(-1) . 1
     s.cell(x)     = theta(x) . cell(-1/x)        (x != 0)
 
+Composed along the Bruhat form of g, they give the closed form that
+``_compile`` turns each g into, once per action call (l = y + L):
+    u(x)h(t).1          = theta(t) . 1
+    u(x)h(t).cell(L)    = theta(t)^-1 . cell(x + t^2 L)
+    u(x)h(t)su(y).1       = theta(t)^-1 . cell(x)
+    u(x)h(t)su(y).cell(L) = theta(-t) . 1                 (l = 0)
+    u(x)h(t)su(y).cell(L) = theta(l/t) . cell(x - t^2/l)  (l != 0)
+
 A vector holds raw reps of the module's field, never a zero rep, and so
 do ``act_label`` and ``oracle_act_label``.  Scalars enter a vector only
 through ``InducedModule.vec`` and ``Vec.__rmul__``, which check each
@@ -24,6 +32,8 @@ character values the ``towerext`` builders write; they leave only through
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import grp
 from .charmod import TorusCharacter
@@ -52,17 +62,20 @@ class Vec:
         self.support = support
 
     def __add__(self, other: "Vec") -> "Vec":
-        self._same(other)
-        f = self.module.field
-        add, zero = f._add, f.zero.rep
-        out = dict(self.support)
-        for k, r in other.support.items():
-            _acc(out, k, r, add, zero)
-        return Vec(self.module, out)
+        return self._combine(other, False)
 
     def __sub__(self, other: "Vec") -> "Vec":
+        return self._combine(other, True)
+
+    def _combine(self, other: "Vec", minus: bool) -> "Vec":
+        """self + other, or self - other, in one pass over other."""
         self._same(other)
-        return self + (-other)
+        f = self.module.field
+        add, sub, zero = f._add, f._sub, f.zero.rep
+        out = dict(self.support)
+        for k, r in other.support.items():
+            _acc(out, k, sub(zero, r) if minus else r, add, zero)
+        return Vec(self.module, out)
 
     def __neg__(self) -> "Vec":
         f = self.module.field
@@ -124,8 +137,9 @@ class InducedModule:
         self.field = theta.field
         self.theta = theta
         self.level = level
-        self._theta_val = {}
-        self._theta_inv = {}
+        # theta at a level element, as a raw field rep, memoized by encoding
+        self._th = functools.lru_cache(maxsize=None)(
+            lambda val: theta.eval(tower.element(val, level)).rep)
 
     @property
     def dim(self) -> int:
@@ -133,21 +147,6 @@ class InducedModule:
 
     def labels(self) -> list:
         return [HIGHEST] + [x.val for x in self.tower.enumerate_level(self.level)]
-
-    def _th(self, val: int):
-        """theta at a level element, as a raw field rep."""
-        v = self._theta_val.get(val)
-        if v is None:
-            v = self.theta.eval(self.tower.element(val, self.level)).rep
-            self._theta_val[val] = v
-        return v
-
-    def _th_inv(self, val: int):
-        v = self._theta_inv.get(val)
-        if v is None:
-            v = self.theta.eval(self.tower.element(val, self.level).inverse()).rep
-            self._theta_inv[val] = v
-        return v
 
     def zero(self) -> Vec:
         return Vec(self, {})
@@ -170,70 +169,51 @@ class InducedModule:
     def highest_vector(self) -> Vec:
         return self.basis_vector(HIGHEST)
 
-    def cell_vector(self, x: TowerElem) -> Vec:
-        return self.basis_vector(x.val)
-
     # -- action ------------------------------------------------------------
 
-    def _act_label_atoms(self, atoms, label: int, scalar):
-        """Apply the atoms to scalar . label; the scalar is a raw field rep."""
-        tw = self.tower
-        mul = self.field._mul
-        for kind, arg in atoms:
-            if kind == "u":
-                if label != HIGHEST:
-                    label = tw._add(arg, label)
-            elif kind == "h":
-                if label == HIGHEST:
-                    scalar = mul(scalar, self._th(arg))
-                else:
-                    scalar = mul(scalar, self._th_inv(arg))
-                    label = tw._mul(tw._mul(arg, arg), label)
-            else:  # s
-                if label == HIGHEST:
-                    label = 0
-                elif label == 0:
-                    label = HIGHEST
-                    scalar = mul(scalar, self._th((-tw.one).val))
-                else:
-                    scalar = mul(scalar, self._th(label))
-                    label = tw._neg(tw._inv(label))
-        return label, scalar
-
-    def _atoms(self, g: GroupElement):
-        """g as a right-to-left list of generator actions."""
+    def _compile(self, g: GroupElement):
+        """g's action as one map label -> (label, raw rep), in the closed
+        form of g's Bruhat cell."""
+        if g.level > self.level:
+            raise ValueError("group element lives above the module level")
+        tw, th = self.tower, self._th
+        add, mul, inv = tw._add, tw._mul, tw._inv
         form = bruhat(g)
-        atoms = []
-        if form.big_cell:
-            atoms.append(("u", form.y.val))
-            atoms.append(("s", None))
-        atoms.append(("h", form.t.val))
-        atoms.append(("u", form.x.val))
-        return atoms
+        x, t = form.x.val, form.t.val
+        t2, t_inv = mul(t, t), inv(t)
+        if not form.big_cell:
+            top, cell = th(t), th(t_inv)
+
+            def small(label):
+                if label == HIGHEST:
+                    return HIGHEST, top
+                return add(x, mul(t2, label)), cell
+            return small
+        y, neg_t2 = form.y.val, tw._neg(t2)
+        top, bottom = th(t_inv), th(tw._neg(t))
+
+        def big(label):
+            if label == HIGHEST:
+                return x, top
+            l = add(y, label)
+            if l == 0:
+                return HIGHEST, bottom
+            return add(x, mul(neg_t2, inv(l))), th(mul(l, t_inv))
+        return big
 
     def act_label(self, g: GroupElement, label: int):
         """g . label as (label, raw rep)."""
-        return self._act_label_atoms(self._atoms(g), label, self.field.one.rep)
+        return self._compile(g)(label)
 
     def act(self, g: GroupElement, v: Vec) -> Vec:
-        if g.level > self.level:
-            raise ValueError("group element lives above the module level")
         if v.module is not self:
             raise ValueError("vector from a different module")
-        atoms = self._atoms(g)
-        add, zero = self.field._add, self.field.zero.rep
-        out: dict = {}
+        image, mul = self._compile(g), self.field._mul
+        out = {}
         for label, c in v.support.items():
-            l2, c2 = self._act_label_atoms(atoms, label, c)
-            w = out.get(l2)
-            if w is None:
-                out[l2] = c2
-            else:
-                w = add(w, c2)
-                if w != zero:
-                    out[l2] = w
-                else:
-                    del out[l2]
+            # g permutes the basis lines, so no two labels share an image
+            l2, k = image(label)
+            out[l2] = mul(c, k)
         return Vec(self, out)
 
     def oracle_act_label(self, g: GroupElement, label: int):
@@ -248,7 +228,7 @@ class InducedModule:
         form = bruhat(m)
         if not form.big_cell:
             return HIGHEST, self._th(form.t.val)
-        return form.x.val, self._th_inv(form.t.val)
+        return form.x.val, self._th(tw._inv(form.t.val))
 
     # -- distinguished vectors ----------------------------------------------
 
@@ -316,15 +296,9 @@ class InducedModule:
         (action - identity) is computed combinatorially: weighted label
         components that close up consistently.
         """
-        gens = self._subgroup_generators(which)
-        labels = self.labels()
-        one = self.field.one.rep
-        maps = []
-        for g in gens:
-            atoms = self._atoms(g)
-            maps.append(lambda l, a=atoms: self._act_label_atoms(a, l, one))
+        maps = [self._compile(g) for g in self._subgroup_generators(which)]
         span = SparseSpan(self.field)
-        for comp in monomial_invariants(labels, maps, self.field):
+        for comp in monomial_invariants(self.labels(), maps, self.field):
             span.insert(comp)
         return span
 

@@ -143,7 +143,7 @@ def naive_group_average(theta: TorusCharacter, i: int, mod_next: InducedModule,
                         b: TowerElem, budget: int = 200000) -> Vec:
     """Same vector as a literal sum over the enumerated group; cross-check."""
     tw = mod_next.tower
-    base = mod_next.cell_vector(b)
+    base = mod_next.basis_vector(b.val)
     out = mod_next.zero()
     for g in grp.enumerate_subgroup(tw, "G", i, budget=budget, pgl=True):
         out = out + mod_next.act(g, base)

@@ -697,7 +697,11 @@ class Check(NamedTuple):
 
     def unmet(self, ctx: Context, params: dict) -> str | None:
         """The reason of the first precondition the instance fails, if any."""
-        levels = self.levels.get(params.get("system")) if isinstance(self.levels, dict) else self.levels
+        levels = self.levels
+        if isinstance(levels, dict):  # one range per system
+            if params.get("system") not in levels:
+                raise ValueError(f"{self.lemma_id}: the system must be one of {', '.join(levels)}")
+            levels = levels[params["system"]]
         for rule in (self.needs, levels, *self.rules):
             reason = rule and rule(ctx, params)
             if reason:

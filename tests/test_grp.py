@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,57 @@ def test_determinant_enforced(tower22):
     tw = tower22
     with pytest.raises(ValueError):
         grp.GroupElement(tw.one, tw.one, tw.one, tw.one)
+
+
+def _entries(*elems):
+    return [None if x is None else (x.val, x.level) for x in elems]
+
+
+def _old_product(g, h):
+    """The product through TowerElem operators, the reference for the raw one."""
+    a, b, c, d = g.a, g.b, g.c, g.d
+    e, f, x, y = h.a, h.b, h.c, h.d
+    return _entries(a * e + b * x, a * f + b * y, c * e + d * x, c * f + d * y)
+
+
+def _old_bruhat(g):
+    if g.c.val == 0:
+        return _entries(g.a * g.b, g.a, None)
+    cinv = g.c.inverse()
+    return _entries(g.a * cinv, cinv, g.d * cinv)
+
+
+@pytest.mark.parametrize("fix", ["tower22", "tower32"])
+def test_raw_arithmetic_matches_towerelem_operators(fix, request):
+    tw = request.getfixturevalue(fix)
+    rng = random.Random(fix)
+    low, high = enumerate_subgroup(tw, "G", 1), enumerate_subgroup(tw, "G", 2)
+    # u(x) and the generators hold level-1 and level-2 entries side by side
+    mixed = [unip(x) for x in tw.enumerate_level(2)] + grp.generators(tw, 1) + grp.generators(tw, 2)
+    others = low + mixed + rng.sample(high, 4)
+    for g in low + high + mixed:
+        for h in others:
+            for x, y in ((g, h), (h, g)):
+                prod = x * y
+                assert _entries(prod.a, prod.b, prod.c, prod.d) == _old_product(x, y)
+                assert prod.level == max(level for _, level in _old_product(x, y))
+        inv = g.inverse()
+        old_inv = _entries(g.d, -g.b, -g.c, g.a)
+        assert _entries(inv.a, inv.b, inv.c, inv.d) == old_inv
+        assert inv.level == g.level == max(level for _, level in old_inv)
+        form = bruhat(g)
+        assert _entries(form.x, form.t, form.y) == _old_bruhat(g)
+
+
+def test_raw_arithmetic_still_rejects_bad_matrices(tower22, tower32):
+    one, zero = tower22.one, tower22.zero
+    with pytest.raises(ValueError, match="determinant"):
+        grp.GroupElement(one, one, zero, tower22.generator(2))
+    for entries in ((one, zero, zero, tower32.one), (tower32.one, zero, zero, one)):
+        with pytest.raises(ValueError, match="different towers"):
+            grp.GroupElement(*entries)
+    with pytest.raises(ValueError, match="different towers"):
+        _ = identity(tower22) * identity(tower32)
 
 
 @st.composite

@@ -9,8 +9,8 @@ from sl2ext import grp, towerext
 from sl2ext.charmod import TorusCharacter
 from sl2ext.coeff import CyclotomicField, PrimeField, RationalField, Scalar
 from sl2ext.grp import torus, unip, weyl
-from sl2ext.indmod import HIGHEST, InducedModule
-from sl2ext.linalg import SparseSpan, nullspace
+from sl2ext.indmod import HIGHEST, InducedModule, Vec
+from sl2ext.linalg import SparseSpan, _acc, nullspace
 from test_coeff import _elements, integral_fraction_cases
 
 
@@ -73,6 +73,55 @@ def test_oracle_agreement_exhaustive(fix, exps, request):
             for g in grp.enumerate_subgroup(tw, "G", i, budget=1000):
                 for label in mod.labels():
                     assert mod.act_label(g, label) == mod.oracle_act_label(g, label)
+
+
+def _oracle_image(mod, g, v):
+    """g . v as the sum of the matrix oracle over v's support."""
+    f = mod.field
+    out = {}
+    for label, c in v.support.items():
+        l2, k = mod.oracle_act_label(g, label)
+        _acc(out, l2, f._mul(c, k), f._add, f.zero.rep)
+    return Vec(mod, out)
+
+
+# (tower, field, character order at levels 1-2, exponents): p = 2 and odd p
+# in each coefficient mode; over Q only characters of order <= 2 exist
+ORACLE_MODES = {
+    "q2-cyclo": ("tower22", CyclotomicField(15), 15, (1, 4)),
+    "q2-fp": ("tower22", PrimeField(31), 15, (1,)),
+    "q2-rat": ("tower22", RationalField(), 2, (0,)),
+    "q3-cyclo": ("tower32", CyclotomicField(8), 8, (1, 3)),
+    "q3-fp": ("tower32", PrimeField(17), 8, (1, 2)),
+    "q3-rat": ("tower32", RationalField(), 2, (0, 4)),
+}
+
+
+@pytest.mark.parametrize("mode", ORACLE_MODES)
+def test_act_on_vectors_matches_oracle_sum(mode, request):
+    fix, field, order, exps = ORACLE_MODES[mode]
+    tw = request.getfixturevalue(fix)
+    rng = random.Random(mode)
+
+    def coeff():
+        return field.root_of_unity(order, rng.randrange(order)) * rng.randint(1, 5)
+
+    for i in (1, 2):
+        for e in exps:
+            mod = _module(tw, field, e, i)
+            labels = mod.labels()
+            for g in grp.enumerate_subgroup(tw, "G", i):
+                form = grp.bruhat(g)
+                support = set(rng.sample(labels, rng.randint(2, len(labels))))
+                if form.big_cell:
+                    support.add((-form.y).val)  # the label with y + L = 0
+                v = mod.vec({l: coeff() for l in support})
+                assert mod.act(g, v) == _oracle_image(mod, g, v)
+                # images that cancel: the part of v on half its support
+                part = mod.vec({l: v.coeff(l) for l in sorted(support)[::2]})
+                rest = mod.act(g, v) - mod.act(g, part)
+                assert rest == mod.act(g, v - part) == _oracle_image(mod, g, v - part)
+                assert not mod.act(g, v) - _oracle_image(mod, g, v)
 
 
 def test_associativity_random(tower32, cyc8):

@@ -180,7 +180,7 @@ def test_zeta_matches_one_minus_s(tower23, cyc63):
     for t in grp.center_quotient_reps(tw, 2):
         c = th.eval(t.inverse())
         for u in tw.enumerate_level(2):
-            borel = borel + c * m3.cell_vector(b * t * t + u)
+            borel = borel + c * m3.basis_vector((b * t * t + u).val)
     assert steinberg_weight_vector(th, 2, m3, b) == borel - m3.act(weyl(tw), borel)
 
 

@@ -52,6 +52,17 @@ def test_unknown_lemma_id_rejected():
         run_all(ctx, ["no-such-lemma"])
 
 
+@pytest.mark.parametrize("imax", [2, 4], ids=["runnable", "module-blocked"])
+@pytest.mark.parametrize("system", [None, "X"], ids=["no-system", "unknown-system"])
+def test_connect_system_rejected_before_any_rule(imax, system):
+    # a bad system is a bad request, like an unknown lemma id: it raises
+    # before the module rule (which SKIPs every check at imax=4) runs
+    ctx = Context(RunConfig(q=2, imax=imax))
+    params = {"q": 2, "i": 1} if system is None else {"q": 2, "i": 1, "system": system}
+    with pytest.raises(ValueError, match="F, H, L"):
+        run_lemma(ctx, CheckSpec("connect-inj", params))
+
+
 def test_counting_values_frozen():
     ctx = Context(RunConfig(q=2, imax=2))
     r = run_lemma(ctx, CheckSpec("ineq-36", {"q": 2, "i": 2}))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from . import grp
 from .charmod import TorusCharacter
 from .coeff import CoeffField, Scalar
-from .indmod import InducedModule
+from .indmod import HIGHEST, InducedModule
 from .linalg import SparseSpan, _acc, nullspace
 from .tower import Tower
 
@@ -142,14 +142,15 @@ class FiniteRep:
     @classmethod
     def steinberg(cls, group: GroupTable, module_tr: InducedModule) -> "FiniteRep":
         """The span of the shifted alternating generators inside the
-        trivial-character module, in that basis."""
+        trivial-character module, in that basis, ordered as
+        ``steinberg_vectors`` lists it."""
         vecs = module_tr.steinberg_vectors()
-        xs = [x.val for x in module_tr.tower.enumerate_level(module_tr.level)]
-        col = {x: j for j, x in enumerate(xs)}
+        # vector j is u(x).(1 - s).1, the basis vector at x
+        col = {x: j for j, v in enumerate(vecs) for x in v.support if x != HIGHEST}
         zero = module_tr.field.zero.rep
         mats = []
         for s in group.gens:
-            m = [[zero] * len(xs) for _ in xs]
+            m = [[zero] * len(vecs) for _ in vecs]
             for j, v in enumerate(vecs):
                 for x, c in module_tr.steinberg_coordinates(module_tr.act(s, v)).items():
                     m[col[x]][j] = c

@@ -265,10 +265,7 @@ class InducedModule:
         """Close a set of vectors under the level's generators; echelon basis."""
         gens = grp.generators(self.tower, self.level)
         span = SparseSpan(self.field)
-        queue = []
-        for v in vecs:
-            if span.insert(v.support):
-                queue.append(v)
+        queue = [Vec(self, s) for s in span.extend(v.support for v in vecs)]
         while queue:
             v = queue.pop()
             for g in gens:

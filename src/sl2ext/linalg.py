@@ -69,6 +69,17 @@ class SparseSpan:
         rows[pivot] = row
         return True
 
+    def extend(self, vecs) -> list:
+        """Insert a batch, largest key first (ties in input order); returns
+        the vectors that grew the span.  Zero vectors never do.
+
+        The echelon form does not depend on the order, but the cost does: a
+        new pivot is back-substituted into every row holding it, so a batch
+        sharing a small key (the Steinberg vectors all hold the highest line)
+        inserted smallest key first costs quadratically many row operations.
+        """
+        return [v for v in sorted(filter(None, vecs), key=max, reverse=True) if self.insert(v)]
+
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 

@@ -314,12 +314,9 @@ class DirectSystem:
         return out
 
     def check_injective(self) -> bool:
-        span = SparseSpan(self.field)
         basis = self.basis()
-        for v in basis:
-            if not span.insert(self._ext_key_vec(self.connect(v))):
-                return False
-        return span.dim == len(basis)
+        grew = SparseSpan(self.field).extend(self._ext_key_vec(self.connect(v)) for v in basis)
+        return len(grew) == len(basis)
 
     def check_equivariance(self, elements) -> bool:
         basis = self.basis()

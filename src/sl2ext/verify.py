@@ -314,8 +314,7 @@ def _chk_m_dims(ctx: Context, params: dict) -> tuple:
     trivial = ctx.char(0)
     mod_tr = InducedModule(tw, trivial, i)
     st = SparseSpan(ctx.field)
-    for v in mod_tr.steinberg_vectors():
-        st.insert(v.support)
+    st.extend(v.support for v in mod_tr.steinberg_vectors())
     st_closure = mod_tr.span_closure(mod_tr.steinberg_vectors())
     # the quotient by the Steinberg piece carries the trivial action
     hv = mod_tr.highest_vector()

@@ -95,6 +95,20 @@ def test_nonzero_extension_exists_modular(tower22):
     assert _find_splitting(reps["tr"], reps["St"], C) is None
 
 
+@pytest.mark.parametrize("fix,field", [("tower22", PrimeField(3)), ("tower32", PrimeField(5))])
+def test_steinberg_rep_follows_its_vector_order(fix, field, monkeypatch, request):
+    # the basis order is the vector list's: a permuted list is the same rep
+    tw = request.getfixturevalue(fix)
+    group, reps = _reps(tw, field, 1)
+    mod = InducedModule(tw, TorusCharacter(tw, field, 0), 1)
+    vecs = mod.steinberg_vectors()[::-1]
+    monkeypatch.setattr(mod, "steinberg_vectors", lambda: vecs)
+    permuted = cohom.FiniteRep.steinberg(group, mod)
+    for other in reps.values():
+        assert cohom.ext1_bfs(permuted, other)[0] == cohom.ext1_bfs(reps["St"], other)[0]
+        assert cohom.ext1_bfs(other, permuted)[0] == cohom.ext1_bfs(other, reps["St"])[0]
+
+
 # -- an independent cocycle and splitting oracle on raw reps -------------------
 
 

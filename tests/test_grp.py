@@ -98,6 +98,26 @@ def test_subgroup_orders_and_enumeration(tower32):
         enumerate_subgroup(tw, "G", 2, budget=100)
 
 
+@pytest.mark.parametrize("fix", ["tower22", "tower32"])
+@pytest.mark.parametrize("level", [1, 2])
+def test_generators_generate_the_level_group(fix, level, request):
+    # span_closure and invariant_subspace("G") rest on this
+    tw = request.getfixturevalue(fix)
+    gens = grp.generators(tw, level)
+    whole = set(enumerate_subgroup(tw, "G", level))
+    seen = {identity(tw)}
+    frontier = list(seen)
+    while frontier:
+        g = frontier.pop()
+        for s in gens:
+            h = g * s
+            if h not in seen:
+                seen.add(h)
+                frontier.append(h)
+    assert seen <= whole
+    assert len(seen) == subgroup_order("G", tw.q, level)
+
+
 def test_center_quotient_reps(tower32, tower23, tower52):
     # q = 3, level 1: T = {1, 2} with 2 = -1, one class
     assert [t.val for t in center_quotient_reps(tower32, 1)] == [1]

@@ -167,6 +167,27 @@ def test_steinberg_dimension(fix, i, expected, request):
     assert closure.dim == expected  # the span is already stable
 
 
+def test_steinberg_batch_costs_linear_row_operations(tower33, monkeypatch):
+    # every Steinberg vector holds the highest line, the smallest key:
+    # inserted one by one in ascending x they cost 266,084 row operations
+    field = PrimeField(7)
+    mod = _module(tower33, field, 0, 3)
+    vecs = [v.support for v in mod.steinberg_vectors()]
+    assert len(vecs) == 729 and vecs == sorted(vecs, key=max)
+    calls = 0
+    sub_scaled = field._sub_scaled
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return sub_scaled(*args)
+
+    monkeypatch.setattr(field, "_sub_scaled", counted)
+    span = SparseSpan(field)
+    assert len(span.extend(vecs)) == span.dim == 729
+    assert calls <= 2 * 729
+
+
 def test_module_closure_is_everything(tower32, cyc8):
     mod = _module(tower32, cyc8, 1, 2)
     closure = mod.span_closure([mod.highest_vector()])

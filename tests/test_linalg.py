@@ -180,4 +180,10 @@ def test_insert_builds_the_dense_reduced_basis(field, data):
     for w in vecs:
         span.insert(_raw(w))
     # the reduced echelon form of a span is unique: rows agree value by value
-    assert span.basis() == [_raw(row) for row in _dense_rref(vecs, nvars, field)]
+    dense = [_raw(row) for row in _dense_rref(vecs, nvars, field)]
+    assert span.basis() == dense
+    # so a batch gives the same rows in any order, and reports each growth
+    batch = SparseSpan(field)
+    grew = batch.extend([_raw(w) for w in data.draw(st.permutations(vecs))])
+    assert batch.basis() == dense
+    assert len(grew) == batch.dim

@@ -14,45 +14,36 @@ from .tower import Tower, TowerElem, BudgetError
 
 
 class GroupElement:
-    """A 2x2 determinant-1 matrix over the tower.
+    """A 2x2 determinant-1 matrix over the tower, held as the raw values
+    of its entries.  Its level is not stored: g lies in SL2 of level i
+    exactly when all four values are fixed by Frobenius^level_degree(i)."""
 
-    Products, inverses, the determinant check and the Bruhat factorization
-    run on the tower's raw values; each result entry is wrapped once, at
-    the largest level among the entries it was computed from."""
+    __slots__ = ("tower", "a", "b", "c", "d")
 
-    __slots__ = ("a", "b", "c", "d", "level")
-
-    def __init__(self, a: TowerElem, b: TowerElem, c: TowerElem, d: TowerElem):
-        tw = a.tower
-        if b.tower is not tw or c.tower is not tw or d.tower is not tw:
-            raise ValueError("elements of different towers")
-        if tw._add(tw._mul(a.val, d.val), tw._neg(tw._mul(b.val, c.val))) != 1:
+    def __init__(self, tw: Tower, a: int, b: int, c: int, d: int):
+        if tw._add(tw._mul(a, d), tw._neg(tw._mul(b, c))) != 1:
             raise ValueError("matrix does not have determinant 1")
+        self.tower = tw
         self.a, self.b, self.c, self.d = a, b, c, d
-        self.level = max(a.level, b.level, c.level, d.level)
-
-    @property
-    def tower(self) -> Tower:
-        return self.a.tower
 
     def key(self):
-        return (self.a.val, self.b.val, self.c.val, self.d.val)
+        return (self.a, self.b, self.c, self.d)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             return NotImplemented
-        tw = self.a.tower
-        if other.a.tower is not tw:
+        tw = self.tower
+        if other.tower is not tw:
             raise ValueError("elements of different towers")
+        add, mul = tw._add, tw._mul
         a, b, c, d = self.a, self.b, self.c, self.d
         e, f, g, h = other.a, other.b, other.c, other.d
-        return GroupElement(_dot(tw, a, e, b, g), _dot(tw, a, f, b, h),
-                            _dot(tw, c, e, d, g), _dot(tw, c, f, d, h))
+        return GroupElement(tw, add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h)),
+                            add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h)))
 
     def inverse(self) -> "GroupElement":
-        tw, b, c = self.a.tower, self.b, self.c
-        return GroupElement(self.d, TowerElem(tw, tw._neg(b.val), b.level),
-                            TowerElem(tw, tw._neg(c.val), c.level), self.a)
+        tw = self.tower
+        return GroupElement(tw, self.d, tw._neg(self.b), tw._neg(self.c), self.a)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -63,43 +54,37 @@ class GroupElement:
         return hash(self.key())
 
     def __repr__(self):
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
-
-
-def _dot(tw: Tower, p: TowerElem, q: TowerElem, r: TowerElem, s: TowerElem) -> TowerElem:
-    """p q + r s on raw values."""
-    return TowerElem(tw, tw._add(tw._mul(p.val, q.val), tw._mul(r.val, s.val)),
-                     max(p.level, q.level, r.level, s.level))
+        return f"[[t{self.a},t{self.b}],[t{self.c},t{self.d}]]"
 
 
 def identity(tw: Tower) -> GroupElement:
-    return GroupElement(tw.one, tw.zero, tw.zero, tw.one)
+    return GroupElement(tw, 1, 0, 0, 1)
 
 
 def unip(x: TowerElem) -> GroupElement:
     """Upper unitriangular u(x) = [[1, x], [0, 1]]."""
-    tw = x.tower
-    return GroupElement(tw.one, x, tw.zero, tw.one)
+    return GroupElement(x.tower, 1, x.val, 0, 1)
 
 
 def torus(t: TowerElem) -> GroupElement:
     """Diagonal h(t) = [[t, 0], [0, 1/t]]."""
     tw = t.tower
-    return GroupElement(t, tw.zero, tw.zero, t.inverse())
+    return GroupElement(tw, t.val, 0, 0, tw._inv(t.val))
 
 
 def weyl(tw: Tower) -> GroupElement:
     """The fixed Weyl representative s = [[0, -1], [1, 0]]."""
-    return GroupElement(tw.zero, -tw.one, tw.one, tw.zero)
+    return GroupElement(tw, 0, tw._neg(1), 1, 0)
 
 
 @dataclass(frozen=True)
 class BruhatForm:
-    """Either u(x) h(t) (small cell, y is None) or u(x) h(t) s u(y)."""
+    """Either u(x) h(t) (small cell, y is None) or u(x) h(t) s u(y), as
+    raw tower values."""
 
-    x: TowerElem
-    t: TowerElem
-    y: TowerElem | None
+    x: int
+    t: int
+    y: int | None
 
     @property
     def big_cell(self) -> bool:
@@ -109,18 +94,16 @@ class BruhatForm:
 def bruhat(g: GroupElement) -> BruhatForm:
     """The unique Bruhat factorization of g; total on SL2."""
     tw, a, c = g.tower, g.a, g.c
-    if c.val == 0:
-        return BruhatForm(x=TowerElem(tw, tw._mul(a.val, g.b.val), max(a.level, g.b.level)), t=a, y=None)
-    cinv = tw._inv(c.val)
-    return BruhatForm(x=TowerElem(tw, tw._mul(a.val, cinv), max(a.level, c.level)),
-                      t=TowerElem(tw, cinv, c.level),
-                      y=TowerElem(tw, tw._mul(g.d.val, cinv), max(g.d.level, c.level)))
+    if c == 0:
+        return BruhatForm(x=tw._mul(a, g.b), t=a, y=None)
+    cinv = tw._inv(c)
+    return BruhatForm(x=tw._mul(a, cinv), t=cinv, y=tw._mul(g.d, cinv))
 
 
 def reassemble(form: BruhatForm, tw: Tower) -> GroupElement:
-    g = unip(form.x) * torus(form.t)
+    g = unip(tw.element(form.x)) * torus(tw.element(form.t))
     if form.big_cell:
-        g = g * weyl(tw) * unip(form.y)
+        g = g * weyl(tw) * unip(tw.element(form.y))
     return g
 
 
@@ -142,7 +125,7 @@ def unipotent_generators(tw: Tower, level: int) -> list:
     out = []
     x = tw.one
     for _ in range(tw.level_degree(level)):
-        out.append(unip(TowerElem(tw, x.val, level)))
+        out.append(unip(x))
         x = x * g
     return out
 

@@ -174,12 +174,13 @@ class InducedModule:
     def _compile(self, g: GroupElement):
         """g's action as one map label -> (label, raw rep), in the closed
         form of g's Bruhat cell."""
-        if g.level > self.level:
-            raise ValueError("group element lives above the module level")
         tw, th = self.tower, self._th
+        d = tw.level_degree(self.level)
+        if not all(tw._frobenius_fixed(v, d) for v in g.key()):
+            raise ValueError("group element lives above the module level")
         add, mul, inv = tw._add, tw._mul, tw._inv
         form = bruhat(g)
-        x, t = form.x.val, form.t.val
+        x, t = form.x, form.t
         t2, t_inv = mul(t, t), inv(t)
         if not form.big_cell:
             top, cell = th(t), th(t_inv)
@@ -189,7 +190,7 @@ class InducedModule:
                     return HIGHEST, top
                 return add(x, mul(t2, label)), cell
             return small
-        y, neg_t2 = form.y.val, tw._neg(t2)
+        y, neg_t2 = form.y, tw._neg(t2)
         top, bottom = th(t_inv), th(tw._neg(t))
 
         def big(label):
@@ -227,8 +228,8 @@ class InducedModule:
             m = g * (unip(tw.element(label, self.level)) * weyl(tw))
         form = bruhat(m)
         if not form.big_cell:
-            return HIGHEST, self._th(form.t.val)
-        return form.x.val, self._th(tw._inv(form.t.val))
+            return HIGHEST, self._th(form.t)
+        return form.x, self._th(tw._inv(form.t))
 
     # -- distinguished vectors ----------------------------------------------
 
@@ -311,9 +312,9 @@ class InducedModule:
         s = weyl(tw)
         lhs = self.act(s, self.act(unip(x), self.act(s, self.highest_vector())))
         conj = s * torus(-x) * s  # the torus part of the refactored product
-        if conj.b.val or conj.c.val:
+        if conj.b or conj.c:
             return False
-        scalar = self.theta.weyl_twist().eval(conj.a)
+        scalar = self.theta.weyl_twist().eval(tw.element(conj.a))
         rhs = scalar * self.act(unip(-x.inverse()), self.act(s, self.highest_vector()))
         return lhs == rhs
 

@@ -6,6 +6,9 @@ equality is plain ambient equality and no embedding maps are needed.
 Elements are encoded as integers sum(c_j * p^j) over their coefficient
 vectors; enumeration order is increasing encoding, which makes every
 distinguished choice (generators, level-escape elements) reproducible.
+An element carries no level: it lies in level i exactly when
+`_frobenius_fixed` holds at `level_degree(i)`, and code that needs the
+level reads it from the value there.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ class BudgetError(RuntimeError):
 
 
 class TowerElem:
-    """An ambient field element tagged with the level it is used at."""
+    """An ambient field element; its levels are those whose Frobenius
+    power fixes its value."""
 
-    __slots__ = ("tower", "val", "level")
+    __slots__ = ("tower", "val")
 
-    def __init__(self, tower, val: int, level: int):
+    def __init__(self, tower, val: int):
         self.tower = tower
         self.val = val
-        self.level = level
 
     def _check(self, other):
         if isinstance(other, TowerElem):
@@ -43,7 +46,7 @@ class TowerElem:
         if o is None:
             return NotImplemented
         t = self.tower
-        return TowerElem(t, t._add(self.val, o.val), max(self.level, o.level))
+        return TowerElem(t, t._add(self.val, o.val))
 
     __radd__ = __add__
 
@@ -52,7 +55,7 @@ class TowerElem:
         if o is None:
             return NotImplemented
         t = self.tower
-        return TowerElem(t, t._add(self.val, t._neg(o.val)), max(self.level, o.level))
+        return TowerElem(t, t._add(self.val, t._neg(o.val)))
 
     def __rsub__(self, other):
         o = self._check(other)
@@ -61,14 +64,14 @@ class TowerElem:
         return o - self
 
     def __neg__(self):
-        return TowerElem(self.tower, self.tower._neg(self.val), self.level)
+        return TowerElem(self.tower, self.tower._neg(self.val))
 
     def __mul__(self, other):
         o = self._check(other)
         if o is None:
             return NotImplemented
         t = self.tower
-        return TowerElem(t, t._mul(self.val, o.val), max(self.level, o.level))
+        return TowerElem(t, t._mul(self.val, o.val))
 
     __rmul__ = __mul__
 
@@ -79,7 +82,7 @@ class TowerElem:
         return self * o.inverse()
 
     def inverse(self):
-        return TowerElem(self.tower, self.tower._inv(self.val), self.level)
+        return TowerElem(self.tower, self.tower._inv(self.val))
 
     def __pow__(self, e: int):
         t = self.tower
@@ -87,7 +90,7 @@ class TowerElem:
             if e <= 0:
                 raise ZeroDivisionError("0 to a non-positive power")
             return self
-        return TowerElem(t, t._exp[(t._log[self.val] * e) % (t.size - 1)], self.level)
+        return TowerElem(t, t._exp[(t._log[self.val] * e) % (t.size - 1)])
 
     def __bool__(self):
         return self.val != 0
@@ -234,32 +237,29 @@ class Tower:
     def element(self, val: int, level: int | None = None) -> TowerElem:
         if not 0 <= val < self.size:
             raise ValueError("value out of range")
-        if level is None:
-            level = next(i for i in range(1, self.imax + 1)
-                         if self._frobenius_fixed(val, self.level_degree(i)))
-        else:
+        if level is not None:
             if not 1 <= level <= self.imax:
                 raise ValueError("level out of range")
             if not self._frobenius_fixed(val, self.level_degree(level)):
                 raise ValueError(f"value {val} is not fixed by Frobenius^{self.level_degree(level)}")
-        return TowerElem(self, val, level)
+        return TowerElem(self, val)
 
     def from_int(self, c: int) -> TowerElem:
-        return TowerElem(self, c % self.p, 1)
+        return TowerElem(self, c % self.p)
 
     @property
     def zero(self) -> TowerElem:
-        return TowerElem(self, 0, 1)
+        return TowerElem(self, 0)
 
     @property
     def one(self) -> TowerElem:
-        return TowerElem(self, 1, 1)
+        return TowerElem(self, 1)
 
     def enumerate_level(self, i: int):
         """All q^{i!} elements of level i, by increasing encoding."""
         if i not in self._levels:
             d = self.level_degree(i)
-            self._levels[i] = [TowerElem(self, v, i) for v in range(self.size)
+            self._levels[i] = [TowerElem(self, v) for v in range(self.size)
                                if self._frobenius_fixed(v, d)]
         return self._levels[i]
 
@@ -269,7 +269,7 @@ class Tower:
 
     def generator(self, i: int) -> TowerElem:
         """The chain generator g_i of the level-i multiplicative group."""
-        return TowerElem(self, self._exp[self._cofactor(i) % (self.size - 1)], i)
+        return TowerElem(self, self._exp[self._cofactor(i) % (self.size - 1)])
 
     def _check_generator_chain(self):
         for i in range(1, self.imax + 1):

@@ -274,9 +274,9 @@ class DirectSystem:
     def act(self, g: GroupElement, v: ExtVec, at_next: bool = False) -> ExtVec:
         bottom_mod = self.mod_next if at_next else self.mod_i
         if self.tag == "F":
-            if g.c.val != 0:
+            if g.c != 0:
                 raise ValueError("system F only carries the Borel action")
-            top = self.lam.eval(g.a) * v.top
+            top = self.lam.eval(self.tower.element(g.a)) * v.top
         elif self.tag == "H":
             top = v.top
         else:

@@ -234,6 +234,18 @@ def _system_characters(ctx: Context, params: dict) -> str | None:
     return rule(ctx, params)
 
 
+def _two_quotient_reps(ctx: Context, params: dict) -> str | None:
+    if len(grp.center_quotient_reps(ctx.tower, params["i"])) < 2:
+        return "a collision needs at least two quotient representatives"
+    return None
+
+
+def _nontrivial_level_torus(ctx: Context, params: dict) -> str | None:
+    if ctx.tower.level_size(params["i"]) - 1 < 2:
+        return "every character agrees on a trivial level torus"
+    return None
+
+
 def _ext_group(ctx: Context, params: dict) -> str | None:
     if grp.subgroup_order("G", ctx.q, 1) > EXT_GROUP_CAP:
         return (f"the cocycle oracle is budgeted for level-1 groups of order "
@@ -242,6 +254,11 @@ def _ext_group(ctx: Context, params: dict) -> str | None:
 
 
 # -- individual checks --------------------------------------------------------
+
+
+def _exponents(ctx: Context) -> list:
+    """The character exponents 0, 1, 2 and theta's that fit the mode."""
+    return [e for e in sorted({0, 1, 2, ctx.config.theta_exp}) if ctx.char_supported(e)]
 
 
 def _chk_sus(ctx: Context, params: dict) -> tuple:
@@ -281,7 +298,7 @@ def _chk_bruhat(ctx: Context, params: dict) -> tuple:
 def _chk_act_oracle(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
-    exps = [e for e in sorted({0, 1, 2, ctx.config.theta_exp}) if ctx.char_supported(e)]
+    exps = _exponents(ctx)
     gens = grp.generators(tw, i)
     elements = grp.enumerate_subgroup(tw, "G", i, budget=ctx.budget)
     checked = 0
@@ -334,9 +351,7 @@ def _chk_suw(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     cases = 0
-    for e in sorted({0, 1, 2, ctx.config.theta_exp}):
-        if not ctx.char_supported(e):
-            continue
+    for e in _exponents(ctx):
         mod = InducedModule(tw, ctx.char(e), i)
         for x in tw.units(i):
             if not mod.check_lowering_formula(x):
@@ -430,8 +445,6 @@ def _chk_l44_neg(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     reps = grp.center_quotient_reps(tw, i)
-    if len(reps) < 2:
-        return "SKIPPED", {}, "a collision needs at least two quotient representatives"
     bad = tw.generator(i)  # deliberately inside level i
     count = _coset_distinct_count(tw, i, bad)
     caught = count < len(reps)
@@ -465,8 +478,6 @@ def _chk_eta_weight_neg(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     n_i = tw.level_size(i) - 1
-    if n_i < 2:
-        return "SKIPPED", {}, "every character agrees on a trivial level torus"
     wrong = next(
         (ctx.char(e) for e in range(1, tw.size - 1)
          if e % n_i and ctx.char_supported(e)),
@@ -739,11 +750,11 @@ def _next_cost(ctx: Context, i: int) -> int:
     return ctx.tower.level_size(i + 1) + 1
 
 
-def _first_where(usable):
-    """Schedule the first fitting level where usable(ctx, i), else the lowest."""
+def _first_where(rule):
+    """Schedule the first fitting level where the rule passes, else the lowest."""
 
     def schedule(ctx: Context, check: Check) -> list:
-        i = next((i for i in check.fitting(ctx) if usable(ctx, i)), check.levels.lowest)
+        i = next((i for i in check.fitting(ctx) if not rule(ctx, {"i": i})), check.levels.lowest)
         return [{"q": ctx.q, "i": i}]
 
     return schedule
@@ -765,11 +776,11 @@ REGISTRY = [
     Check("L3.3-normalize", _chk_normalize, _module, _ALL_LEVELS,
           schedule=lambda ctx, check: [{"q": ctx.q, "i": min(2, ctx.imax)}]),
     Check("L4.4-basis", _chk_l44, _tower, _NEXT_LEVEL, cost=_next_cost),
-    Check("L4.4-neg-control", _chk_l44_neg, _tower, _NEXT_LEVEL, cost=_next_cost,
-          schedule=_first_where(lambda ctx, i: len(grp.center_quotient_reps(ctx.tower, i)) >= 2)),
+    Check("L4.4-neg-control", _chk_l44_neg, _tower, _NEXT_LEVEL, (_two_quotient_reps,),
+          _next_cost, _first_where(_two_quotient_reps)),
     Check("eta-weight", _chk_eta_weight, _module, _NEXT_LEVEL, cost=_next_cost),
-    Check("eta-weight-neg-control", _chk_eta_weight_neg, _module, _NEXT_LEVEL, cost=_next_cost,
-          schedule=_first_where(lambda ctx, i: ctx.tower.level_size(i) - 1 >= 2)),
+    Check("eta-weight-neg-control", _chk_eta_weight_neg, _module, _NEXT_LEVEL,
+          (_nontrivial_level_torus,), _next_cost, _first_where(_nontrivial_level_torus)),
     Check("clm-4", _chk_clm, None, _ANY_LEVEL),
     Check("ineq-36", partial(_chk_ineq, "H"), None, _ANY_LEVEL),
     Check("ineq-37", partial(_chk_ineq, "L"), None, _ANY_LEVEL),

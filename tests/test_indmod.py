@@ -114,7 +114,7 @@ def test_act_on_vectors_matches_oracle_sum(mode, request):
                 form = grp.bruhat(g)
                 support = set(rng.sample(labels, rng.randint(2, len(labels))))
                 if form.big_cell:
-                    support.add((-form.y).val)  # the label with y + L = 0
+                    support.add(tw._neg(form.y))  # the label with y + L = 0
                 v = mod.vec({l: coeff() for l in support})
                 assert mod.act(g, v) == _oracle_image(mod, g, v)
                 # images that cancel: the part of v on half its support
@@ -289,8 +289,22 @@ def test_level_mismatch_rejected(tower23, cyc63):
     tw = tower23
     mod = _module(tw, cyc63, 0, 1)
     g = unip(tw.enumerate_level(2)[2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="above the module level"):
         mod.act(g, mod.highest_vector())
+
+
+def test_level_is_read_from_the_entries(tower23, cyc63):
+    # products of level-2 factors whose entries all lie in level 1 act on M_1
+    tw = tower23
+    mod = _module(tw, cyc63, 1, 1)
+    x = tw.first_outside_subfield(1)
+    t = tw.generator(2)
+    for g, expect in ((unip(x) * unip(-x), grp.identity(tw)),
+                      (torus(t) * unip((t * t).inverse()) * torus(t).inverse(), unip(tw.one))):
+        assert g == expect
+        for label in mod.labels():
+            v = mod.basis_vector(label)
+            assert mod.act(g, v) == mod.act(expect, v)
 
 
 def test_vector_serialization(tower22):

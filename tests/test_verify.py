@@ -110,6 +110,19 @@ def test_l44_negative_control_catches():
     assert r.payload["distinct_cosets"] < r.payload["expected_if_valid"]
 
 
+@pytest.mark.parametrize("lemma, reason", [
+    ("L4.4-neg-control", "a collision needs at least two quotient representatives"),
+    ("eta-weight-neg-control", "every character agrees on a trivial level torus"),
+])
+def test_negative_controls_skip_where_they_cannot_fail(lemma, reason):
+    # at q=2, i=1 the level torus is trivial: one quotient representative
+    ctx = Context(RunConfig(q=2, imax=3))
+    r = run_lemma(ctx, CheckSpec(lemma, {"q": 2, "i": 1}))
+    assert (r.verdict, r.reason, r.payload) == ("SKIPPED", reason, {})
+    # run_all schedules the first level where the same rule passes
+    assert [r.params["i"] for r in run_all(ctx, [lemma])] == [2]
+
+
 def test_degenerate_certificates_are_skipped():
     ctx = Context(RunConfig(q=2, imax=3, theta_exp=0))
     r = run_lemma(ctx, CheckSpec("L4.6-noFU", {"q": 2, "i": 1}))

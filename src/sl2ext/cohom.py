@@ -203,7 +203,7 @@ def mackey_hom_dim(lam: TorusCharacter, mu: TorusCharacter, level: int) -> int:
     for twisted in (False, True):
         ok = True
         for t in tw.units(level):
-            lv = lam.eval(t.inverse()) if twisted else lam.eval(t)
+            lv = lam.eval(tw._inv(t) if twisted else t)
             if lv != mu.eval(t):
                 ok = False
                 break
@@ -363,22 +363,20 @@ def normalize_torus_cochain(theta: TorusCharacter, level: int, phi: dict) -> Nor
     field = theta.field
     torus_vals = tw.units(level)
     for t in torus_vals:
-        if t.val not in phi:
+        if t not in phi:
             raise ValueError("cochain must be defined on the whole level torus")
     for x in torus_vals:
         for y in torus_vals:
-            if phi[(x * y).val] != theta.eval(y) * phi[x.val] + phi[y.val]:
-                raise ValueError(
-                    f"not a cochain: twisted additivity fails at ({x.val}, {y.val})"
-                )
-    if all(not phi[t.val] for t in torus_vals):
+            if phi[tw._mul(x, y)] != theta.eval(y) * phi[x] + phi[y]:
+                raise ValueError(f"not a cochain: twisted additivity fails at ({x}, {y})")
+    if all(not phi[t] for t in torus_vals):
         return NormalizeOutcome("normal", None)
     one = field.one
     if not theta.is_trivial_on_level(level):
         x0 = next(t for t in torus_vals if theta.eval(t) != one)
-        a = phi[x0.val] / (theta.eval(x0) - one)
+        a = phi[x0] / (theta.eval(x0) - one)
         for t in torus_vals:
-            if phi[t.val] != a * (theta.eval(t) - one):
+            if phi[t] != a * (theta.eval(t) - one):
                 raise ValueError("cochain is not of the normal shape despite the law")
         return NormalizeOutcome("corrected", a)
     n = len(torus_vals)

@@ -4,13 +4,17 @@ subgroup enumeration, and the central-quotient (PGL2-style) views.
 The big-cell rewrite s u(a) s = u(-1/a) s h(a) u(-1/a) drives both the
 Bruhat factorization and the module action rules downstream, so it gets
 its own checker here.
+
+Tower elements enter and leave as raw values, as at every module
+boundary (see ``tower``, whose operator class is the tests' front only):
+`unip`, `torus` and the checker take the tower and a raw value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tower import Tower, TowerElem, BudgetError
+from .tower import Tower, BudgetError
 
 
 class GroupElement:
@@ -21,6 +25,9 @@ class GroupElement:
     __slots__ = ("tower", "a", "b", "c", "d")
 
     def __init__(self, tw: Tower, a: int, b: int, c: int, d: int):
+        n = tw.size
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
+            raise ValueError("matrix entry out of range")
         if tw._add(tw._mul(a, d), tw._neg(tw._mul(b, c))) != 1:
             raise ValueError("matrix does not have determinant 1")
         self.tower = tw
@@ -61,15 +68,14 @@ def identity(tw: Tower) -> GroupElement:
     return GroupElement(tw, 1, 0, 0, 1)
 
 
-def unip(x: TowerElem) -> GroupElement:
+def unip(tw: Tower, x: int) -> GroupElement:
     """Upper unitriangular u(x) = [[1, x], [0, 1]]."""
-    return GroupElement(x.tower, 1, x.val, 0, 1)
+    return GroupElement(tw, 1, x, 0, 1)
 
 
-def torus(t: TowerElem) -> GroupElement:
+def torus(tw: Tower, t: int) -> GroupElement:
     """Diagonal h(t) = [[t, 0], [0, 1/t]]."""
-    tw = t.tower
-    return GroupElement(tw, t.val, 0, 0, tw._inv(t.val))
+    return GroupElement(tw, t, 0, 0, tw._inv(tw.value(t)))
 
 
 def weyl(tw: Tower) -> GroupElement:
@@ -101,38 +107,31 @@ def bruhat(g: GroupElement) -> BruhatForm:
 
 
 def reassemble(form: BruhatForm, tw: Tower) -> GroupElement:
-    g = unip(tw.element(form.x)) * torus(tw.element(form.t))
+    g = unip(tw, form.x) * torus(tw, form.t)
     if form.big_cell:
-        g = g * weyl(tw) * unip(tw.element(form.y))
+        g = g * weyl(tw) * unip(tw, form.y)
     return g
 
 
-def check_big_cell_rewrite(a: TowerElem) -> bool:
+def check_big_cell_rewrite(tw: Tower, a: int) -> bool:
     """Exact identity s u(a) s = u(-1/a) s h(a) u(-1/a) for a != 0."""
-    if a.val == 0:
+    if a == 0:
         raise ValueError("the rewrite needs a != 0")
-    tw = a.tower
     s = weyl(tw)
-    lhs = s * unip(a) * s
-    ainv = a.inverse()
-    rhs = unip(-ainv) * s * torus(a) * unip(-ainv)
-    return lhs == rhs
+    lhs = s * unip(tw, a) * s
+    u = unip(tw, tw._neg(tw._inv(a)))
+    return lhs == u * s * torus(tw, a) * u
 
 
 def unipotent_generators(tw: Tower, level: int) -> list:
     """u(g_i^j) for j < [level degree]; an F_p-basis of the level."""
     g = tw.generator(level)
-    out = []
-    x = tw.one
-    for _ in range(tw.level_degree(level)):
-        out.append(unip(x))
-        x = x * g
-    return out
+    return [unip(tw, tw._pow(g, j)) for j in range(tw.level_degree(level))]
 
 
 def generators(tw: Tower, level: int) -> list:
     """s, h(g_level), and the unipotent basis; generates SL2 of the level."""
-    return [weyl(tw), torus(tw.generator(level))] + unipotent_generators(tw, level)
+    return [weyl(tw), torus(tw, tw.generator(level))] + unipotent_generators(tw, level)
 
 
 def subgroup_order(which: str, q: int, i: int, pgl: bool = False) -> int:
@@ -154,7 +153,7 @@ def subgroup_order(which: str, q: int, i: int, pgl: bool = False) -> int:
 def center_quotient_reps(tw: Tower, i: int) -> list:
     """One torus value per pair {t, -t} (all of F* when -1 = 1), the
     smaller encoding first."""
-    return [t for t in tw.units(i) if tw.p == 2 or t.val <= (-t).val]
+    return [t for t in tw.units(i) if tw.p == 2 or t <= tw._neg(t)]
 
 
 def enumerate_subgroup(tw: Tower, which: str, level: int, budget: int = 100000, pgl: bool = False):
@@ -169,20 +168,20 @@ def enumerate_subgroup(tw: Tower, which: str, level: int, budget: int = 100000, 
     s = weyl(tw)
     torus_vals = center_quotient_reps(tw, level) if pgl else tw.units(level)
     if which == "U":
-        return [unip(x) for x in tw.enumerate_level(level)]
+        return [unip(tw, x) for x in tw.enumerate_level(level)]
     if which == "T":
-        return [torus(t) for t in torus_vals]
+        return [torus(tw, t) for t in torus_vals]
     if which == "B":
-        return [unip(x) * torus(t) for x in tw.enumerate_level(level) for t in torus_vals]
+        return [unip(tw, x) * torus(tw, t) for x in tw.enumerate_level(level) for t in torus_vals]
     if which == "G":
         out = []
         for x in tw.enumerate_level(level):
             for t in torus_vals:
-                out.append(unip(x) * torus(t))
+                out.append(unip(tw, x) * torus(tw, t))
         for x in tw.enumerate_level(level):
             for t in torus_vals:
-                base = unip(x) * torus(t) * s
+                base = unip(tw, x) * torus(tw, t) * s
                 for y in tw.enumerate_level(level):
-                    out.append(base * unip(y))
+                    out.append(base * unip(tw, y))
         return out
     raise ValueError(f"unknown subgroup {which!r}")

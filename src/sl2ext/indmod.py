@@ -40,7 +40,7 @@ from .charmod import TorusCharacter
 from .coeff import Scalar, require_field
 from .grp import GroupElement, bruhat, weyl, unip, torus
 from .linalg import SparseSpan, _acc, monomial_invariants
-from .tower import Tower, TowerElem, BudgetError
+from .tower import Tower, BudgetError
 
 HIGHEST = -1  # label of the highest line; cell labels are element encodings
 
@@ -139,14 +139,14 @@ class InducedModule:
         self.level = level
         # theta at a level element, as a raw field rep, memoized by encoding
         self._th = functools.lru_cache(maxsize=None)(
-            lambda val: theta.eval(tower.element(val, level)).rep)
+            lambda val: theta.eval(tower.value(val, level)).rep)
 
     @property
     def dim(self) -> int:
         return self.tower.level_size(self.level) + 1
 
     def labels(self) -> list:
-        return [HIGHEST] + [x.val for x in self.tower.enumerate_level(self.level)]
+        return [HIGHEST] + self.tower.enumerate_level(self.level)
 
     def zero(self) -> Vec:
         return Vec(self, {})
@@ -225,7 +225,7 @@ class InducedModule:
         if label == HIGHEST:
             m = g
         else:
-            m = g * (unip(tw.element(label, self.level)) * weyl(tw))
+            m = g * (unip(tw, tw.value(label, self.level)) * weyl(tw))
         form = bruhat(m)
         if not form.big_cell:
             return HIGHEST, self._th(form.t)
@@ -239,7 +239,7 @@ class InducedModule:
             raise ValueError("the alternating generator needs the trivial character")
         one = self.field.one
         hi, cell = one.rep, (-one).rep
-        return [Vec(self, {HIGHEST: hi, x.val: cell}) for x in self.tower.enumerate_level(self.level)]
+        return [Vec(self, {HIGHEST: hi, x: cell}) for x in self.tower.enumerate_level(self.level)]
 
     def steinberg_coordinates(self, v: Vec) -> dict:
         """Coordinates of a Steinberg-span vector in the shifted-generator
@@ -282,7 +282,7 @@ class InducedModule:
         if which == "U":
             return grp.unipotent_generators(tw, self.level)
         if which == "T":
-            return [torus(tw.generator(self.level))]
+            return [torus(tw, tw.generator(self.level))]
         if which == "G":
             return grp.generators(tw, self.level)
         raise ValueError(f"unknown subgroup {which!r}")
@@ -302,31 +302,34 @@ class InducedModule:
 
     # -- identities -----------------------------------------------------------
 
-    def check_lowering_formula(self, x: TowerElem) -> bool:
+    def check_lowering_formula(self, x: int) -> bool:
         """s u(x) s . 1 = theta(x) u(-1/x) s . 1 for x != 0, with the scalar
         produced through the twisted character at the matrix-computed torus
         part (not through the action rules)."""
-        if x.val == 0:
+        if x == 0:
             raise ValueError("x must be nonzero")
         tw = self.tower
         s = weyl(tw)
-        lhs = self.act(s, self.act(unip(x), self.act(s, self.highest_vector())))
-        conj = s * torus(-x) * s  # the torus part of the refactored product
+        lhs = self.act(s, self.act(unip(tw, x), self.act(s, self.highest_vector())))
+        conj = s * torus(tw, tw._neg(x)) * s  # the torus part of the refactored product
         if conj.b or conj.c:
             return False
-        scalar = self.theta.weyl_twist().eval(tw.element(conj.a))
-        rhs = scalar * self.act(unip(-x.inverse()), self.act(s, self.highest_vector()))
+        scalar = self.theta.weyl_twist().eval(conj.a)
+        rhs = scalar * self.act(unip(tw, tw._neg(tw._inv(x))), self.act(s, self.highest_vector()))
         return lhs == rhs
 
-    def check_alternating_relation(self, x: TowerElem) -> bool:
-        """s u(x) . eta = (u(-1/x) - 1) . eta for x != 0, eta = (1 - s).1."""
-        if x.val == 0:
+    def check_reflection_relation(self, x: int, v: Vec) -> bool:
+        """s u(x) . v = (u(-1/x) - 1) . v for x != 0."""
+        if x == 0:
             raise ValueError("x must be nonzero")
+        tw = self.tower
+        lhs = self.act(weyl(tw), self.act(unip(tw, x), v))
+        return lhs == self.act(unip(tw, tw._neg(tw._inv(x))), v) - v
+
+    def check_alternating_relation(self, x: int) -> bool:
+        """The reflection relation at eta = (1 - s).1, in the
+        trivial-character module."""
         if not self.theta.is_trivial():
             raise ValueError("the relation lives in the trivial-character module")
-        tw = self.tower
         one = self.field.one
-        eta = Vec(self, {HIGHEST: one.rep, 0: (-one).rep})
-        lhs = self.act(weyl(tw), self.act(unip(x), eta))
-        rhs = self.act(unip(-x.inverse()), eta) - eta
-        return lhs == rhs
+        return self.check_reflection_relation(x, Vec(self, {HIGHEST: one.rep, 0: (-one).rep}))

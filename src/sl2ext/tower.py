@@ -9,6 +9,10 @@ distinguished choice (generators, level-escape elements) reproducible.
 An element carries no level: it lies in level i exactly when
 `_frobenius_fixed` holds at `level_degree(i)`, and code that needs the
 level reads it from the value there.
+
+Elements cross every module boundary as these raw ints, computed with the
+raw ops (`_add`, `_neg`, `_mul`, `_inv`, `_pow`) and validated by `value`;
+`TowerElem`, a value with operators, is the tests' front only.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ class BudgetError(RuntimeError):
 
 
 class TowerElem:
-    """An ambient field element; its levels are those whose Frobenius
-    power fixes its value."""
+    """An ambient field element with operators over the raw ops, the
+    tests' front; its levels are those whose Frobenius power fixes its
+    value."""
 
     __slots__ = ("tower", "val")
 
@@ -85,12 +90,7 @@ class TowerElem:
         return TowerElem(self.tower, self.tower._inv(self.val))
 
     def __pow__(self, e: int):
-        t = self.tower
-        if self.val == 0:
-            if e <= 0:
-                raise ZeroDivisionError("0 to a non-positive power")
-            return self
-        return TowerElem(t, t._exp[(t._log[self.val] * e) % (t.size - 1)])
+        return TowerElem(self.tower, self.tower._pow(self.val, e))
 
     def __bool__(self):
         return self.val != 0
@@ -191,6 +191,13 @@ class Tower:
             raise ZeroDivisionError("inverting 0 in the tower")
         return self._exp[(-self._log[a]) % (self.size - 1)]
 
+    def _pow(self, a: int, e: int) -> int:
+        if a == 0:
+            if e <= 0:
+                raise ZeroDivisionError("0 to a non-positive power")
+            return 0
+        return self._exp[(self._log[a] * e) % (self.size - 1)]
+
     def _build_tables(self):
         p, poly = self.p, list(self.poly)
         n = self.size - 1
@@ -234,7 +241,9 @@ class Tower:
     def _cofactor(self, i: int) -> int:
         return (self.size - 1) // (self.level_size(i) - 1)
 
-    def element(self, val: int, level: int | None = None) -> TowerElem:
+    def value(self, val: int, level: int | None = None) -> int:
+        """val, after checking that it encodes an element (of the level,
+        when one is given)."""
         if not 0 <= val < self.size:
             raise ValueError("value out of range")
         if level is not None:
@@ -242,57 +251,51 @@ class Tower:
                 raise ValueError("level out of range")
             if not self._frobenius_fixed(val, self.level_degree(level)):
                 raise ValueError(f"value {val} is not fixed by Frobenius^{self.level_degree(level)}")
-        return TowerElem(self, val)
+        return val
+
+    def element(self, val: int, level: int | None = None) -> TowerElem:
+        return TowerElem(self, self.value(val, level))
 
     def from_int(self, c: int) -> TowerElem:
         return TowerElem(self, c % self.p)
 
-    @property
-    def zero(self) -> TowerElem:
-        return TowerElem(self, 0)
-
-    @property
-    def one(self) -> TowerElem:
-        return TowerElem(self, 1)
-
-    def enumerate_level(self, i: int):
+    def enumerate_level(self, i: int) -> list:
         """All q^{i!} elements of level i, by increasing encoding."""
         if i not in self._levels:
             d = self.level_degree(i)
-            self._levels[i] = [TowerElem(self, v) for v in range(self.size)
-                               if self._frobenius_fixed(v, d)]
+            self._levels[i] = [v for v in range(self.size) if self._frobenius_fixed(v, d)]
         return self._levels[i]
 
-    def units(self, i: int):
+    def units(self, i: int) -> list:
         """The q^{i!} - 1 nonzero elements of level i, by increasing encoding."""
         return self.enumerate_level(i)[1:]
 
-    def generator(self, i: int) -> TowerElem:
+    def generator(self, i: int) -> int:
         """The chain generator g_i of the level-i multiplicative group."""
-        return TowerElem(self, self._exp[self._cofactor(i) % (self.size - 1)])
+        return self._exp[self._cofactor(i) % (self.size - 1)]
 
     def _check_generator_chain(self):
         for i in range(1, self.imax + 1):
             g = self.generator(i)
             ni = self.level_size(i) - 1
-            if (g ** ni).val != 1:
+            if self._pow(g, ni) != 1:
                 raise RuntimeError("generator order check failed")
             for r in polyutil.factorize(ni):
-                if (g ** (ni // r)).val == 1:
+                if self._pow(g, ni // r) == 1:
                     raise RuntimeError("generator order check failed")
         for i in range(1, self.imax):
             ratio = (self.level_size(i + 1) - 1) // (self.level_size(i) - 1)
-            if (self.generator(i + 1) ** ratio).val != self.generator(i).val:
+            if self._pow(self.generator(i + 1), ratio) != self.generator(i):
                 raise RuntimeError("generator chain is not norm-compatible")
 
-    def dlog(self, x: TowerElem, level: int | None = None) -> int:
+    def dlog(self, x: int, level: int | None = None) -> int:
         """Exponent e with generator(level)^e = x, 0 <= e < q^{level!}-1."""
-        if x.val == 0:
+        if x == 0:
             raise ZeroDivisionError("dlog of 0")
+        e = self._log[self.value(x)]
         if level is None:
-            return self._log[x.val]  # against the ambient generator
+            return e  # against the ambient generator
         c = self._cofactor(level)
-        e = self._log[x.val]
         if e % c:
             raise ValueError(f"element is not in level {level}")
         return e // c
@@ -308,21 +311,21 @@ class Tower:
             return True
         return self._log[val] * (self.p ** d - 1) % (self.size - 1) == 0
 
-    def _first_outside(self, i: int, d: int) -> TowerElem:
+    def _first_outside(self, i: int, d: int) -> int:
         """First element of level i+1 (in enumeration order) not fixed by
         Frobenius^d."""
         if i + 1 > self.imax:
             raise ValueError("level i+1 exceeds the tower")
         for x in self.enumerate_level(i + 1):
-            if not self._frobenius_fixed(x.val, d):
+            if not self._frobenius_fixed(x, d):
                 return x
         raise RuntimeError("unreachable: the escape set is nonempty")
 
-    def first_outside_subfield(self, i: int) -> TowerElem:
+    def first_outside_subfield(self, i: int) -> int:
         """First element of level i+1 (in enumeration order) outside level i."""
         return self._first_outside(i, self.level_degree(i))
 
-    def first_outside_double_subfield(self, i: int) -> TowerElem:
+    def first_outside_double_subfield(self, i: int) -> int:
         """First element of level i+1 not fixed by Frobenius^(2 * i! * d0),
         i.e. not a root of any quadratic over level i.  Empty for i = 1."""
         if i < 2:

@@ -21,7 +21,10 @@ extension being nonsplit.
 Vectors hold raw reps (see ``indmod``).  The builders below write
 character values into them: each checks once that the character's field
 is the module's field, then unwraps the values it writes.  A system takes
-its field from its characters.
+its field from its characters.  Tower elements (labels, torus values, the
+escape elements a and b) cross in and out as raw values and are computed
+with the tower's raw ops (see ``tower``, whose operator class is the
+tests' front only).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .coeff import require_field
 from .grp import GroupElement, unip, torus, weyl
 from .indmod import InducedModule, Vec
 from .linalg import SparseSpan, _acc
-from .tower import Tower, TowerElem
+from .tower import Tower
 
 
 CENTER_MISMATCH = (
@@ -63,32 +66,33 @@ def _lift(v: Vec, target: InducedModule) -> Vec:
 # -- connecting vectors ------------------------------------------------------
 
 
-def shifted_cosets(tw: Tower, i: int, a: TowerElem):
+def shifted_cosets(tw: Tower, i: int, a: int):
     """For each central-quotient representative t at level i, the pair
     (t, labels of the unipotent coset a t^2 + level i)."""
     low = tw.enumerate_level(i)
     for t in grp.center_quotient_reps(tw, i):
-        shift = (a * t * t).val
-        yield t, [tw._add(shift, u.val) for u in low]
+        shift = tw._mul(a, tw._mul(t, t))
+        yield t, [tw._add(shift, u) for u in low]
 
 
 def borel_average(chi: TorusCharacter, i: int, mod_next: InducedModule,
-                  a: TowerElem) -> Vec:
+                  a: int) -> Vec:
     """sum_t chi(t)^-1 (sum_u cell(a t^2 + u)) in mod_next, over the
     shifted cosets of level i."""
     field = mod_next.field
     require_field(field, chi.field)
+    tw = mod_next.tower
     add, zero = field._add, field.zero.rep
     out: dict = {}
-    for t, labels in shifted_cosets(mod_next.tower, i, a):
-        c = chi.eval(t.inverse()).rep
+    for t, labels in shifted_cosets(tw, i, a):
+        c = chi.eval(tw._inv(t)).rep
         for label in labels:
             _acc(out, label, c, add, zero)
     return Vec(mod_next, out)
 
 
 def borel_weight_vector(lam: TorusCharacter, mu: TorusCharacter, i: int,
-                        mod_next: InducedModule, a: TowerElem | None = None) -> Vec:
+                        mod_next: InducedModule, a: int | None = None) -> Vec:
     """The weight-lam vector sum_t nu(t)^-1 (sum_{u} cell(a t^2 + u)) in
     M_{i+1}(mu); t runs over central-quotient representatives at level i,
     u over level i, and a is a fixed level-(i+1) element outside level i."""
@@ -104,16 +108,16 @@ def check_borel_weight(eta: Vec, lam: TorusCharacter, i: int) -> bool:
     mod = eta.module
     tw = mod.tower
     for u in tw.enumerate_level(i):
-        if mod.act(unip(u), eta) != eta:
+        if mod.act(unip(tw, u), eta) != eta:
             return False
     for t in tw.units(i):
-        if mod.act(torus(t), eta) != lam.eval(t) * eta:
+        if mod.act(torus(tw, t), eta) != lam.eval(t) * eta:
             return False
     return True
 
 
 def _quadratic_free_element(theta: TorusCharacter, i: int, tw: Tower,
-                            b: TowerElem | None) -> TowerElem:
+                            b: int | None) -> int:
     """b, by default the first level-(i+1) element with no quadratic
     relation over level i; theta must be trivial on the center."""
     if not theta.is_trivial_on_center():
@@ -124,7 +128,7 @@ def _quadratic_free_element(theta: TorusCharacter, i: int, tw: Tower,
 
 
 def group_average_vector(theta: TorusCharacter, i: int, mod_next: InducedModule,
-                         b: TowerElem | None = None) -> Vec:
+                         b: int | None = None) -> Vec:
     """The group average of cell(b) over the level-i group (central
     quotient), b a fixed level-(i+1) element with no quadratic relation
     over level i.  Built through the Bruhat split: Borel part plus
@@ -135,15 +139,15 @@ def group_average_vector(theta: TorusCharacter, i: int, mod_next: InducedModule,
     reflected = mod_next.act(weyl(tw), first)
     out = first
     for x in tw.enumerate_level(i):
-        out = out + mod_next.act(unip(x), reflected)
+        out = out + mod_next.act(unip(tw, x), reflected)
     return out
 
 
 def naive_group_average(theta: TorusCharacter, i: int, mod_next: InducedModule,
-                        b: TowerElem, budget: int = 200000) -> Vec:
+                        b: int, budget: int = 200000) -> Vec:
     """Same vector as a literal sum over the enumerated group; cross-check."""
     tw = mod_next.tower
-    base = mod_next.basis_vector(b.val)
+    base = mod_next.basis_vector(b)
     out = mod_next.zero()
     for g in grp.enumerate_subgroup(tw, "G", i, budget=budget, pgl=True):
         out = out + mod_next.act(g, base)
@@ -151,7 +155,7 @@ def naive_group_average(theta: TorusCharacter, i: int, mod_next: InducedModule,
 
 
 def steinberg_weight_vector(theta: TorusCharacter, i: int, mod_next: InducedModule,
-                            b: TowerElem | None = None) -> Vec:
+                            b: int | None = None) -> Vec:
     """(1 - s) applied to the Borel average of cell(b): the expansion has
     one positive term cell(b t^2 + u) and one negative term at the
     reflected label, all 2 * |T/±| * q^{i!} labels pairwise distinct."""
@@ -159,19 +163,19 @@ def steinberg_weight_vector(theta: TorusCharacter, i: int, mod_next: InducedModu
     b = _quadratic_free_element(theta, i, tw, b)
     require_field(field, theta.field)
     add, sub, mul, zero = field._add, field._sub, field._mul, field.zero.rep
+    neg, inv = tw._neg, tw._inv
     out: dict = {}
     for t, labels in shifted_cosets(tw, i, b):
-        cpos = theta.eval(t.inverse()).rep
+        cpos = theta.eval(inv(t)).rep
         for label in labels:
             _acc(out, label, cpos, add, zero)
-            c_elem = tw.element(label)
-            cneg = mul(cpos, theta.eval(c_elem).rep)
-            _acc(out, (-c_elem.inverse()).val, sub(zero, cneg), add, zero)
+            cneg = mul(cpos, theta.eval(label).rep)
+            _acc(out, neg(inv(label)), sub(zero, cneg), add, zero)
     return Vec(mod_next, out)
 
 
 def expansion_support(theta: TorusCharacter, i: int, mod_next: InducedModule,
-                      b: TowerElem) -> dict:
+                      b: int) -> dict:
     """Support diagnostics for the (1 - s)-expansion with an arbitrary b:
     label list, collision count, and degenerate (uninvertible) terms.
     Negative controls feed subfield elements through here."""
@@ -184,7 +188,7 @@ def expansion_support(theta: TorusCharacter, i: int, mod_next: InducedModule,
             if label == 0:
                 degenerate += 1
                 continue
-            labels.append((-tw.element(label).inverse()).val)
+            labels.append(tw._neg(tw._inv(label)))
     collisions = len(labels) - len(set(labels))
     return {
         "terms": len(labels),
@@ -196,22 +200,14 @@ def expansion_support(theta: TorusCharacter, i: int, mod_next: InducedModule,
 
 def check_steinberg_relations(zeta: Vec, theta: TorusCharacter, i: int) -> bool:
     """s negates it; every level-i torus element fixes it; and
-    s u(x) . zeta = (u(-1/x) - 1) . zeta for nonzero level-i x (the x = 0
-    instance is read as the plain s-relation)."""
+    the reflection relation s u(x) . zeta = (u(-1/x) - 1) . zeta for
+    nonzero level-i x (the x = 0 instance is read as the plain s-relation)."""
     mod = zeta.module
     tw = mod.tower
-    s = weyl(tw)
-    if mod.act(s, zeta) != -zeta:
+    if mod.act(weyl(tw), zeta) != -zeta:
         return False
-    for t in tw.units(i):
-        if mod.act(torus(t), zeta) != zeta:
-            return False
-    for x in tw.units(i):
-        lhs = mod.act(s, mod.act(unip(x), zeta))
-        rhs = mod.act(unip(-x.inverse()), zeta) - zeta
-        if lhs != rhs:
-            return False
-    return True
+    return (all(mod.act(torus(tw, t), zeta) == zeta for t in tw.units(i))
+            and all(mod.check_reflection_relation(x, zeta) for x in tw.units(i)))
 
 
 # -- the systems -------------------------------------------------------------
@@ -276,7 +272,7 @@ class DirectSystem:
         if self.tag == "F":
             if g.c != 0:
                 raise ValueError("system F only carries the Borel action")
-            top = self.lam.eval(self.tower.element(g.a)) * v.top
+            top = self.lam.eval(g.a) * v.top
         elif self.tag == "H":
             top = v.top
         else:
@@ -295,7 +291,7 @@ class DirectSystem:
         mul, add, zero = f._mul, f._add, f.zero.rep
         out = dict(v.bottom.support)  # the lifted bottom: labels embed
         for xval, a in self.st_i.steinberg_coordinates(v.top).items():
-            shifted = self.mod_next.act(unip(tw.element(xval, self.i)), self.conn)
+            shifted = self.mod_next.act(unip(tw, tw.value(xval, self.i)), self.conn)
             for label, c in shifted.support.items():
                 _acc(out, label, mul(c, a), add, zero)
         return ExtVec(_lift(v.top, self.st_next), Vec(self.mod_next, out))

@@ -265,8 +265,8 @@ def _chk_sus(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     for a in tw.units(i):
-        if not grp.check_big_cell_rewrite(a):
-            return "FAIL", {"counterexample": a.val}
+        if not grp.check_big_cell_rewrite(tw, a):
+            return "FAIL", {"counterexample": a}
     return "PASS", {"cases": tw.level_size(i) - 1}
 
 
@@ -355,12 +355,12 @@ def _chk_suw(ctx: Context, params: dict) -> tuple:
         mod = InducedModule(tw, ctx.char(e), i)
         for x in tw.units(i):
             if not mod.check_lowering_formula(x):
-                return "FAIL", {"exp": e, "x": x.val, "part": "lowering"}
+                return "FAIL", {"exp": e, "x": x, "part": "lowering"}
             cases += 1
     mod_tr = InducedModule(tw, ctx.char(0), i)
     for x in tw.units(i):
         if not mod_tr.check_alternating_relation(x):
-            return "FAIL", {"x": x.val, "part": "alternating"}
+            return "FAIL", {"x": x, "part": "alternating"}
         cases += 1
     return "PASS", {"cases": cases}
 
@@ -379,13 +379,13 @@ def _chk_normalize(ctx: Context, params: dict) -> tuple:
         if theta.is_trivial_on_level(i):
             continue
         a = field.scalar(rng.randrange(-9, 10))  # may vanish mod small characteristics
-        phi = {t.val: a * (theta.eval(t) - field.one) for t in tw.units(i)}
+        phi = {t: a * (theta.eval(t) - field.one) for t in tw.units(i)}
         out = cohom.normalize_torus_cochain(theta, i, phi)
         if a and (out.status != "corrected" or out.correction != a):
             return "FAIL", {"round_trip_exp": e}
         rounds += 1
     theta0 = ctx.char(0)
-    zero_phi = {t.val: field.zero for t in tw.units(i)}
+    zero_phi = {t: field.zero for t in tw.units(i)}
     if cohom.normalize_torus_cochain(theta0, i, zero_phi).status != "normal":
         return "FAIL", {"case": "zero cochain"}
     # a non-cochain must be rejected: theta(x)^2 - 1 for theta of order > 2
@@ -396,7 +396,7 @@ def _chk_normalize(ctx: Context, params: dict) -> tuple:
         theta = ctx.char(e)
         vals = {theta.eval(t).serialize() for t in tw.units(i)}
         if len(vals) > 2:
-            bad = {t.val: theta.eval(t) * theta.eval(t) - field.one for t in tw.units(i)}
+            bad = {t: theta.eval(t) * theta.eval(t) - field.one for t in tw.units(i)}
             try:
                 cohom.normalize_torus_cochain(theta, i, bad)
                 rejected = False
@@ -430,11 +430,12 @@ def _chk_l44(ctx: Context, params: dict) -> tuple:
     else:
         # algebraic criterion: a (t1^2 - t2^2) outside level i for t1 != t2
         d = tw.level_degree(i)
+        squares = [tw._mul(t, t) for t in reps]
         count = len(reps)
         for x1 in range(len(reps)):
             for x2 in range(x1 + 1, len(reps)):
-                diff = a * (reps[x1] * reps[x1] - reps[x2] * reps[x2])
-                if tw._frobenius_fixed(diff.val, d):
+                diff = tw._mul(a, tw._add(squares[x1], tw._neg(squares[x2])))
+                if tw._frobenius_fixed(diff, d):
                     count -= 1
     ok = count == len(reps)
     payload = {"distinct_cosets": count, "expected": len(reps), "mode": "explicit" if explicit else "criterion"}
@@ -550,13 +551,9 @@ def _sample_group(tw: Tower, i: int, rng: random.Random, count: int) -> list:
     nonzero = grp.center_quotient_reps(tw, i)
     level = tw.enumerate_level(i)
     for _ in range(count):
-        x = rng.choice(level)
-        t = rng.choice(nonzero)
-        g = grp.unip(x) * grp.torus(t)
-        if rng.random() < 0.8:
-            y = rng.choice(level)
-            g = g * grp.weyl(tw) * grp.unip(y)
-        out.append(g)
+        x, t = rng.choice(level), rng.choice(nonzero)
+        y = rng.choice(level) if rng.random() < 0.8 else None
+        out.append(grp.reassemble(grp.BruhatForm(x, t, y), tw))
     return out
 
 

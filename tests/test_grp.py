@@ -24,27 +24,24 @@ def test_generator_relations(tower32):
     tw = tower32
     s = weyl(tw)
     # s^2 = h(-1)
-    assert s * s == torus(-tw.one)
-    for t in tw.enumerate_level(2):
-        if not t.val:
-            continue
+    assert s * s == torus(tw, tw._neg(1))
+    for t in tw.units(2):
         for x in tw.enumerate_level(2):
-            h = torus(t)
-            assert h * unip(x) * h.inverse() == unip(t * t * x)
+            h = torus(tw, t)
+            assert h * unip(tw, x) * h.inverse() == unip(tw, tw._mul(tw._mul(t, t), x))
     for x in tw.enumerate_level(2):
         for y in tw.enumerate_level(2):
-            assert unip(x) * unip(y) == unip(x + y)
+            assert unip(tw, x) * unip(tw, y) == unip(tw, tw._add(x, y))
 
 
 @pytest.mark.parametrize("fix", ["tower22", "tower32", "tower52"])
 def test_big_cell_rewrite_exhaustive(fix, request):
     tw = request.getfixturevalue(fix)
     for i in (1, 2):
-        for a in tw.enumerate_level(i):
-            if a.val:
-                assert check_big_cell_rewrite(a)
+        for a in tw.units(i):
+            assert check_big_cell_rewrite(tw, a)
     with pytest.raises(ValueError):
-        check_big_cell_rewrite(tw.zero)
+        check_big_cell_rewrite(tw, 0)
 
 
 def test_bruhat_special_forms(tower32):
@@ -58,7 +55,7 @@ def test_bruhat_special_forms(tower32):
 def test_bruhat_frozen_example(tower32):
     # [[-1, 0], [1, -1]] over F_3: x = a/c = -1, t = 1/c = 1, y = d/c = -1
     tw = tower32
-    m1 = (-tw.one).val
+    m1 = tw._neg(1)
     g = grp.GroupElement(tw, m1, 0, 1, m1)
     f = bruhat(g)
     assert f.big_cell
@@ -92,7 +89,7 @@ def test_subgroup_orders_and_enumeration(tower32):
     assert subgroup_order("G", 3, 2, pgl=True) == 360
     # the PGL enumeration keeps exactly one of each pair {g, -g}
     reps = enumerate_subgroup(tw, "G", 1, pgl=True)
-    pairs = {frozenset((g.key(), (g * torus(-tw.one)).key())) for g in reps}
+    pairs = {frozenset((g.key(), (g * torus(tw, tw._neg(1))).key())) for g in reps}
     assert len(reps) == len(pairs) == subgroup_order("G", 3, 1, pgl=True) == 12
     with pytest.raises(BudgetError):
         enumerate_subgroup(tw, "G", 2, budget=100)
@@ -120,11 +117,11 @@ def test_generators_generate_the_level_group(fix, level, request):
 
 def test_center_quotient_reps(tower32, tower23, tower52):
     # q = 3, level 1: T = {1, 2} with 2 = -1, one class
-    assert [t.val for t in center_quotient_reps(tower32, 1)] == [1]
+    assert center_quotient_reps(tower32, 1) == [1]
     # q = 2, level 2: the center is trivial
     assert len(center_quotient_reps(tower23, 2)) == 3
     # q = 5, level 1: pairs {1, 4} and {2, 3}
-    assert [t.val for t in center_quotient_reps(tower52, 1)] == [1, 2]
+    assert center_quotient_reps(tower52, 1) == [1, 2]
 
 
 def test_determinant_enforced(tower22):
@@ -170,7 +167,7 @@ def test_raw_arithmetic_matches_towerelem_operators(fix, request):
     rng = random.Random(fix)
     low, high = enumerate_subgroup(tw, "G", 1), enumerate_subgroup(tw, "G", 2)
     # u(x) and the generators hold level-1 and level-2 entries side by side
-    mixed = [unip(x) for x in tw.enumerate_level(2)] + grp.generators(tw, 1) + grp.generators(tw, 2)
+    mixed = [unip(tw, x) for x in tw.enumerate_level(2)] + grp.generators(tw, 1) + grp.generators(tw, 2)
     others = low + mixed + rng.sample(high, 4)
     for g in low + high + mixed:
         for h in others:
@@ -188,20 +185,36 @@ def test_raw_arithmetic_matches_towerelem_operators(fix, request):
 
 def test_raw_arithmetic_still_rejects_bad_matrices(tower22, tower32):
     with pytest.raises(ValueError, match="determinant"):
-        grp.GroupElement(tower22, 1, 1, 0, tower22.generator(2).val)
+        grp.GroupElement(tower22, 1, 1, 0, tower22.generator(2))
     with pytest.raises(ValueError, match="different towers"):
         _ = identity(tower22) * identity(tower32)
+
+
+@pytest.mark.parametrize("bad", [-1, "size"])
+def test_out_of_range_entries_rejected(tower22, tower23, bad):
+    # -1 would read _log[-1] and pass as an SL2 element; size would index
+    # past the tables
+    tw = tower22
+    val = tw.size if bad == "size" else bad
+    for entries in ((val, 0, 0, 1), (1, val, 0, 1), (1, 0, val, 1), (1, 0, 0, val)):
+        with pytest.raises(ValueError, match="out of range"):
+            grp.GroupElement(tw, *entries)
+    for make in (unip, torus):
+        with pytest.raises(ValueError, match="out of range"):
+            make(tw, val)
+    with pytest.raises(ValueError, match="out of range"):
+        grp.GroupElement(tower23, -1, 0, 0, 32)
 
 
 @st.composite
 def _sl2_elements(draw, tw, level):
     """A uniform-ish SL2 element at the level: a, c not both zero, then b, d."""
-    els = tw.enumerate_level(level)
-    nonzero = [x for x in els if x.val]
+    els = [tw.element(x) for x in tw.enumerate_level(level)]
+    nonzero = els[1:]
     a = draw(st.sampled_from(els))
     if a.val:
         b, c = draw(st.sampled_from(els)), draw(st.sampled_from(els))
-        d = (tw.one + b * c) / a
+        d = (tw.element(1) + b * c) / a
     else:
         c = draw(st.sampled_from(nonzero))
         b, d = -c.inverse(), draw(st.sampled_from(els))

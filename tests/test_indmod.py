@@ -39,16 +39,15 @@ def test_action_rules_frozen(tower32, cyc8):
 
 def test_torus_scales_highest_line(tower32, cyc8):
     mod = _module(tower32, cyc8, 3, 2)
-    for t in tower32.enumerate_level(2):
-        if t.val:
-            got = mod.act(torus(t), mod.highest_vector())
-            assert got == mod.theta.eval(t) * mod.highest_vector()
+    for t in tower32.units(2):
+        got = mod.act(torus(tower32, t), mod.highest_vector())
+        assert got == mod.theta.eval(t) * mod.highest_vector()
 
 
 @pytest.mark.parametrize("foreign", [CyclotomicField(4), RationalField()], ids=repr)
 def test_action_rejects_scalars_of_another_field(tower32, cyc8, foreign):
     mod = _module(tower32, cyc8, 1, 2)
-    for g in (weyl(tower32), unip(tower32.one)):
+    for g in (weyl(tower32), unip(tower32, 1)):
         with pytest.raises(ValueError, match="coefficient mode mismatch"):
             mod.act(g, mod.vec({HIGHEST: foreign.one}))
 
@@ -60,7 +59,7 @@ def test_weyl_square_on_cell0(tower32, cyc8):
     for e in range(8):
         mod = _module(tw, cyc8, e, 2)
         got = mod.act(s, mod.act(s, mod.highest_vector()))
-        assert got == mod.theta.eval(-tw.one) * mod.highest_vector()
+        assert got == mod.theta.eval(tw._neg(1)) * mod.highest_vector()
 
 
 @pytest.mark.parametrize("fix,exps", [("tower22", (0, 1)), ("tower32", (0, 1, 3))])
@@ -146,10 +145,10 @@ def test_alternating_vector(tower32, cyc8):
     assert eta == hv - mod_tr.act(weyl(tw), hv)
     assert eta.coeff(HIGHEST) == cyc8.one and eta.coeff(0) == -cyc8.one
     with pytest.raises(ValueError):
-        mod_tr.check_alternating_relation(tw.zero)
+        mod_tr.check_alternating_relation(0)
     mod_nt = _module(tw, cyc8, 1, 1)
     with pytest.raises(ValueError):
-        mod_nt.check_alternating_relation(tw.one)
+        mod_nt.check_alternating_relation(1)
 
 
 @pytest.mark.parametrize("fix,i,expected", [("tower22", 1, 2), ("tower22", 2, 4), ("tower32", 2, 9)])
@@ -201,7 +200,7 @@ def test_unipotent_invariants(tower22):
     inv = mod.invariant_subspace("U")
     assert inv.dim == 2
     assert inv.contains({HIGHEST: field.one.rep})
-    orbit_sum = {x.val: field.one.rep for x in tw.enumerate_level(2)}
+    orbit_sum = {x: field.one.rep for x in tw.enumerate_level(2)}
     assert inv.contains(orbit_sum)
 
 
@@ -288,7 +287,7 @@ def test_integral_fraction_reps_compare_equal_in_vectors(tower32, cyc8):
 def test_level_mismatch_rejected(tower23, cyc63):
     tw = tower23
     mod = _module(tw, cyc63, 0, 1)
-    g = unip(tw.enumerate_level(2)[2])
+    g = unip(tw, tw.enumerate_level(2)[2])
     with pytest.raises(ValueError, match="above the module level"):
         mod.act(g, mod.highest_vector())
 
@@ -299,8 +298,9 @@ def test_level_is_read_from_the_entries(tower23, cyc63):
     mod = _module(tw, cyc63, 1, 1)
     x = tw.first_outside_subfield(1)
     t = tw.generator(2)
-    for g, expect in ((unip(x) * unip(-x), grp.identity(tw)),
-                      (torus(t) * unip((t * t).inverse()) * torus(t).inverse(), unip(tw.one))):
+    t_2 = tw._inv(tw._mul(t, t))
+    for g, expect in ((unip(tw, x) * unip(tw, tw._neg(x)), grp.identity(tw)),
+                      (torus(tw, t) * unip(tw, t_2) * torus(tw, t).inverse(), unip(tw, 1))):
         assert g == expect
         for label in mod.labels():
             v = mod.basis_vector(label)
@@ -334,7 +334,7 @@ def test_steinberg_coordinates_roundtrip(tower22):
     vecs = mod.steinberg_vectors()
     v = F.scalar(2) * vecs[0] - F.scalar(5) * vecs[2]
     coords = mod.steinberg_coordinates(v)
-    xs = [x.val for x in tw.enumerate_level(2)]
+    xs = tw.enumerate_level(2)
     assert coords == {xs[0]: F.scalar(2).rep, xs[2]: F.scalar(-5).rep}
     with pytest.raises(ValueError):
         mod.steinberg_coordinates(mod.highest_vector())

@@ -2,10 +2,11 @@
 
 The tower's exp, log and Zech tables are private to `tower.py`.  Every
 other module reaches tower arithmetic through the raw ops (`_add`, `_neg`,
-`_mul`, `_inv`) or `TowerElem`, so no module but `tower.py` may read an
-attribute named `_exp`, `_log` or `_zech`.  Only `tower.py` constructs a
-`TowerElem`; other modules get one from `Tower.element`, the
-enumerations or the operators.
+`_mul`, `_inv`, `_pow`), so no module but `tower.py` may read an attribute
+named `_exp`, `_log` or `_zech`.  Tower elements cross every module
+boundary as raw ints: `TowerElem` is the tests' operator front, so no
+module but `tower.py` names it (in an import, an annotation or a call),
+reads a `.val` or calls `Tower.element`.
 
 In `verify.py` only the runner builds a `Report`: check bodies return
 `(verdict, payload[, reason])` and `run_lemma` turns that into the report,
@@ -46,6 +47,47 @@ def _calls(node, name):
 def test_only_the_tower_builds_tower_elements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [n.lineno for n in _calls(tree, "TowerElem")] == []
+
+
+def _annotations(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [a.annotation for a in ast.walk(node.args) if isinstance(a, ast.arg)] + [node.returns]
+    return [node.annotation] if isinstance(node, ast.AnnAssign) else []
+
+
+def _names(tree, name):
+    """Sorted lines naming `name`: as a variable, an attribute, an imported
+    alias or inside a string annotation."""
+    lines = []
+    for n in ast.walk(tree):
+        for ann in _annotations(n):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                lines += [n.lineno] * len(_names(ast.parse(ann.value, mode="eval"), name))
+        if (isinstance(n, ast.Name) and n.id == name
+                or isinstance(n, ast.Attribute) and n.attr == name
+                or isinstance(n, ast.ImportFrom) and any(a.name == name for a in n.names)):
+            lines.append(n.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_tower_names_tower_elements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _names(tree, "TowerElem") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_tower_unwraps_tower_elements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "val"]
+    assert reads == [] and [n.lineno for n in _calls(tree, "element")] == []
+
+
+def test_the_lints_see_every_spelling():
+    source = ("from .tower import Tower, TowerElem\n"
+              "def f(x: TowerElem, y: 'list[TowerElem]') -> 'TowerElem':\n"
+              "    z: 'TowerElem | None' = tower.TowerElem(1)\n")
+    assert _names(ast.parse(source), "TowerElem") == [1, 2, 2, 2, 3, 3]
 
 
 def test_only_the_runner_builds_reports():

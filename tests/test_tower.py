@@ -14,19 +14,18 @@ def test_f4_arithmetic(tower22):
     u = tw.element(2)
     assert (u + u).val == 0
     assert (u * u * u).val == 1  # the multiplicative group has order 3
-    for x in tw.enumerate_level(2):
-        if x.val:
-            assert (x * x.inverse()).val == 1
+    for x in map(tw.element, tw.units(2)):
+        assert (x * x.inverse()).val == 1
 
 
 def test_enumeration_order_and_sizes(tower23):
     tw = tower23
-    assert [x.val for x in tw.enumerate_level(1)] == [0, 1]
+    assert tw.enumerate_level(1) == [0, 1]
     assert len(tw.enumerate_level(2)) == 4
     assert len(tw.enumerate_level(3)) == 64
-    # enumeration is increasing in the encoding
-    vals = [x.val for x in tw.enumerate_level(2)]
-    assert vals == sorted(vals)
+    # enumeration is increasing in the encoding, of raw values
+    vals = tw.enumerate_level(2)
+    assert vals == sorted(vals) and all(type(v) is int for v in vals)
 
 
 def _in_subfield(tw, x, d):
@@ -43,19 +42,19 @@ def test_subfield_counts_exhaustive(tower23):
         count = sum(1 for v in range(tw.size) if _in_subfield(tw, tw.element(v), d))
         assert count == 2 ** d
     with pytest.raises(ValueError):
-        _in_subfield(tw, tw.one, 4)  # 4 does not divide 6
+        _in_subfield(tw, tw.element(1), 4)  # 4 does not divide 6
 
 
 def test_level_membership_view(tower23):
     tw = tower23
     for x in tw.enumerate_level(2):
-        assert _in_subfield(tw, x, tw.level_degree(2))
+        assert _in_subfield(tw, tw.element(x), tw.level_degree(2))
 
 
 def test_generator_chain(tower33):
     tw = tower33
     for i in (1, 2, 3):
-        g = tw.generator(i)
+        g = tw.element(tw.generator(i))
         n = tw.level_size(i) - 1
         assert (g ** n).val == 1
         for r in (2, 3, 7, 13):
@@ -63,21 +62,21 @@ def test_generator_chain(tower33):
                 assert (g ** (n // r)).val != 1
     for i in (1, 2):
         ratio = (tw.level_size(i + 1) - 1) // (tw.level_size(i) - 1)
-        assert (tw.generator(i + 1) ** ratio) == tw.generator(i)
+        assert tw._pow(tw.generator(i + 1), ratio) == tw.generator(i)
 
 
 def test_dlog(tower32):
     tw = tower32
-    assert tw.dlog(tw.one, 2) == 0
+    assert tw.dlog(1, 2) == 0
     assert tw.dlog(tw.generator(2), 2) == 1
-    g = tw.generator(2)
+    g = tw.element(tw.generator(2))
     for e in range(8):
-        assert tw.dlog(g ** e, 2) == e % 8
+        assert tw.dlog((g ** e).val, 2) == e % 8
 
 
 def test_first_outside_subfield(tower22):
     # F_4 = {0, 1, u, u+1}: the first element outside F_2 is u, encoded 2
-    assert tower22.first_outside_subfield(1).val == 2
+    assert tower22.first_outside_subfield(1) == 2
 
 
 def test_quadratic_free_selection(tower23):
@@ -85,18 +84,18 @@ def test_quadratic_free_selection(tower23):
     with pytest.raises(ValueError):
         tw.first_outside_double_subfield(1)  # empty set below level 2
     b = tw.first_outside_double_subfield(2)
-    assert not tw._frobenius_fixed(b.val, 4)
+    assert not tw._frobenius_fixed(b, 4)
     # minimality in the enumeration order
     for x in tw.enumerate_level(3):
-        if x.val >= b.val:
+        if x >= b:
             break
-        assert tw._frobenius_fixed(x.val, 4)
+        assert tw._frobenius_fixed(x, 4)
 
 
 def test_pick_a_outside(tower33):
     tw = tower33
     for i in (1, 2):
-        a = tw.first_outside_subfield(i)
+        a = tw.element(tw.first_outside_subfield(i))
         assert not _in_subfield(tw, a, tw.level_degree(i))
         assert _in_subfield(tw, a, tw.level_degree(i + 1))
 
@@ -106,7 +105,35 @@ def test_element_validation(tower22):
     with pytest.raises(ValueError):
         tw.element(2, level=1)  # u is not in F_2
     with pytest.raises(ZeroDivisionError):
-        tw.zero.inverse()
+        tw.element(0).inverse()
+
+
+@pytest.mark.parametrize("bad", [-1, -5, "size", "size+3"])
+def test_raw_values_out_of_range_rejected(tower22, bad):
+    tw = tower22
+    val = {"size": tw.size, "size+3": tw.size + 3}.get(bad, bad)
+    for check in (tw.value, tw.element, tw.dlog):
+        with pytest.raises(ValueError, match="out of range"):
+            check(val)
+    with pytest.raises(ZeroDivisionError):
+        tw.dlog(0)
+
+
+@pytest.mark.parametrize("key", [(2, 2), (3, 2), (4, 2)], ids=lambda k: f"Tower{k}")
+def test_raw_pow_matches_repeated_multiplication(key):
+    tw = SMALL_TOWERS[key]
+    for v in range(tw.size):
+        acc = 1
+        for e in range(tw.size + 1):
+            if v or e > 0:
+                assert tw._pow(v, e) == acc
+                assert (tw.element(v) ** e).val == acc
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    tw._pow(v, e)
+            acc = tw._mul(acc, v)
+        if v:
+            assert tw._pow(v, -1) == tw._inv(v)
 
 
 def test_bad_configs():
@@ -130,7 +157,7 @@ def test_cross_level_equality(tower23):
     one_low = tw.element(1, level=1)
     one_high = tw.element(1, level=3)
     assert one_low == one_high
-    u = tw.enumerate_level(2)[2]
+    u = tw.element(tw.enumerate_level(2)[2])
     # the level of a sum is read from its value
     assert tw.element((one_low + u).val, level=2) == one_low + u
     with pytest.raises(ValueError):
@@ -236,9 +263,9 @@ def test_units_are_the_nonzero_level_elements(key):
     tw = SMALL_TOWERS[key]
     for i in range(1, tw.imax + 1):
         units = tw.units(i)
-        assert units == [x for x in tw.enumerate_level(i) if x.val != 0]
+        assert units == [x for x in tw.enumerate_level(i) if x != 0]
         assert len(units) == tw.q ** math.factorial(i) - 1
-        assert all(tw.element(x.val, level=i) == x for x in units)
+        assert all(tw.value(x, level=i) == x for x in units)
 
 
 @pytest.mark.parametrize("key", sorted(SMALL_TOWERS), ids=lambda k: f"Tower{k}")
@@ -247,16 +274,18 @@ def test_level_membership_matches_polynomial_frobenius(key):
     for i in range(1, tw.imax + 1):
         d = tw.level_degree(i)
         expect = [v for v in range(tw.size) if _oracle_frobenius_fixed(tw, v, d)]
-        assert [x.val for x in tw.enumerate_level(i)] == expect
+        assert tw.enumerate_level(i) == expect
     for v in range(tw.size):
         lowest = next(i for i in range(1, tw.imax + 1)
                       if _oracle_frobenius_fixed(tw, v, tw.level_degree(i)))
         for i in range(1, tw.imax + 1):
             if i >= lowest:
+                assert tw.value(v, level=i) == v
                 assert tw.element(v, level=i).val == v
             else:
-                with pytest.raises(ValueError, match="not fixed"):
-                    tw.element(v, level=i)
+                for check in (tw.value, tw.element):
+                    with pytest.raises(ValueError, match="not fixed"):
+                        check(v, level=i)
 
 
 @pytest.mark.parametrize("key", sorted(SMALL_TOWERS), ids=lambda k: f"Tower{k}")
@@ -271,14 +300,14 @@ def test_escape_searches_match_a_brute_force_scan(key):
 
     for i in range(1, tw.imax):
         a = tw.first_outside_subfield(i)
-        assert a.val == scan(i, tw.level_degree(i))
+        assert a == scan(i, tw.level_degree(i))
         if i < 2:
             assert scan(i, 2 * tw.level_degree(i)) is None  # all of level 2 is quadratic
             with pytest.raises(ValueError):
                 tw.first_outside_double_subfield(i)
         else:
             b = tw.first_outside_double_subfield(i)
-            assert b.val == scan(i, 2 * tw.level_degree(i))
+            assert b == scan(i, 2 * tw.level_degree(i))
     for search in (tw.first_outside_subfield, tw.first_outside_double_subfield):
         with pytest.raises(ValueError):
             search(tw.imax)

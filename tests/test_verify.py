@@ -103,6 +103,18 @@ def test_l44_explicit_counts():
     assert r.verdict == "PASS" and r.payload["distinct_cosets"] == 4
 
 
+@pytest.mark.parametrize("q, imax, i", [(2, 3, 1), (2, 3, 2), (3, 3, 1), (3, 3, 2), (4, 2, 1)])
+def test_l44_criterion_matches_explicit(q, imax, i):
+    # a budget below |level i+1| switches to the algebraic criterion
+    spec = CheckSpec("L4.4-basis", {"q": q, "i": i})
+    explicit = run_lemma(Context(RunConfig(q=q, imax=imax)), spec)
+    criterion = run_lemma(Context(RunConfig(q=q, imax=imax, budget=2)), spec)
+    assert explicit.payload["mode"] == "explicit" and criterion.payload["mode"] == "criterion"
+    assert criterion.verdict == explicit.verdict == "PASS"
+    assert criterion.payload["distinct_cosets"] == explicit.payload["distinct_cosets"]
+    assert criterion.payload["expected"] == explicit.payload["expected"]
+
+
 def test_l44_negative_control_catches():
     ctx = Context(RunConfig(q=2, imax=3))
     r = run_lemma(ctx, CheckSpec("L4.4-neg-control", {"q": 2, "i": 2}))
@@ -247,7 +259,7 @@ def test_package_exports():
 
     assert sl2ext.REGISTRY_IDS[0] == "sus"
     tw = sl2ext.Tower(2, 2)
-    assert sl2ext.check_big_cell_rewrite(tw.element(2))
+    assert sl2ext.check_big_cell_rewrite(tw, 2)
 
 
 def test_tower_too_large_only_counting_runs():

@@ -133,8 +133,9 @@ class FiniteRep:
         mats = []
         for s in group.gens:
             m = [[zero] * len(labels) for _ in labels]
+            image = module.action(s).label
             for l in labels:
-                l2, c = module.act_label(s, l)
+                l2, c = image(l)
                 m[col[l2]][col[l]] = c
             mats.append(tuple(tuple(r) for r in m))
         return cls(group, module.field, mats, f"induced[{module.theta.exp}]")
@@ -151,8 +152,9 @@ class FiniteRep:
         mats = []
         for s in group.gens:
             m = [[zero] * len(vecs) for _ in vecs]
+            act_s = module_tr.action(s)
             for j, v in enumerate(vecs):
-                for x, c in module_tr.steinberg_coordinates(module_tr.act(s, v)).items():
+                for x, c in module_tr.steinberg_coordinates(act_s(v)).items():
                     m[col[x]][j] = c
             mats.append(tuple(tuple(r) for r in m))
         return cls(group, module_tr.field, mats, "steinberg")

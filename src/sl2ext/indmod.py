@@ -16,12 +16,18 @@ Generator rules, theta the inducing character:
     s.cell(x)     = theta(x) . cell(-1/x)        (x != 0)
 
 Composed along the Bruhat form of g, they give the closed form that
-``_compile`` turns each g into, once per action call (l = y + L):
+``_compile`` turns each g into (l = y + L):
     u(x)h(t).1          = theta(t) . 1
     u(x)h(t).cell(L)    = theta(t)^-1 . cell(x + t^2 L)
     u(x)h(t)su(y).1       = theta(t)^-1 . cell(x)
     u(x)h(t)su(y).cell(L) = theta(-t) . 1                 (l = 0)
     u(x)h(t)su(y).cell(L) = theta(l/t) . cell(x - t^2/l)  (l != 0)
+
+``InducedModule.action(g)`` compiles g once and returns an ``Action``
+that applies it to many labels or vectors; a loop that repeats an element
+takes its action once, and ``act``/``act_label`` are the single-use
+wrappers.  An action lives as long as the loop that holds it: nothing is
+memoized on the module.
 
 A vector holds raw reps of the module's field, never a zero rep, and so
 do ``act_label`` and ``oracle_act_label``.  Scalars enter a vector only
@@ -125,6 +131,21 @@ class Vec:
         return " + ".join(bits)
 
 
+class Action:
+    """One group element's action on one module, compiled once: ``label``
+    maps a basis label to (label, raw rep), and calling the action on a
+    vector of the module maps the vector."""
+
+    __slots__ = ("module", "label")
+
+    def __init__(self, module: "InducedModule", image):
+        self.module = module
+        self.label = image
+
+    def __call__(self, v: Vec) -> Vec:
+        return self.module._apply(self.label, v)
+
+
 class InducedModule:
     """M_level(theta) over the given tower and coefficient field."""
 
@@ -175,6 +196,8 @@ class InducedModule:
         """g's action as one map label -> (label, raw rep), in the closed
         form of g's Bruhat cell."""
         tw, th = self.tower, self._th
+        if g.tower is not tw:
+            raise ValueError("group element of a different tower")
         d = tw.level_degree(self.level)
         if not all(tw._frobenius_fixed(v, d) for v in g.key()):
             raise ValueError("group element lives above the module level")
@@ -202,20 +225,28 @@ class InducedModule:
             return add(x, mul(neg_t2, inv(l))), th(mul(l, t_inv))
         return big
 
-    def act_label(self, g: GroupElement, label: int):
-        """g . label as (label, raw rep)."""
-        return self._compile(g)(label)
-
-    def act(self, g: GroupElement, v: Vec) -> Vec:
+    def _apply(self, image, v: Vec) -> Vec:
+        """The compiled map image applied to v."""
         if v.module is not self:
             raise ValueError("vector from a different module")
-        image, mul = self._compile(g), self.field._mul
+        mul = self.field._mul
         out = {}
         for label, c in v.support.items():
             # g permutes the basis lines, so no two labels share an image
             l2, k = image(label)
             out[l2] = mul(c, k)
         return Vec(self, out)
+
+    def action(self, g: GroupElement) -> "Action":
+        """g's action compiled once, to apply to many labels or vectors."""
+        return Action(self, self._compile(g))
+
+    def act_label(self, g: GroupElement, label: int):
+        """g . label as (label, raw rep)."""
+        return self._compile(g)(label)
+
+    def act(self, g: GroupElement, v: Vec) -> Vec:
+        return self._apply(self._compile(g), v)
 
     def oracle_act_label(self, g: GroupElement, label: int):
         """Independent route: realize the basis vector as a coset
@@ -264,13 +295,13 @@ class InducedModule:
 
     def span_closure(self, vecs) -> SparseSpan:
         """Close a set of vectors under the level's generators; echelon basis."""
-        gens = grp.generators(self.tower, self.level)
+        actions = [self.action(g) for g in grp.generators(self.tower, self.level)]
         span = SparseSpan(self.field)
         queue = [Vec(self, s) for s in span.extend(v.support for v in vecs)]
         while queue:
             v = queue.pop()
-            for g in gens:
-                w = self.act(g, v)
+            for act in actions:
+                w = act(v)
                 if span.insert(w.support):
                     queue.append(w)
                     if span.dim > self.dim:
@@ -310,12 +341,14 @@ class InducedModule:
             raise ValueError("x must be nonzero")
         tw = self.tower
         s = weyl(tw)
-        lhs = self.act(s, self.act(unip(tw, x), self.act(s, self.highest_vector())))
+        act_s = self.action(s)
+        s_one = act_s(self.highest_vector())
+        lhs = act_s(self.act(unip(tw, x), s_one))
         conj = s * torus(tw, tw._neg(x)) * s  # the torus part of the refactored product
         if conj.b or conj.c:
             return False
         scalar = self.theta.weyl_twist().eval(conj.a)
-        rhs = scalar * self.act(unip(tw, tw._neg(tw._inv(x))), self.act(s, self.highest_vector()))
+        rhs = scalar * self.act(unip(tw, tw._neg(tw._inv(x))), s_one)
         return lhs == rhs
 
     def check_reflection_relation(self, x: int, v: Vec) -> bool:

@@ -26,6 +26,11 @@ class BudgetError(RuntimeError):
     pass
 
 
+# a bare int could be a raw value or an integer of the prime field; the
+# operators take neither, so a caller wraps it with Tower.element
+BARE_INT = "a tower element does not mix with a bare int; wrap it with Tower.element"
+
+
 class TowerElem:
     """An ambient field element with operators over the raw ops, the
     tests' front; its levels are those whose Frobenius power fixes its
@@ -43,7 +48,7 @@ class TowerElem:
                 raise ValueError("elements of different towers")
             return other
         if isinstance(other, int):
-            return self.tower.from_int(other)
+            raise TypeError(BARE_INT)
         return None
 
     def __add__(self, other):
@@ -99,7 +104,7 @@ class TowerElem:
         if isinstance(other, TowerElem):
             return self.tower is other.tower and self.val == other.val
         if isinstance(other, int):
-            return self.val == self.tower.from_int(other).val
+            raise TypeError(BARE_INT)
         return NotImplemented
 
     def __hash__(self):
@@ -255,9 +260,6 @@ class Tower:
 
     def element(self, val: int, level: int | None = None) -> TowerElem:
         return TowerElem(self, self.value(val, level))
-
-    def from_int(self, c: int) -> TowerElem:
-        return TowerElem(self, c % self.p)
 
     def enumerate_level(self, i: int) -> list:
         """All q^{i!} elements of level i, by increasing encoding."""

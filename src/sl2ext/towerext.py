@@ -251,6 +251,9 @@ class DirectSystem:
             self.st_i = InducedModule(tower, trivial, i)
             self.st_next = InducedModule(tower, trivial, i + 1)
             self.conn = steinberg_weight_vector(theta, i, self.mod_next)
+        # filled as the checks need them, and dropped with the system
+        self._shifted = {}      # x -> u(x).conn in mod_next (system L)
+        self._connected = None  # [(v, connect(v))] over basis()
 
     # spanning sets of the level-i object
 
@@ -267,18 +270,23 @@ class DirectSystem:
             out.append(ExtVec(top0, self.mod_i.basis_vector(label)))
         return out
 
-    def act(self, g: GroupElement, v: ExtVec, at_next: bool = False) -> ExtVec:
-        bottom_mod = self.mod_next if at_next else self.mod_i
+    def action(self, g: GroupElement, at_next: bool = False):
+        """g's action on the level-i object (the next one with at_next),
+        compiled once: a map ExtVec -> ExtVec."""
         if self.tag == "F":
             if g.c != 0:
                 raise ValueError("system F only carries the Borel action")
-            top = self.lam.eval(g.a) * v.top
+            scale = self.lam.eval(g.a)
+
+            def top(t):
+                return scale * t
         elif self.tag == "H":
-            top = v.top
+            def top(t):
+                return t
         else:
-            st = self.st_next if at_next else self.st_i
-            top = st.act(g, v.top)
-        return ExtVec(top, bottom_mod.act(g, v.bottom))
+            top = (self.st_next if at_next else self.st_i).action(g)
+        bottom = (self.mod_next if at_next else self.mod_i).action(g)
+        return lambda v: ExtVec(top(v.top), bottom(v.bottom))
 
     def connect(self, v: ExtVec) -> ExtVec:
         if self.tag != "L":
@@ -287,14 +295,28 @@ class DirectSystem:
                 bottom = bottom + v.top * self.conn
             return ExtVec(v.top, bottom)
         # the top's coordinate a at x adds a u(x).conn to the lifted bottom
-        tw, f = self.tower, self.field
+        f = self.field
         mul, add, zero = f._mul, f._add, f.zero.rep
         out = dict(v.bottom.support)  # the lifted bottom: labels embed
         for xval, a in self.st_i.steinberg_coordinates(v.top).items():
-            shifted = self.mod_next.act(unip(tw, tw.value(xval, self.i)), self.conn)
-            for label, c in shifted.support.items():
+            for label, c in self._shifted_conn(xval).support.items():
                 _acc(out, label, mul(c, a), add, zero)
         return ExtVec(_lift(v.top, self.st_next), Vec(self.mod_next, out))
+
+    def _shifted_conn(self, x: int) -> Vec:
+        """u(x).conn in the next-level module, once per x per system."""
+        shifted = self._shifted.get(x)
+        if shifted is None:
+            tw = self.tower
+            shifted = self.mod_next.act(unip(tw, tw.value(x, self.i)), self.conn)
+            self._shifted[x] = shifted
+        return shifted
+
+    def _connected_basis(self) -> list:
+        """(v, connect(v)) over the basis, connected once per system."""
+        if self._connected is None:
+            self._connected = [(v, self.connect(v)) for v in self.basis()]
+        return self._connected
 
     # checks
 
@@ -310,16 +332,17 @@ class DirectSystem:
         return out
 
     def check_injective(self) -> bool:
-        basis = self.basis()
-        grew = SparseSpan(self.field).extend(self._ext_key_vec(self.connect(v)) for v in basis)
-        return len(grew) == len(basis)
+        pairs = self._connected_basis()
+        grew = SparseSpan(self.field).extend(self._ext_key_vec(image) for _, image in pairs)
+        return len(grew) == len(pairs)
 
     def check_equivariance(self, elements) -> bool:
-        basis = self.basis()
+        pairs = self._connected_basis()
         for g in elements:
-            for v in basis:
-                lhs = self.connect(self.act(g, v))
-                rhs = self.act(g, self.connect(v), at_next=True)
+            act_i, act_next = self.action(g), self.action(g, at_next=True)
+            for v, image in pairs:
+                lhs = self.connect(act_i(v))
+                rhs = act_next(image)
                 if lhs.top != rhs.top or lhs.bottom != rhs.bottom:
                     return False
         return True

@@ -305,8 +305,9 @@ def _chk_act_oracle(ctx: Context, params: dict) -> tuple:
     for e in exps:
         mod = InducedModule(tw, ctx.char(e), i)
         for g in gens:
+            image = mod.action(g).label
             for label in mod.labels():
-                if mod.act_label(g, label) != mod.oracle_act_label(g, label):
+                if image(label) != mod.oracle_act_label(g, label):
                     return "FAIL", {"exp": e, "label": label, "generator": g.key()}
                 checked += 1
         rng = random.Random(20240 + i)

@@ -292,6 +292,53 @@ def test_level_mismatch_rejected(tower23, cyc63):
         mod.act(g, mod.highest_vector())
 
 
+def test_action_rejects_an_element_of_another_tower(tower22, tower32):
+    # the raw values of F_9 read as F_4 values once gave cell(0) -> (1, 1)
+    mod = _module(tower22, RationalField(), 0, 1)
+    g = unip(tower32, 1)
+    with pytest.raises(ValueError, match="different tower"):
+        mod.act_label(g, 0)
+    with pytest.raises(ValueError, match="different tower"):
+        mod.act(g, mod.highest_vector())
+    with pytest.raises(ValueError, match="different tower"):
+        mod.action(g)
+
+
+def test_compiled_action_matches_the_single_use_calls(tower32, cyc8):
+    tw = tower32
+    mod = _module(tw, cyc8, 3, 2)
+    v = mod.vec({HIGHEST: cyc8.one, 0: cyc8.root_of_unity(8, 1), 4: -cyc8.one})
+    for g in grp.generators(tw, 2) + [unip(tw, 1) * weyl(tw) * torus(tw, tw.generator(2))]:
+        action = mod.action(g)
+        assert all(action.label(l) == mod.act_label(g, l) for l in mod.labels())
+        assert action(v) == mod.act(g, v) and action(v) == action(v)
+    other = _module(tw, cyc8, 3, 1)
+    with pytest.raises(ValueError, match="different module"):
+        mod.action(weyl(tw))(other.highest_vector())
+
+
+def _count_compiles(monkeypatch):
+    """Patch InducedModule._compile to count (module, element) compiles."""
+    counts = {}
+    compile_ = InducedModule._compile
+
+    def counted(self, g):
+        key = (id(self), g.key())
+        counts[key] = counts.get(key, 0) + 1
+        return compile_(self, g)
+
+    monkeypatch.setattr(InducedModule, "_compile", counted)
+    return counts
+
+
+def test_span_closure_compiles_each_generator_once(tower33, monkeypatch):
+    mod = _module(tower33, PrimeField(7), 0, 2)
+    counts = _count_compiles(monkeypatch)
+    assert mod.span_closure([mod.highest_vector()]).dim == mod.dim
+    gens = grp.generators(tower33, 2)
+    assert counts == {(id(mod), g.key()): 1 for g in gens}
+
+
 def test_level_is_read_from_the_entries(tower23, cyc63):
     # products of level-2 factors whose entries all lie in level 1 act on M_1
     tw = tower23

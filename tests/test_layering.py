@@ -8,6 +8,12 @@ boundary as raw ints: `TowerElem` is the tests' operator front, so no
 module but `tower.py` names it (in an import, an annotation or a call),
 reads a `.val` or calls `Tower.element`.
 
+A group element's action on an induced module is compiled by
+`InducedModule._compile` and applied by `InducedModule._apply`; every
+other module takes a compiled action through the public `action` (or the
+single-use `act`/`act_label`), so no module but `indmod.py` names either
+helper.
+
 In `verify.py` only the runner builds a `Report`: check bodies return
 `(verdict, payload[, reason])` and `run_lemma` turns that into the report,
 with `run_all` adding one SKIP for a check it cannot schedule."""
@@ -88,6 +94,23 @@ def test_the_lints_see_every_spelling():
               "def f(x: TowerElem, y: 'list[TowerElem]') -> 'TowerElem':\n"
               "    z: 'TowerElem | None' = tower.TowerElem(1)\n")
     assert _names(ast.parse(source), "TowerElem") == [1, 2, 2, 2, 3, 3]
+
+
+ACTION_HELPERS = {"_compile", "_apply"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "indmod.py"),
+                         ids=lambda p: p.name)
+def test_only_indmod_reaches_the_compiled_action_helpers(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [(n.lineno, n.attr) for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in ACTION_HELPERS] == []
+
+
+@pytest.mark.parametrize("name", ["verify.py", "towerext.py", "cohom.py"])
+def test_loops_take_the_public_compiled_action(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    assert _calls(tree, "action")
 
 
 def test_only_the_runner_builds_reports():

@@ -164,6 +164,19 @@ def test_cross_level_equality(tower23):
         tw.element((one_low + u).val, level=1)
 
 
+def test_elements_do_not_mix_with_bare_ints(tower32):
+    # a bare int was once taken mod p: u + 4 meant u + 1 over F_3
+    tw = tower32
+    u = tw.element(tw.enumerate_level(2)[4])
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b, lambda a, b: a == b):
+        for a, b in ((u, 4), (4, u), (u, True)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert u + tw.element(1) == tw.element(tw._add(u.val, 1))
+    assert u != "4" and not hasattr(tw, "from_int")
+
+
 # -- raw arithmetic against a polynomial oracle ------------------------------
 
 TOWERS = {(2, 3): Tower(2, 3), (3, 3): Tower(3, 3), (5, 2): Tower(5, 2)}

@@ -4,9 +4,9 @@ import pytest
 
 from sl2ext import grp
 from sl2ext.charmod import TorusCharacter
-from sl2ext.coeff import CyclotomicField, PrimeField, RationalField
-from sl2ext.grp import weyl
-from sl2ext.indmod import InducedModule
+from sl2ext.coeff import CyclotomicField, PrimeField, RationalField, Scalar
+from sl2ext.grp import unip, weyl
+from sl2ext.indmod import InducedModule, Vec
 from sl2ext.towerext import (
     CenterMismatchError,
     DirectSystem,
@@ -21,6 +21,7 @@ from sl2ext.towerext import (
     nonsplit_certificate,
     steinberg_weight_vector,
 )
+from test_indmod import _count_compiles
 
 
 def _char(tw, field, e):
@@ -255,7 +256,7 @@ def test_equivariance_F_exhaustive_borel(tower23, cyc63):
     sys_f = DirectSystem("F", tw, 1, lam=tr, mu=tr)
     assert sys_f.check_equivariance(grp.enumerate_subgroup(tw, "B", 1))
     with pytest.raises(ValueError):
-        sys_f.act(weyl(tw), ExtVec(cyc63.one, sys_f.mod_i.zero()))
+        sys_f.action(weyl(tw))
 
 
 def test_equivariance_H_exhaustive(tower23, cyc63):
@@ -276,6 +277,92 @@ def test_equivariance_L_sampled(tower23, cyc63):
     assert sys_l.check_equivariance(elements)
 
 
+# (tower fixture, field, i, system, character exponent): H and L start at i = 2
+CACHED_SYSTEMS = [
+    ("tower23", CyclotomicField(63), 1, "F", 0),
+    ("tower23", CyclotomicField(63), 2, "F", 0),
+    ("tower23", CyclotomicField(63), 2, "H", 1),
+    ("tower23", CyclotomicField(63), 2, "L", 1),
+    ("tower32", CyclotomicField(8), 1, "F", 2),
+    ("tower33", PrimeField(7), 2, "L", 0),
+]
+
+
+def _system(request, fix, field, i, tag, e):
+    tw = request.getfixturevalue(fix)
+    ch = _char(tw, field, e)
+    chars = {"lam": ch, "mu": ch} if tag == "F" else {"theta": ch}
+    return DirectSystem(tag, tw, i, **chars)
+
+
+def _equivariance_elements(system):
+    tw, i = system.tower, system.i
+    if system.tag == "F":
+        return grp.enumerate_subgroup(tw, "B", i)[:40]
+    return grp.generators(tw, i)
+
+
+def _direct_connect(system, v):
+    """The connecting map from its definition, every shifted image fresh."""
+    tw, mod_next = system.tower, system.mod_next
+    bottom = Vec(mod_next, dict(v.bottom.support))
+    if system.tag != "L":
+        return ExtVec(v.top, bottom + v.top * system.conn if v.top else bottom)
+    for x, a in system.st_i.steinberg_coordinates(v.top).items():
+        bottom = bottom + Scalar(system.field, a) * mod_next.act(unip(tw, x), system.conn)
+    return ExtVec(Vec(system.st_next, dict(v.top.support)), bottom)
+
+
+@pytest.mark.parametrize("fix,field,i,tag,e", CACHED_SYSTEMS, ids=lambda x: repr(x) if not isinstance(x, str) else x)
+def test_cached_connect_equals_the_direct_map(fix, field, i, tag, e, request):
+    system = _system(request, fix, field, i, tag, e)
+    assert system.check_injective()
+    vectors = system.basis()
+    vectors += [system.action(g)(v) for g in _equivariance_elements(system)[:6] for v in vectors]
+    for v in vectors:
+        got, want = system.connect(v), _direct_connect(system, v)
+        assert got.bottom == want.bottom and got.top == want.top
+    for v, image in system._connected:
+        want = _direct_connect(system, v)
+        assert image.bottom == want.bottom and image.top == want.top
+    assert system.check_equivariance(_equivariance_elements(system))
+
+
+@pytest.mark.parametrize("fix,field,i,tag,e", CACHED_SYSTEMS, ids=lambda x: repr(x) if not isinstance(x, str) else x)
+def test_perturbed_caches_break_equivariance(fix, field, i, tag, e, request):
+    system = _system(request, fix, field, i, tag, e)
+    elements = _equivariance_elements(system)
+    assert system.check_injective()
+    k = len(system._connected) - 1  # a bottom basis vector
+    v, image = system._connected[k]
+    bump = system.mod_next.basis_vector(system.mod_next.labels()[-1])
+    system._connected[k] = (v, ExtVec(image.top, image.bottom + bump))
+    assert not system.check_equivariance(elements)
+    if tag == "L":
+        system = _system(request, fix, field, i, tag, e)
+        assert system.check_injective()
+        x = max(system._shifted)
+        bump = system.mod_next.basis_vector(system.mod_next.labels()[-1])
+        system._shifted[x] = system._shifted[x] + bump
+        assert not system.check_equivariance(elements)
+
+
+def test_equivariance_compiles_each_element_once_per_module(tower23, cyc63, monkeypatch):
+    tw = tower23
+    sys_l = DirectSystem("L", tw, 2, theta=_char(tw, cyc63, 1))
+    pool = grp.enumerate_subgroup(tw, "G", 2, pgl=True)
+    elements = list(dict.fromkeys(grp.generators(tw, 2) + pool[::7]))
+    counts = _count_compiles(monkeypatch)
+    assert sys_l.check_injective()
+    # connecting the basis shifts conn once per level-2 x, in mod_next
+    shifts = {(id(sys_l.mod_next), unip(tw, x).key()) for x in tw.enumerate_level(2)}
+    assert counts == dict.fromkeys(shifts, 1)
+    counts.clear()
+    assert sys_l.check_equivariance(elements)
+    modules = (sys_l.mod_i, sys_l.mod_next, sys_l.st_i, sys_l.st_next)
+    assert counts == {(id(m), g.key()): 1 for m in modules for g in elements}
+
+
 def test_coherence_two_steps(tower23, cyc63):
     # composing level-1 and level-2 steps of F is equivariant for level-1 Borel
     tw = tower23
@@ -289,8 +376,8 @@ def test_coherence_two_steps(tower23, cyc63):
 
     for g in grp.enumerate_subgroup(tw, "B", 1):
         for v in f1.basis():
-            lhs = two_step(f1.act(g, v))
-            rhs = f2.act(g, two_step(v), at_next=True)
+            lhs = two_step(f1.action(g)(v))
+            rhs = f2.action(g, at_next=True)(two_step(v))
             assert lhs.top == rhs.top and lhs.bottom == rhs.bottom
 
 

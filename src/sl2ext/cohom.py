@@ -58,17 +58,16 @@ def mat_identity(field, n):
 
 
 class GroupTable:
-    """An enumerated level group with its generator set, its multiplication
-    table and a BFS order."""
+    """The enumerated level-1 group with its generator set, its
+    multiplication table and a BFS order."""
 
-    def __init__(self, tower: Tower, level: int = 1, budget: int = 100000):
+    def __init__(self, tower: Tower, budget: int = 100000):
         self.tower = tower
-        self.level = level
-        self.elements = grp.enumerate_subgroup(tower, "G", level, budget=budget)
+        self.elements = grp.enumerate_subgroup(tower, "G", 1, budget=budget)
         self.index = {g.key(): i for i, g in enumerate(self.elements)}
         # product[gi][hi] is the index of elements[gi] * elements[hi]
         self.product = [[self.index[(g * h).key()] for h in self.elements] for g in self.elements]
-        self.gens = grp.generators(tower, level)
+        self.gens = grp.generators(tower, 1)
         gen_index = [self.index[s.key()] for s in self.gens]
         self.identity_index = self.index[grp.identity(tower).key()]
         # BFS over right multiplication by the generators
@@ -125,7 +124,7 @@ class FiniteRep:
 
     @classmethod
     def from_induced(cls, group: GroupTable, module: InducedModule) -> "FiniteRep":
-        if module.level != group.level:
+        if module.level != 1:
             raise ValueError("module level does not match the group level")
         labels = module.labels()
         col = {l: j for j, l in enumerate(labels)}
@@ -217,45 +216,26 @@ def mackey_hom_dim(lam: TorusCharacter, mu: TorusCharacter, level: int) -> int:
 # -- cocycles -----------------------------------------------------------------
 
 
-def _expr_left(field, A, k, dM):
-    """rho_N(g) * C_k as a matrix of linear forms in the (k, *, *) vars;
-    A and the forms hold raw reps."""
-    add, zero = field._add, field.zero.rep
-    n = len(A)
-    out = [[{} for _ in range(dM)] for _ in range(n)]
-    for r in range(n):
-        for c in range(dM):
-            for j in range(n):
-                _acc(out[r][c], (k, j, c), A[r][j], add, zero)
-    return out
-
-
-def _expr_right(field, E, B):
-    """E * rho_M(s) for a matrix E of linear forms (raw reps)."""
+def _edge_forms(field, A, k, E, B):
+    """C(g s_k) = rho_N(g) C_k + C(g) rho_M(s_k) as a matrix of linear forms
+    in the (k, r, c) variables, both terms accumulated into one dict per
+    entry: A is rho_N(g), E the forms of C(g) and B is rho_M(s_k), all raw
+    reps."""
     mul, add, zero = field._mul, field._add, field.zero.rep
-    n, dM = len(E), len(B)
-    out = [[{} for _ in range(dM)] for _ in range(n)]
-    for r in range(n):
+    dM = len(B)
+    out = []
+    for A_r, E_r in zip(A, E):
+        row = []
         for c in range(dM):
-            acc = out[r][c]
-            for j in range(dM):
+            acc = {}
+            for j, a in enumerate(A_r):
+                _acc(acc, (k, j, c), a, add, zero)
+            for j, forms in enumerate(E_r):
                 b = B[j][c]
                 if b != zero:
-                    for var, coeff in E[r][j].items():
+                    for var, coeff in forms.items():
                         _acc(acc, var, mul(coeff, b), add, zero)
-    return out
-
-
-def _expr_add(field, E, F):
-    add, zero = field._add, field.zero.rep
-    out = []
-    for re_, rf in zip(E, F):
-        row = []
-        for a, b in zip(re_, rf):
-            d = dict(a)
-            for var, coeff in b.items():
-                _acc(d, var, coeff, add, zero)
-            row.append(d)
+            row.append(acc)
         out.append(row)
     return out
 
@@ -272,20 +252,16 @@ def ext1_bfs(M: FiniteRep, N: FiniteRep):
     variables = [(k, r, c) for k in range(ngen) for r in range(N.dim) for c in range(M.dim)]
     exprs = [None] * len(group)
     exprs[group.identity_index] = [[{} for _ in range(M.dim)] for _ in range(N.dim)]
-    rows = []
     for ci in group.bfs_order[1:]:
         pi, k = group.tree[ci]
-        left = _expr_left(field, N._mats[pi], k, M.dim)
-        right = _expr_right(field, exprs[pi], M._gen_mats[k])
-        exprs[ci] = _expr_add(field, left, right)
+        exprs[ci] = _edge_forms(field, N._mats[pi], k, exprs[pi], M._gen_mats[k])
+    # each cross edge g s_k = h: C(g s_k) - C(h) = 0, entry by entry
+    rows = []
     for pi, k, ci in group.cross:
-        left = _expr_left(field, N._mats[pi], k, M.dim)
-        right = _expr_right(field, exprs[pi], M._gen_mats[k])
-        combined = _expr_add(field, left, right)
-        for r in range(N.dim):
-            for c in range(M.dim):
-                row = dict(combined[r][c])
-                for var, coeff in exprs[ci][r][c].items():
+        forms = _edge_forms(field, N._mats[pi], k, exprs[pi], M._gen_mats[k])
+        for form_r, known_r in zip(forms, exprs[ci]):
+            for row, known in zip(form_r, known_r):
+                for var, coeff in known.items():
                     _acc(row, var, sub(zero, coeff), add, zero)
                 if row:
                     rows.append(row)

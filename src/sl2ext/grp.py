@@ -12,6 +12,7 @@ boundary (see ``tower``, whose operator class is the tests' front only):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .tower import Tower, BudgetError
@@ -135,18 +136,13 @@ def generators(tw: Tower, level: int) -> list:
 
 
 def subgroup_order(which: str, q: int, i: int, pgl: bool = False) -> int:
-    import math
-
+    """|B| or |G| at level i; PGL mode halves the torus for odd q."""
     n = q ** math.factorial(i)
-    if which == "U":
-        return n
-    if which == "T":
-        return (n - 1) // 2 if (pgl and q % 2) else n - 1
+    borel = n * ((n - 1) // 2 if (pgl and q % 2) else n - 1)
     if which == "B":
-        return n * ((n - 1) // 2 if (pgl and q % 2) else n - 1)
+        return borel
     if which == "G":
-        order = n * (n * n - 1)
-        return order // 2 if (pgl and q % 2) else order
+        return borel * (n + 1)
     raise ValueError(f"unknown subgroup {which!r}")
 
 
@@ -157,7 +153,8 @@ def center_quotient_reps(tw: Tower, i: int) -> list:
 
 
 def enumerate_subgroup(tw: Tower, which: str, level: int, budget: int = 100000, pgl: bool = False):
-    """Deterministic enumeration of U, T, B, G at a level.
+    """Deterministic enumeration of B or G at a level: B as u(x) h(t) in
+    (x, t) order, G as B followed by each b s u(y) in (b, y) order.
 
     PGL mode restricts torus values to center-quotient representatives,
     which picks exactly one of each {g, -g} pair.
@@ -165,23 +162,14 @@ def enumerate_subgroup(tw: Tower, which: str, level: int, budget: int = 100000, 
     size = subgroup_order(which, tw.q, level, pgl=pgl)
     if size > budget:
         raise BudgetError(f"|{which}_{level}| = {size} exceeds budget {budget}")
-    s = weyl(tw)
     torus_vals = center_quotient_reps(tw, level) if pgl else tw.units(level)
-    if which == "U":
-        return [unip(tw, x) for x in tw.enumerate_level(level)]
-    if which == "T":
-        return [torus(tw, t) for t in torus_vals]
+    xs = tw.enumerate_level(level)
+    borel = [unip(tw, x) * torus(tw, t) for x in xs for t in torus_vals]
     if which == "B":
-        return [unip(tw, x) * torus(tw, t) for x in tw.enumerate_level(level) for t in torus_vals]
-    if which == "G":
-        out = []
-        for x in tw.enumerate_level(level):
-            for t in torus_vals:
-                out.append(unip(tw, x) * torus(tw, t))
-        for x in tw.enumerate_level(level):
-            for t in torus_vals:
-                base = unip(tw, x) * torus(tw, t) * s
-                for y in tw.enumerate_level(level):
-                    out.append(base * unip(tw, y))
-        return out
-    raise ValueError(f"unknown subgroup {which!r}")
+        return borel
+    s = weyl(tw)
+    out = list(borel)
+    for b in borel:
+        bs = b * s
+        out += [bs * unip(tw, y) for y in xs]
+    return out

@@ -25,16 +25,16 @@ Composed along the Bruhat form of g, they give the closed form that
 
 ``InducedModule.action(g)`` compiles g once and returns an ``Action``
 that applies it to many labels or vectors; a loop that repeats an element
-takes its action once, and ``act``/``act_label`` are the single-use
-wrappers.  An action lives as long as the loop that holds it: nothing is
-memoized on the module.
+takes its action once, and ``act`` is the single-use wrapper.  An action
+lives as long as the loop that holds it: nothing is memoized on the
+module.
 
 A vector holds raw reps of the module's field, never a zero rep, and so
-do ``act_label`` and ``oracle_act_label``.  Scalars enter a vector only
-through ``InducedModule.vec`` and ``Vec.__rmul__``, which check each
+do ``Action.label`` and ``oracle_act_label``.  Scalars enter a vector
+only through ``InducedModule.vec`` and ``Vec.__rmul__``, which check each
 Scalar's field against the module's (``coeff.require_field``), and as the
 character values the ``towerext`` builders write; they leave only through
-``Vec.coeff``, ``to_json`` and ``repr``.
+``Vec.coeff`` and ``repr``.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ from .linalg import SparseSpan, _acc, monomial_invariants
 from .tower import Tower, BudgetError
 
 HIGHEST = -1  # label of the highest line; cell labels are element encodings
-
-
-def label_json(label: int):
-    if label == HIGHEST:
-        return {"cell": 0}
-    return {"cell": 1, "x": label}
 
 
 class Vec:
@@ -115,10 +109,6 @@ class Vec:
     def coeff(self, label: int) -> Scalar:
         f = self.module.field
         return Scalar(f, self.support.get(label, f.zero.rep))
-
-    def to_json(self):
-        rep_str = self.module.field.rep_str
-        return [[label_json(k), rep_str(self.support[k])] for k in sorted(self.support)]
 
     def __repr__(self):
         if not self.support:
@@ -241,10 +231,6 @@ class InducedModule:
         """g's action compiled once, to apply to many labels or vectors."""
         return Action(self, self._compile(g))
 
-    def act_label(self, g: GroupElement, label: int):
-        """g . label as (label, raw rep)."""
-        return self._compile(g)(label)
-
     def act(self, g: GroupElement, v: Vec) -> Vec:
         return self._apply(self._compile(g), v)
 
@@ -308,24 +294,22 @@ class InducedModule:
                         raise BudgetError("closure exceeded the dimension cap")
         return span
 
-    def _subgroup_generators(self, which: str) -> list:
-        tw = self.tower
-        if which == "U":
-            return grp.unipotent_generators(tw, self.level)
-        if which == "T":
-            return [torus(tw, tw.generator(self.level))]
-        if which == "G":
-            return grp.generators(tw, self.level)
-        raise ValueError(f"unknown subgroup {which!r}")
-
     def invariant_subspace(self, which: str) -> SparseSpan:
-        """Joint fixed space of the subgroup, via its generators.
+        """Joint fixed space of the unipotents ("U") or the torus ("T")
+        of the level, via their generators.
 
         Each generator acts monomially, so the stacked kernel of
         (action - identity) is computed combinatorially: weighted label
         components that close up consistently.
         """
-        maps = [self._compile(g) for g in self._subgroup_generators(which)]
+        tw = self.tower
+        if which == "U":
+            gens = grp.unipotent_generators(tw, self.level)
+        elif which == "T":
+            gens = [torus(tw, tw.generator(self.level))]
+        else:
+            raise ValueError(f"unknown subgroup {which!r}")
+        maps = [self._compile(g) for g in gens]
         span = SparseSpan(self.field)
         for comp in monomial_invariants(self.labels(), maps, self.field):
             span.insert(comp)
@@ -333,36 +317,46 @@ class InducedModule:
 
     # -- identities -----------------------------------------------------------
 
-    def check_lowering_formula(self, x: int) -> bool:
-        """s u(x) s . 1 = theta(x) u(-1/x) s . 1 for x != 0, with the scalar
-        produced through the twisted character at the matrix-computed torus
-        part (not through the action rules)."""
-        if x == 0:
-            raise ValueError("x must be nonzero")
+    def check_lowering_formula(self, xs):
+        """The first x of xs at which s u(x) s . 1 = theta(x) u(-1/x) s . 1
+        fails, or None when it holds at every x (each x != 0).  The scalar
+        is produced through the twisted character at the matrix-computed
+        torus part (not through the action rules); s is compiled once."""
         tw = self.tower
         s = weyl(tw)
         act_s = self.action(s)
         s_one = act_s(self.highest_vector())
-        lhs = act_s(self.act(unip(tw, x), s_one))
-        conj = s * torus(tw, tw._neg(x)) * s  # the torus part of the refactored product
-        if conj.b or conj.c:
-            return False
-        scalar = self.theta.weyl_twist().eval(conj.a)
-        rhs = scalar * self.act(unip(tw, tw._neg(tw._inv(x))), s_one)
-        return lhs == rhs
+        twist = self.theta.weyl_twist()
+        for x in xs:
+            if x == 0:
+                raise ValueError("x must be nonzero")
+            lhs = act_s(self.act(unip(tw, x), s_one))
+            conj = s * torus(tw, tw._neg(x)) * s  # the torus part of the refactored product
+            if conj.b or conj.c:
+                return x
+            rhs = twist.eval(conj.a) * self.act(unip(tw, tw._neg(tw._inv(x))), s_one)
+            if lhs != rhs:
+                return x
+        return None
 
-    def check_reflection_relation(self, x: int, v: Vec) -> bool:
-        """s u(x) . v = (u(-1/x) - 1) . v for x != 0."""
-        if x == 0:
-            raise ValueError("x must be nonzero")
+    def check_reflection_relation(self, xs, v: Vec):
+        """The first x of xs at which s u(x) . v = (u(-1/x) - 1) . v fails,
+        or None when it holds at every x (each x != 0); s is compiled
+        once."""
         tw = self.tower
-        lhs = self.act(weyl(tw), self.act(unip(tw, x), v))
-        return lhs == self.act(unip(tw, tw._neg(tw._inv(x))), v) - v
+        act_s = self.action(weyl(tw))
+        for x in xs:
+            if x == 0:
+                raise ValueError("x must be nonzero")
+            if act_s(self.act(unip(tw, x), v)) != self.act(unip(tw, tw._neg(tw._inv(x))), v) - v:
+                return x
+        return None
 
-    def check_alternating_relation(self, x: int) -> bool:
+    def check_alternating_relation(self, xs):
         """The reflection relation at eta = (1 - s).1, in the
-        trivial-character module."""
+        trivial-character module: the first x of xs where it fails, or
+        None."""
         if not self.theta.is_trivial():
             raise ValueError("the relation lives in the trivial-character module")
         one = self.field.one
-        return self.check_reflection_relation(x, Vec(self, {HIGHEST: one.rep, 0: (-one).rep}))
+        return self.check_reflection_relation(xs, Vec(self, {HIGHEST: one.rep, 0: (-one).rep}))

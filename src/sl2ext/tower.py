@@ -26,6 +26,10 @@ class BudgetError(RuntimeError):
     pass
 
 
+# the ambient field's size cap: its exp/log tables are materialized
+TABLE_BUDGET = 2 ** 20
+
+
 # a bare int could be a raw value or an integer of the prime field; the
 # operators take neither, so a caller wraps it with Tower.element
 BARE_INT = "a tower element does not mix with a bare int; wrap it with Tower.element"
@@ -118,8 +122,8 @@ class Tower:
     """Arithmetic for all levels of the tower at once.
 
     q: prime power; imax >= 2; the ambient field F_{q^{imax!}} is defined
-    by `poly` (first irreducible in enumeration order when omitted) and
-    capped at `max_size` elements since exp/log tables are materialized.
+    by the first irreducible polynomial in enumeration order and capped at
+    TABLE_BUDGET elements.
 
     Multiplication goes through the exp/log tables of the ambient
     generator g.  In characteristic 2 addition is XOR of the encodings; for
@@ -129,7 +133,7 @@ class Tower:
     lookup per entry.
     """
 
-    def __init__(self, q: int, imax: int, poly=None, max_size: int = 2 ** 20):
+    def __init__(self, q: int, imax: int):
         pk = polyutil.prime_power(q)
         if pk is None:
             raise ValueError("q must be a prime power")
@@ -140,19 +144,11 @@ class Tower:
         self.imax = imax
         self.degree = math.factorial(imax) * self.d0
         self.size = self.p ** self.degree
-        if self.size > max_size:
+        if self.size > TABLE_BUDGET:
             raise BudgetError(
                 f"ambient field F_{self.p}^{self.degree} exceeds the table budget"
             )
-        if poly is None:
-            poly = polyutil.first_irreducible(self.p, self.degree)
-        else:
-            poly = [c % self.p for c in poly]
-            if len(poly) != self.degree + 1 or poly[-1] != 1:
-                raise ValueError("defining polynomial must be monic of the ambient degree")
-            if not polyutil.is_irreducible(poly, self.p):
-                raise ValueError("defining polynomial is not irreducible")
-        self.poly = tuple(poly)
+        self.poly = tuple(polyutil.first_irreducible(self.p, self.degree))
         self._build_tables()
         self._levels = {}
         self._check_generator_chain()

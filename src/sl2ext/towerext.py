@@ -92,13 +92,12 @@ def borel_average(chi: TorusCharacter, i: int, mod_next: InducedModule,
 
 
 def borel_weight_vector(lam: TorusCharacter, mu: TorusCharacter, i: int,
-                        mod_next: InducedModule, a: int | None = None) -> Vec:
+                        mod_next: InducedModule) -> Vec:
     """The weight-lam vector sum_t nu(t)^-1 (sum_{u} cell(a t^2 + u)) in
     M_{i+1}(mu); t runs over central-quotient representatives at level i,
-    u over level i, and a is a fixed level-(i+1) element outside level i."""
+    u over level i, and a is the first level-(i+1) element outside level i."""
     _require_center_match(lam, mu)
-    if a is None:
-        a = mod_next.tower.first_outside_subfield(i)
+    a = mod_next.tower.first_outside_subfield(i)
     return borel_average(nu_character(lam, mu), i, mod_next, a)
 
 
@@ -116,25 +115,23 @@ def check_borel_weight(eta: Vec, lam: TorusCharacter, i: int) -> bool:
     return True
 
 
-def _quadratic_free_element(theta: TorusCharacter, i: int, tw: Tower,
-                            b: int | None) -> int:
-    """b, by default the first level-(i+1) element with no quadratic
-    relation over level i; theta must be trivial on the center."""
+def _quadratic_free_element(theta: TorusCharacter, i: int, tw: Tower) -> int:
+    """b, the first level-(i+1) element with no quadratic relation over
+    level i; theta must be trivial on the center."""
     if not theta.is_trivial_on_center():
         raise CenterMismatchError("the character must be trivial on the center")
     if i < 2:
         raise ValueError("no quadratic-free element exists below level 2")
-    return tw.first_outside_double_subfield(i) if b is None else b
+    return tw.first_outside_double_subfield(i)
 
 
-def group_average_vector(theta: TorusCharacter, i: int, mod_next: InducedModule,
-                         b: int | None = None) -> Vec:
+def group_average_vector(theta: TorusCharacter, i: int, mod_next: InducedModule) -> Vec:
     """The group average of cell(b) over the level-i group (central
-    quotient), b a fixed level-(i+1) element with no quadratic relation
+    quotient), b the first level-(i+1) element with no quadratic relation
     over level i.  Built through the Bruhat split: Borel part plus
     unipotent-shifted reflection of it."""
     tw = mod_next.tower
-    b = _quadratic_free_element(theta, i, tw, b)
+    b = _quadratic_free_element(theta, i, tw)
     first = borel_average(theta, i, mod_next, b)
     reflected = mod_next.act(weyl(tw), first)
     out = first
@@ -154,13 +151,13 @@ def naive_group_average(theta: TorusCharacter, i: int, mod_next: InducedModule,
     return out
 
 
-def steinberg_weight_vector(theta: TorusCharacter, i: int, mod_next: InducedModule,
-                            b: int | None = None) -> Vec:
-    """(1 - s) applied to the Borel average of cell(b): the expansion has
-    one positive term cell(b t^2 + u) and one negative term at the
-    reflected label, all 2 * |T/±| * q^{i!} labels pairwise distinct."""
+def steinberg_weight_vector(theta: TorusCharacter, i: int, mod_next: InducedModule) -> Vec:
+    """(1 - s) applied to the Borel average of cell(b), b as in
+    ``group_average_vector``: the expansion has one positive term
+    cell(b t^2 + u) and one negative term at the reflected label, all
+    2 * |T/±| * q^{i!} labels pairwise distinct."""
     tw, field = mod_next.tower, mod_next.field
-    b = _quadratic_free_element(theta, i, tw, b)
+    b = _quadratic_free_element(theta, i, tw)
     require_field(field, theta.field)
     add, sub, mul, zero = field._add, field._sub, field._mul, field.zero.rep
     neg, inv = tw._neg, tw._inv
@@ -207,7 +204,7 @@ def check_steinberg_relations(zeta: Vec, theta: TorusCharacter, i: int) -> bool:
     if mod.act(weyl(tw), zeta) != -zeta:
         return False
     return (all(mod.act(torus(tw, t), zeta) == zeta for t in tw.units(i))
-            and all(mod.check_reflection_relation(x, zeta) for x in tw.units(i)))
+            and mod.check_reflection_relation(tw.units(i), zeta) is None)
 
 
 # -- the systems -------------------------------------------------------------

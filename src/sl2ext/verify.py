@@ -351,19 +351,15 @@ def _chk_m_dims(ctx: Context, params: dict) -> tuple:
 def _chk_suw(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
-    cases = 0
-    for e in _exponents(ctx):
-        mod = InducedModule(tw, ctx.char(e), i)
-        for x in tw.units(i):
-            if not mod.check_lowering_formula(x):
-                return "FAIL", {"exp": e, "x": x, "part": "lowering"}
-            cases += 1
-    mod_tr = InducedModule(tw, ctx.char(0), i)
-    for x in tw.units(i):
-        if not mod_tr.check_alternating_relation(x):
-            return "FAIL", {"x": x, "part": "alternating"}
-        cases += 1
-    return "PASS", {"cases": cases}
+    exps = _exponents(ctx)
+    for e in exps:
+        x = InducedModule(tw, ctx.char(e), i).check_lowering_formula(tw.units(i))
+        if x is not None:
+            return "FAIL", {"exp": e, "x": x, "part": "lowering"}
+    x = InducedModule(tw, ctx.char(0), i).check_alternating_relation(tw.units(i))
+    if x is not None:
+        return "FAIL", {"x": x, "part": "alternating"}
+    return "PASS", {"cases": (len(exps) + 1) * (tw.level_size(i) - 1)}
 
 
 def _chk_normalize(ctx: Context, params: dict) -> tuple:
@@ -564,7 +560,7 @@ def _chk_zeta(ctx: Context, params: dict) -> tuple:
     tw = ctx.tower
     mod_next = InducedModule(tw, theta, i + 1)
     b = tw.first_outside_double_subfield(i)
-    zeta = towerext.steinberg_weight_vector(theta, i, mod_next, b)
+    zeta = towerext.steinberg_weight_vector(theta, i, mod_next)
     support = towerext.expansion_support(theta, i, mod_next, b)
     reps = len(grp.center_quotient_reps(tw, i))
     expected_terms = 2 * reps * tw.level_size(i)
@@ -639,7 +635,7 @@ def _level1_reps(group, tw, field) -> dict:
 def _chk_ext1(ctx: Context, params: dict) -> tuple:
     q = ctx.q
     tw = ctx.tower
-    group = cohom.GroupTable(tw, level=1, budget=ctx.budget)
+    group = cohom.GroupTable(tw, budget=ctx.budget)
     order = len(group)
     torus_order = q - 1
     ell = choose_prime_for_order(max(torus_order, 1), 5)

@@ -84,8 +84,9 @@ def test_c03_action_matches_oracle(towers):
             for e in (0, 1, 2):
                 mod = InducedModule(tw, TorusCharacter(tw, field, e), i)
                 for g in grp.generators(tw, i):
+                    image = mod.action(g).label
                     for label in mod.labels():
-                        assert mod.act_label(g, label) == mod.oracle_act_label(g, label)
+                        assert image(label) == mod.oracle_act_label(g, label)
                         oracle_pairs += 1
                 rng = random.Random(1000 * q + i)
                 for _ in range(200):
@@ -168,7 +169,7 @@ def test_c07_group_average_invariance(towers):
     for g in elements:
         assert m3.act(g, xi) == xi
     naive = towerext.naive_group_average(th, 2, m3, tw.first_outside_double_subfield(2))
-    assert json.dumps(xi.to_json()).encode() == json.dumps(naive.to_json()).encode()
+    assert xi == naive
     # q = 3: sampled 200 of the 360 central-quotient representatives
     tw3 = towers[(3, 3)]
     rat = RationalField()
@@ -182,8 +183,8 @@ def test_c07_group_average_invariance(towers):
     for g in rng.sample(pool, 200):
         assert m33.act(g, xi3) == xi3
     naive3 = towerext.naive_group_average(th3, 2, m33, tw3.first_outside_double_subfield(2))
-    assert json.dumps(xi3.to_json()).encode() == json.dumps(naive3.to_json()).encode()
-    _ok(7, "group average fixed by all 60 (q=2) and 200 sampled (q=3); builds byte-identical")
+    assert xi3 == naive3
+    _ok(7, "group average fixed by all 60 (q=2) and 200 sampled (q=3); structured and naive builds equal")
 
 
 def test_c08_steinberg_weight_relations(towers):
@@ -192,7 +193,7 @@ def test_c08_steinberg_weight_relations(towers):
         th = TorusCharacter(tw, field, exp)
         m3 = InducedModule(tw, th, 3)
         b = tw.first_outside_double_subfield(2)
-        zeta = towerext.steinberg_weight_vector(th, 2, m3, b)
+        zeta = towerext.steinberg_weight_vector(th, 2, m3)
         support = towerext.expansion_support(th, 2, m3, b)
         reps = len(grp.center_quotient_reps(tw, 2))
         assert support["distinct"]
@@ -252,7 +253,7 @@ def test_c10_counting_certificates():
 def test_c11_cohomology_oracle(towers):
     for q, theta_exp in ((2, 0), (3, 1)):
         tw = towers[(q, 2)]
-        group = cohom.GroupTable(tw, level=1)
+        group = cohom.GroupTable(tw)
         order = len(group)
         fields = [RationalField(), PrimeField(5)]  # 5 divides neither 6 nor 24
         for field in fields:

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from sl2ext.linalg import nullspace
 
 
 def _reps(tw, field, theta_exp):
-    group = cohom.GroupTable(tw, level=1)
+    group = cohom.GroupTable(tw)
     tr = TorusCharacter(tw, field, 0)
     th = TorusCharacter(tw, field, theta_exp)
     return group, {
@@ -23,7 +25,7 @@ def _reps(tw, field, theta_exp):
 
 def test_group_table_covers_group(tower22, tower32):
     for tw, size in ((tower22, 6), (tower32, 24)):
-        group = cohom.GroupTable(tw, level=1)
+        group = cohom.GroupTable(tw)
         assert len(group) == size
         assert len(group.bfs_order) == size
 
@@ -44,7 +46,7 @@ def test_hom_dims_q3(tower32, rat):
 
 
 def test_mackey_matches_hom(tower32, rat):
-    group = cohom.GroupTable(tower32, level=1)
+    group = cohom.GroupTable(tower32)
     for el in (0, 1):
         for em in (0, 1):
             lam = TorusCharacter(tower32, rat, el)
@@ -83,16 +85,36 @@ def test_solvers_agree_modular(tower22):
             assert d1 == d2, (nm, nn)
 
 
-def test_nonzero_extension_exists_modular(tower22):
-    # over SL2(F_2) in characteristic 3 the trivial-by-Steinberg space is 1-dim
-    F3 = PrimeField(3)
-    _, reps = _reps(tower22, F3, 0)
-    d, transversal = cohom.ext1_bfs(reps["tr"], reps["St"])
-    assert d == 1 and len(transversal) == 1
-    # the transversal class really is not a coboundary
-    C = _cocycle_from_vector(reps["tr"], reps["St"], transversal[0])
-    assert _is_cocycle(reps["tr"], reps["St"], C)
-    assert _find_splitting(reps["tr"], reps["St"], C) is None
+# (tower, characteristic, theta exponent) -> the nonzero Ext1 dimensions,
+# keyed by (M, N); every other pair of tr, St and M(theta) has Ext1 = 0
+MODULAR_EXTENSIONS = {
+    ("tower22", 3, 0): {("tr", "St"): 1},
+    ("tower22", 2, 0): {("tr", "tr"): 1, ("tr", "M"): 1, ("M", "tr"): 1, ("M", "M"): 1},
+    ("tower32", 2, 0): {("tr", "St"): 2, ("tr", "M"): 1, ("St", "tr"): 1, ("St", "M"): 1,
+                        ("M", "tr"): 1, ("M", "St"): 1, ("M", "M"): 2},
+    ("tower32", 3, 1): {("tr", "tr"): 1, ("M", "M"): 1},
+}
+
+
+def test_nonzero_extension_exists_modular(request):
+    # over SL2(F_2) in characteristic 3 the trivial-by-Steinberg space is
+    # 1-dim; the other cases put the characteristic at 2 or at q = 3
+    for (fix, ell, exp), nonzero in MODULAR_EXTENSIONS.items():
+        _, reps = _reps(request.getfixturevalue(fix), PrimeField(ell), exp)
+        for (nm, M), (nn, N) in itertools.product(reps.items(), repeat=2):
+            d, transversal = cohom.ext1_bfs(M, N)
+            assert d == len(transversal) == nonzero.get((nm, nn), 0), (fix, ell, nm, nn)
+            # every transversal cocycle, and every sum of distinct ones,
+            # satisfies the law and is not a coboundary (exhaustive when
+            # d = 1 or the field is F_2)
+            cocycles = [_cocycle_from_vector(M, N, z) for z in transversal]
+            for C in cocycles:
+                assert _is_cocycle(M, N, C)
+            for n in range(1, d + 1):
+                for part in itertools.combinations(cocycles, n):
+                    C = [functools.reduce(lambda X, Y: _entrywise(M.field._add, X, Y), mats)
+                         for mats in zip(*part)]
+                    assert _find_splitting(M, N, C) is None, (fix, ell, nm, nn)
 
 
 @pytest.mark.parametrize("fix,field", [("tower22", PrimeField(3)), ("tower32", PrimeField(5))])
@@ -243,7 +265,7 @@ def test_hom_space_intertwines_every_element(tower22, tower32, rat):
 
 def test_group_product_table_matches_multiplication(tower22, tower32):
     for tw in (tower22, tower32):
-        group = cohom.GroupTable(tw, level=1)
+        group = cohom.GroupTable(tw)
         for gi, g in enumerate(group.elements):
             for hi, h in enumerate(group.elements):
                 assert group.product[gi][hi] == group.index[(g * h).key()]

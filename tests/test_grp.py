@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sl2ext import grp
 from sl2ext.grp import (
+    BruhatForm,
     bruhat,
     center_quotient_reps,
     check_big_cell_rewrite,
@@ -81,9 +82,7 @@ def test_bruhat_roundtrip_and_cells(fix, i, request):
 
 def test_subgroup_orders_and_enumeration(tower32):
     tw = tower32
-    assert len(enumerate_subgroup(tw, "U", 2)) == 9
-    assert len(enumerate_subgroup(tw, "T", 1)) == 2
-    assert len(enumerate_subgroup(tw, "B", 2)) == 72
+    assert len(enumerate_subgroup(tw, "B", 2)) == 72 == subgroup_order("B", 3, 2)
     assert subgroup_order("G", 2, 1) == 6
     assert subgroup_order("G", 3, 2) == 720
     assert subgroup_order("G", 3, 2, pgl=True) == 360
@@ -93,12 +92,30 @@ def test_subgroup_orders_and_enumeration(tower32):
     assert len(reps) == len(pairs) == subgroup_order("G", 3, 1, pgl=True) == 12
     with pytest.raises(BudgetError):
         enumerate_subgroup(tw, "G", 2, budget=100)
+    for which in ("U", "T"):
+        with pytest.raises(ValueError, match="unknown subgroup"):
+            enumerate_subgroup(tw, which, 1)
+
+
+@pytest.mark.parametrize("fix", ["tower22", "tower32"])
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("pgl", [False, True])
+def test_enumeration_order_is_pinned(fix, level, pgl, request):
+    # act-oracle draws with rng.choice from this list and GroupTable's index
+    # and BFS order follow it, while the goldens pin only PASS counts
+    tw = request.getfixturevalue(fix)
+    xs = tw.enumerate_level(level)
+    ts = center_quotient_reps(tw, level) if pgl else tw.units(level)
+    borel = [reassemble(BruhatForm(x, t, None), tw) for x in xs for t in ts]
+    big = [reassemble(BruhatForm(x, t, y), tw) for x in xs for t in ts for y in xs]
+    assert enumerate_subgroup(tw, "B", level, pgl=pgl) == borel
+    assert enumerate_subgroup(tw, "G", level, pgl=pgl) == borel + big
 
 
 @pytest.mark.parametrize("fix", ["tower22", "tower32"])
 @pytest.mark.parametrize("level", [1, 2])
 def test_generators_generate_the_level_group(fix, level, request):
-    # span_closure and invariant_subspace("G") rest on this
+    # span_closure and GroupTable's BFS rest on this
     tw = request.getfixturevalue(fix)
     gens = grp.generators(tw, level)
     whole = set(enumerate_subgroup(tw, "G", level))

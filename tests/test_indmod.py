@@ -10,7 +10,7 @@ from sl2ext.charmod import TorusCharacter
 from sl2ext.coeff import CyclotomicField, PrimeField, RationalField, Scalar
 from sl2ext.grp import torus, unip, weyl
 from sl2ext.indmod import HIGHEST, InducedModule, Vec
-from sl2ext.linalg import SparseSpan, _acc, nullspace
+from sl2ext.linalg import SparseSpan, _acc, monomial_invariants, nullspace
 from test_coeff import _elements, integral_fraction_cases
 
 
@@ -70,8 +70,9 @@ def test_oracle_agreement_exhaustive(fix, exps, request):
         for e in exps:
             mod = _module(tw, field, e, i)
             for g in grp.enumerate_subgroup(tw, "G", i, budget=1000):
+                image = mod.action(g).label
                 for label in mod.labels():
-                    assert mod.act_label(g, label) == mod.oracle_act_label(g, label)
+                    assert image(label) == mod.oracle_act_label(g, label)
 
 
 def _oracle_image(mod, g, v):
@@ -145,10 +146,10 @@ def test_alternating_vector(tower32, cyc8):
     assert eta == hv - mod_tr.act(weyl(tw), hv)
     assert eta.coeff(HIGHEST) == cyc8.one and eta.coeff(0) == -cyc8.one
     with pytest.raises(ValueError):
-        mod_tr.check_alternating_relation(0)
+        mod_tr.check_alternating_relation([1, 0])
     mod_nt = _module(tw, cyc8, 1, 1)
     with pytest.raises(ValueError):
-        mod_nt.check_alternating_relation(1)
+        mod_nt.check_alternating_relation([1])
 
 
 @pytest.mark.parametrize("fix,i,expected", [("tower22", 1, 2), ("tower22", 2, 4), ("tower32", 2, 9)])
@@ -210,15 +211,32 @@ def test_torus_invariants_contain_highest_for_trivial(tower32, cyc8):
     assert inv.contains({HIGHEST: cyc8.one.rep})
 
 
+def _group_invariants(mod):
+    """The fixed space of the whole level group, by the combinatorial
+    kernel of its generators."""
+    span = SparseSpan(mod.field)
+    maps = [mod.action(g).label for g in grp.generators(mod.tower, mod.level)]
+    for comp in monomial_invariants(mod.labels(), maps, mod.field):
+        span.insert(comp)
+    return span
+
+
 def test_group_invariants(tower32, cyc8):
     # nontrivial character: no fixed vectors at all
-    assert _module(tower32, cyc8, 1, 1).invariant_subspace("G").dim == 0
+    assert _group_invariants(_module(tower32, cyc8, 1, 1)).dim == 0
     # trivial character: exactly the all-cells sum
     mod = _module(tower32, cyc8, 0, 1)
-    inv = mod.invariant_subspace("G")
+    inv = _group_invariants(mod)
     assert inv.dim == 1
     allsum = {l: cyc8.one.rep for l in mod.labels()}
     assert inv.contains(allsum)
+
+
+def _subgroup_generators(mod, which):
+    tw = mod.tower
+    return {"U": grp.unipotent_generators(tw, mod.level),
+            "T": [torus(tw, tw.generator(mod.level))],
+            "G": grp.generators(tw, mod.level)}[which]
 
 
 def _invariant_subspace_dense(mod, which):
@@ -227,9 +245,10 @@ def _invariant_subspace_dense(mod, which):
     field = mod.field
     labels = mod.labels()
     rows: dict = {}
-    for gi, g in enumerate(mod._subgroup_generators(which)):
+    for gi, g in enumerate(_subgroup_generators(mod, which)):
+        image = mod.action(g).label
         for l in labels:
-            l2, c = mod.act_label(g, l)
+            l2, c = image(l)
             row = rows.setdefault((gi, l2), {})
             row[l] = row.get(l, field.zero) + Scalar(field, c)
         for l in labels:
@@ -246,7 +265,7 @@ def _invariant_subspace_dense(mod, which):
 def test_invariants_match_dense_solver(tower32, cyc8, which):
     for e in (0, 1):
         mod = _module(tower32, cyc8, e, 2)
-        fast = mod.invariant_subspace(which)
+        fast = _group_invariants(mod) if which == "G" else mod.invariant_subspace(which)
         dense = _invariant_subspace_dense(mod, which)
         assert fast.dim == dense.dim
         for row in fast.basis():
@@ -266,11 +285,47 @@ def test_lowering_and_alternating_relations(tower32, cyc8):
     tw = tower32
     for e in (0, 1, 2):
         mod = _module(tw, cyc8, e, 2)
-        for x in tw.units(2):
-            assert mod.check_lowering_formula(x)
+        assert mod.check_lowering_formula(tw.units(2)) is None
     mod_tr = _module(tw, cyc8, 0, 2)
-    for x in tw.units(2):
-        assert mod_tr.check_alternating_relation(x)
+    assert mod_tr.check_alternating_relation(tw.units(2)) is None
+
+
+def test_relations_return_the_first_failing_x(tower32, cyc8, monkeypatch):
+    # a broken action for s makes every x fail: the first one is reported
+    tw = tower32
+    xs = tw.units(2)
+    mod = _module(tw, cyc8, 1, 2)
+    mod_tr = _module(tw, cyc8, 0, 2)
+    compile_ = InducedModule._compile
+
+    def broken(self, g):
+        image = compile_(self, g)
+        if g != weyl(tw):
+            return image
+
+        def shifted(label):  # s . label picks up one more
+            l2, c = image(label)
+            return l2, self.field._add(c, self.field.one.rep)
+        return shifted
+
+    monkeypatch.setattr(InducedModule, "_compile", broken)
+    assert mod.check_lowering_formula(xs[::-1]) == xs[-1]
+    assert mod_tr.check_alternating_relation(xs) == xs[0]
+    assert mod_tr.check_reflection_relation([], mod_tr.highest_vector()) is None
+
+
+@pytest.mark.parametrize("check", ["lowering", "alternating", "reflection"])
+def test_relations_compile_s_once_per_call(tower32, cyc8, monkeypatch, check):
+    tw = tower32
+    mod = _module(tw, cyc8, 0, 2)
+    run = {"lowering": lambda xs: mod.check_lowering_formula(xs),
+           "alternating": lambda xs: mod.check_alternating_relation(xs),
+           "reflection": lambda xs: mod.check_reflection_relation(xs, 3 * mod.steinberg_vectors()[0])}[check]
+    counts = _count_compiles(monkeypatch)
+    assert run(tw.units(2)) is None
+    # s once; u(x) and u(-1/x) once each per x, through the single-use act
+    assert counts[(id(mod), weyl(tw).key())] == 1
+    assert sum(counts.values()) == 1 + 2 * len(tw.units(2))
 
 
 def test_integral_fraction_reps_compare_equal_in_vectors(tower32, cyc8):
@@ -278,7 +333,7 @@ def test_integral_fraction_reps_compare_equal_in_vectors(tower32, cyc8):
     (p1, one), (pz, zeta), (p0, _) = integral_fraction_cases(cyc8)
     for got, want in ((p1, one), (pz, zeta)):
         v, w = mod.vec({0: got, 1: cyc8.one}), mod.vec({0: want, 1: cyc8.one})
-        assert v == w and v.to_json() == w.to_json()
+        assert v == w and repr(v) == repr(w)
         assert hash(frozenset(v.support.items())) == hash(frozenset(w.support.items()))
         assert not (v - w).support and v + w == 2 * w
     assert not mod.vec({0: p0}).support
@@ -297,8 +352,6 @@ def test_action_rejects_an_element_of_another_tower(tower22, tower32):
     mod = _module(tower22, RationalField(), 0, 1)
     g = unip(tower32, 1)
     with pytest.raises(ValueError, match="different tower"):
-        mod.act_label(g, 0)
-    with pytest.raises(ValueError, match="different tower"):
         mod.act(g, mod.highest_vector())
     with pytest.raises(ValueError, match="different tower"):
         mod.action(g)
@@ -310,7 +363,8 @@ def test_compiled_action_matches_the_single_use_calls(tower32, cyc8):
     v = mod.vec({HIGHEST: cyc8.one, 0: cyc8.root_of_unity(8, 1), 4: -cyc8.one})
     for g in grp.generators(tw, 2) + [unip(tw, 1) * weyl(tw) * torus(tw, tw.generator(2))]:
         action = mod.action(g)
-        assert all(action.label(l) == mod.act_label(g, l) for l in mod.labels())
+        assert all(mod.act(g, mod.basis_vector(l)).support == dict([action.label(l)])
+                   for l in mod.labels())
         assert action(v) == mod.act(g, v) and action(v) == action(v)
     other = _module(tw, cyc8, 3, 1)
     with pytest.raises(ValueError, match="different module"):
@@ -358,8 +412,8 @@ def test_vector_serialization(tower22):
     field = CyclotomicField(3)
     mod = _module(tower22, field, 0, 1)
     v = mod.highest_vector() - mod.basis_vector(0)
-    js = v.to_json()
-    assert js == [[{"cell": 0}, "[1/1,0/1]"], [{"cell": 1, "x": 0}, "[-1/1,0/1]"]]
+    assert repr(v) == "[1/1,0/1]*hi + [-1/1,0/1]*c(0)"
+    assert repr(mod.zero()) == "0"
 
 
 # -- canonical supports and the action as a group action -------------------------

@@ -11,14 +11,19 @@ reads a `.val` or calls `Tower.element`.
 A group element's action on an induced module is compiled by
 `InducedModule._compile` and applied by `InducedModule._apply`; every
 other module takes a compiled action through the public `action` (or the
-single-use `act`/`act_label`), so no module but `indmod.py` names either
-helper.
+single-use `act`), so no module but `indmod.py` names either helper.
+
+Every public function and method in `src/sl2ext` has a reader in `src/`
+outside its own body: code that only tests call is deleted or becomes a
+registry check.  `Tower.element`, the tests' front for `TowerElem`, is
+the one exception.
 
 In `verify.py` only the runner builds a `Report`: check bodies return
 `(verdict, payload[, reason])` and `run_lemma` turns that into the report,
 with `run_all` adding one SKIP for a check it cannot schedule."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -120,3 +125,42 @@ def test_only_the_runner_builds_reports():
     assert len(runners) == 2
     inside = sum(len(_calls(node, "Report")) for node in runners)
     assert inside > 0 and len(_calls(tree, "Report")) == inside
+
+
+# the tests' operator front, kept alive by the benchmark's tracer
+UNREFERENCED_OK = {"Tower.element"}
+
+
+def _referenced(node) -> collections.Counter:
+    """How often each name is read under node, as a Name or an Attribute."""
+    return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                               if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _public_defs(tree):
+    """(qualified name, def) of every public module function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{d.name}", d) for d in node.body
+                        if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"))
+
+
+def _unreferenced(src):
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(src.glob("*.py"))}
+    refs = sum((_referenced(tree) for tree in trees.values()), collections.Counter())
+    return [f"{name}:{qual}" for name, tree in trees.items() for qual, node in _public_defs(tree)
+            if refs[node.name] == _referenced(node)[node.name] and qual not in UNREFERENCED_OK]
+
+
+def test_every_public_function_has_a_reader_in_src():
+    assert _unreferenced(SRC) == []
+
+
+def test_the_reader_lint_sees_an_unread_function(tmp_path):
+    (tmp_path / "a.py").write_text("def used():\n    return used()\n\n"
+                                   "class K:\n    def m(self):\n        return self.m\n"
+                                   "    def n(self):\n        return 0\n")
+    (tmp_path / "b.py").write_text("from .a import K\nK().n()\n")
+    assert _unreferenced(tmp_path) == ["a.py:used", "a.py:K.m"]

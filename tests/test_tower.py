@@ -143,13 +143,6 @@ def test_bad_configs():
         Tower(2, 1)
     with pytest.raises(BudgetError):
         Tower(2, 4)  # ambient degree 24 blows the table budget
-    with pytest.raises(ValueError):
-        Tower(2, 2, poly=[1, 0, 1])  # x^2 + 1 = (x+1)^2 over F_2
-
-
-def test_explicit_poly_roundtrip():
-    tw = Tower(2, 2, poly=[1, 1, 1])
-    assert tw.poly == (1, 1, 1)
 
 
 def test_cross_level_equality(tower23):

@@ -183,7 +183,7 @@ def test_zeta_matches_one_minus_s(tower23, cyc63):
         c = th.eval(t.inverse().val)
         for u in tw.enumerate_level(2):
             borel = borel + c * m3.basis_vector((b_elem * t * t + tw.element(u)).val)
-    assert steinberg_weight_vector(th, 2, m3, b) == borel - m3.act(weyl(tw), borel)
+    assert steinberg_weight_vector(th, 2, m3) == borel - m3.act(weyl(tw), borel)
 
 
 def test_zeta_coefficient_routes_agree(tower33):

@@ -15,6 +15,14 @@ cyclotomic ``_inv`` and ``_from_rational``, turn an integral ``Fraction``
 result back into an ``int``; later cyclotomic arithmetic may leave an
 integral ``Fraction`` in place.  ``Fraction(k) == k`` and the two hash
 alike, so reps stay canonical by value.  No operation ever yields a float.
+
+Over Q(zeta_n) every character value, and nearly every coefficient of the
+induced action, is a root of unity +-zeta_n^k.  ``CyclotomicField`` keeps
+the one tuple rep for these too, but looks them up in an index of their
+exponents: a product of two of them is the rep of zeta^(i+j) with the
+product sign, an inverse that of zeta^-k, and a factor of 1 returns the
+other operand.  Every other product is a schoolbook multiply folded mod
+Phi_n, every other inverse the Galois-norm product.
 """
 
 from __future__ import annotations
@@ -293,13 +301,24 @@ class CyclotomicField(CoeffField):
 
     def _mul(self, a, b):
         d = self.degree
-        # rational factors act by plain scaling
+        # rational factors act by plain scaling, and 1 not at all
         if not any(a[1:]):
             c = a[0]
+            if c == 1:
+                return b
             return tuple(c * y for y in b) if c else a
         if not any(b[1:]):
             c = b[0]
+            if c == 1:
+                return a
             return tuple(c * x for x in a) if c else b
+        # two roots of unity multiply by adding exponents
+        index = self._root_index
+        ra = index.get(a)
+        if ra is not None:
+            rb = index.get(b)
+            if rb is not None:
+                return self._signed_zeta(ra[0] + rb[0], ra[1] * rb[1])
         out = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
@@ -316,17 +335,30 @@ class CyclotomicField(CoeffField):
 
     @cached_property
     def _root_index(self):
-        """zeta_n^k -> k: nearly every inverse taken is of a root of unity."""
-        return {self._zeta(k): k for k in range(self.n)}
+        """Every root of unity of the field, +-zeta_n^k, -> (k, +-1).
+
+        These are the character values and nearly every coefficient of the
+        induced action, so most products and inverses are of them.  For
+        even n, -zeta^k is zeta^(k + n/2) and keeps its unsigned entry;
+        built on first use, it holds at most 2n reps."""
+        index = {self._zeta(k): (k, 1) for k in range(self.n)}
+        for k in range(self.n):
+            index.setdefault(self._signed_zeta(k, -1), (k, -1))
+        return index
+
+    def _signed_zeta(self, k: int, sign: int):
+        z = self._zeta(k)
+        return z if sign == 1 else tuple(-c for c in z)
 
     def _inv(self, a):
-        """a^-1 = prod_{k != 1} sigma_k(a) / N(a), k over (Z/n)^*, where
+        """(+-zeta^k)^-1 = +-zeta^-k; any other a^-1 is
+        prod_{k != 1} sigma_k(a) / N(a), k over (Z/n)^*, where
         sigma_k(a) = sum_j a_j zeta^(jk).  With the denominators of a
         cleared first, the product stays in Z[zeta_n] and one division by
         the norm ends it."""
-        k = self._root_index.get(a)
-        if k is not None:
-            return self._zeta(-k)
+        root = self._root_index.get(a)
+        if root is not None:
+            return self._signed_zeta(-root[0], root[1])
         den = math.lcm(*(c.denominator for c in a))
         a = tuple(c.numerator * (den // c.denominator) for c in a)
         d = self.degree

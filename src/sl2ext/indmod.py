@@ -26,15 +26,16 @@ Composed along the Bruhat form of g, they give the closed form that
 ``InducedModule.action(g)`` compiles g once and returns an ``Action``
 that applies it to many labels or vectors; a loop that repeats an element
 takes its action once, and ``act`` is the single-use wrapper.  An action
-lives as long as the loop that holds it: nothing is memoized on the
-module.
+lives as long as the loop that holds it.  The one action kept with the
+module is s's, ``weyl_action``: the relation checks and the (1 - s)
+builders apply it in turn.
 
 A vector holds raw reps of the module's field, never a zero rep, and so
 do ``Action.label`` and ``oracle_act_label``.  Scalars enter a vector
 only through ``InducedModule.vec`` and ``Vec.__rmul__``, which check each
 Scalar's field against the module's (``coeff.require_field``), and as the
 character values the ``towerext`` builders write; they leave only through
-``Vec.coeff`` and ``repr``.
+``repr``.
 """
 
 from __future__ import annotations
@@ -105,10 +106,6 @@ class Vec:
         if not isinstance(other, Vec):
             return NotImplemented
         return self.module is other.module and self.support == other.support
-
-    def coeff(self, label: int) -> Scalar:
-        f = self.module.field
-        return Scalar(f, self.support.get(label, f.zero.rep))
 
     def __repr__(self):
         if not self.support:
@@ -231,6 +228,11 @@ class InducedModule:
         """g's action compiled once, to apply to many labels or vectors."""
         return Action(self, self._compile(g))
 
+    @functools.cached_property
+    def weyl_action(self) -> "Action":
+        """s's action, compiled on first use and kept with the module."""
+        return self.action(weyl(self.tower))
+
     def act(self, g: GroupElement, v: Vec) -> Vec:
         return self._apply(self._compile(g), v)
 
@@ -321,10 +323,10 @@ class InducedModule:
         """The first x of xs at which s u(x) s . 1 = theta(x) u(-1/x) s . 1
         fails, or None when it holds at every x (each x != 0).  The scalar
         is produced through the twisted character at the matrix-computed
-        torus part (not through the action rules); s is compiled once."""
+        torus part (not through the action rules)."""
         tw = self.tower
         s = weyl(tw)
-        act_s = self.action(s)
+        act_s = self.weyl_action
         s_one = act_s(self.highest_vector())
         twist = self.theta.weyl_twist()
         for x in xs:
@@ -341,10 +343,9 @@ class InducedModule:
 
     def check_reflection_relation(self, xs, v: Vec):
         """The first x of xs at which s u(x) . v = (u(-1/x) - 1) . v fails,
-        or None when it holds at every x (each x != 0); s is compiled
-        once."""
+        or None when it holds at every x (each x != 0)."""
         tw = self.tower
-        act_s = self.action(weyl(tw))
+        act_s = self.weyl_action
         for x in xs:
             if x == 0:
                 raise ValueError("x must be nonzero")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from . import grp
 from .charmod import TorusCharacter, nu_character
 from .coeff import require_field
-from .grp import GroupElement, unip, torus, weyl
+from .grp import GroupElement, unip, torus
 from .indmod import InducedModule, Vec
 from .linalg import SparseSpan, _acc
 from .tower import Tower
@@ -133,7 +133,7 @@ def group_average_vector(theta: TorusCharacter, i: int, mod_next: InducedModule)
     tw = mod_next.tower
     b = _quadratic_free_element(theta, i, tw)
     first = borel_average(theta, i, mod_next, b)
-    reflected = mod_next.act(weyl(tw), first)
+    reflected = mod_next.weyl_action(first)
     out = first
     for x in tw.enumerate_level(i):
         out = out + mod_next.act(unip(tw, x), reflected)
@@ -201,7 +201,7 @@ def check_steinberg_relations(zeta: Vec, theta: TorusCharacter, i: int) -> bool:
     nonzero level-i x (the x = 0 instance is read as the plain s-relation)."""
     mod = zeta.module
     tw = mod.tower
-    if mod.act(weyl(tw), zeta) != -zeta:
+    if mod.weyl_action(zeta) != -zeta:
         return False
     return (all(mod.act(torus(tw, t), zeta) == zeta for t in tw.units(i))
             and mod.check_reflection_relation(tw.units(i), zeta) is None)

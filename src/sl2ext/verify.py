@@ -570,7 +570,7 @@ def _chk_zeta(ctx: Context, params: dict) -> tuple:
         return "FAIL", payload
     # (1 - s) applied to the plain Borel average reproduces the expansion
     borel = towerext.borel_average(theta, i, mod_next, b)
-    alt = borel - mod_next.act(grp.weyl(tw), borel)
+    alt = borel - mod_next.weyl_action(borel)
     payload["matches_one_minus_s"] = alt == zeta
     ok = payload["matches_one_minus_s"]
     return ("PASS" if ok else "FAIL"), payload

@@ -226,12 +226,15 @@ def _fraction_product_mod_phi(n, a, b):
     d = len(phi) - 1
     out = [Fraction(0)] * (2 * d - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += Fraction(x) * Fraction(y)
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += Fraction(x) * Fraction(y)
     for k in range(len(out) - 1, d - 1, -1):
         c = out[k]
-        for j in range(d + 1):
-            out[k - d + j] -= c * phi[j]
+        if c:
+            for j in range(d + 1):
+                out[k - d + j] -= c * phi[j]
     return tuple(out[:d])
 
 
@@ -396,6 +399,53 @@ def test_cyclotomic_norm_inverse_property(n, data):
     assert field._mul(a, inv) == field._one_rep()
     # integral results are ints, every other coefficient a Fraction
     assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in inv)
+
+
+def _signed_roots(field):
+    """Every root of unity of Q(zeta_n) as (k, sign, rep of sign * zeta^k),
+    built through the Scalar operators."""
+    out = []
+    for k in range(field.n):
+        z = field.root_of_unity(field.n, k)
+        out += [(k, 1, z.rep), (k, -1, (-z).rep)]
+    return out
+
+
+@pytest.mark.parametrize("n", CYCLO_INV_ORDERS)
+def test_signed_root_products_match_fraction_oracle(n):
+    field = CyclotomicField(n)
+    roots = _signed_roots(field)
+    oracle = {}  # zeta^i * zeta^j, i <= j; a sign scales the product
+    for i, _, a in roots[::2]:
+        for j, _, b in roots[2 * i::2]:
+            oracle[i, j] = _fraction_product_mod_phi(n, a, b)
+    one = field._one_rep()
+    for i, s, a in roots:
+        for j, t, b in roots:
+            want = oracle[min(i, j), max(i, j)]
+            got = field._mul(a, b)
+            assert got == (want if s * t == 1 else tuple(-c for c in want))
+            assert all(type(c) is int for c in got)
+        inv = field._inv(a)
+        assert field._mul(a, inv) == one
+        assert _fraction_product_mod_phi(n, a, inv) == one
+
+
+@pytest.mark.parametrize("n", CYCLO_INV_ORDERS)
+def test_signed_roots_take_no_fold(n):
+    # once the index is built, products and inverses of roots of unity are
+    # exponent arithmetic: the fold rows of the schoolbook product go unused
+    field = CyclotomicField(n)
+    roots = _signed_roots(field)
+    assert len(field._root_index) == (n if n % 2 == 0 else 2 * n)
+    field._fold = None
+    monomials = [_monomial_mod_phi(n, k) for k in range(2 * n)]
+    for i, s, a in roots:
+        for j, t, b in roots:
+            want = monomials[i + j]
+            assert field._mul(a, b) == (want if s * t == 1 else tuple(-c for c in want))
+        want = monomials[(-i) % n]
+        assert field._inv(a) == (want if s == 1 else tuple(-c for c in want))
 
 
 @pytest.mark.parametrize("n", CYCLO_INV_ORDERS)

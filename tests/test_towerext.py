@@ -172,6 +172,20 @@ def test_zeta_support_and_relations_q2(tower23, cyc63):
     assert expansion_support(th, 2, m3, b)["distinct"]
 
 
+def test_steinberg_relations_compile_s_once(tower23, cyc63, monkeypatch):
+    tw = tower23
+    th = _char(tw, cyc63, 1)
+    m3 = InducedModule(tw, th, 3)
+    zeta = steinberg_weight_vector(th, 2, m3)
+    counts = _count_compiles(monkeypatch)
+    assert check_steinberg_relations(zeta, th, 2)
+    # the s-negation and the reflection relation share one compiled s
+    assert counts[(id(m3), weyl(tw).key())] == 1
+    # and the module keeps it for the next check
+    assert check_steinberg_relations(zeta, th, 2)
+    assert counts[(id(m3), weyl(tw).key())] == 1
+
+
 def test_zeta_matches_one_minus_s(tower23, cyc63):
     tw = tower23
     th = _char(tw, cyc63, 1)

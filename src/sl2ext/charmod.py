@@ -7,12 +7,13 @@ the coefficient field.  Restriction to lower levels is then coherent for
 free, and the Weyl twist and the derived character of a pair are pure
 exponent arithmetic.  A character is evaluated at a raw tower value, as
 tower elements cross every module boundary raw (see ``tower``, whose
-operator class is the tests' front only).
+operator class is the tests' front only), and its values are raw reps of
+its field.
 """
 
 from __future__ import annotations
 
-from .coeff import CoeffField, Scalar
+from .coeff import CoeffField
 from .tower import Tower
 
 
@@ -31,8 +32,9 @@ class TorusCharacter:
         self.exp = exp % self.order_mod
         self._cache = {}
 
-    def eval(self, val: int) -> Scalar:
-        """Value at a nonzero tower element, as an exact root of unity."""
+    def eval(self, val: int):
+        """Value at a nonzero tower element: an exact root of unity, as a
+        raw rep of the character's field."""
         v = self._cache.get(val)
         if v is None:  # dlog rejects 0 and values outside the tower
             v = self.field.root_of_unity(self.order_mod, self.exp * self.tower.dlog(val))

@@ -1,11 +1,15 @@
 """Exact coefficient fields for the workbench.
 
 Three modes: the rationals, cyclotomic quotients Q[x]/Phi_n(x), and prime
-fields F_l (with optional extension degree).  Scalars are immutable with
-unique canonical representatives, so == is exact equality and every
-nonzero scalar has an exact inverse.  Character values (roots of unity)
-are produced by ``root_of_unity``; a mode supports order n exactly when
-it contains a primitive n-th root.
+fields F_l (with optional extension degree).  Each mode has one value
+type, its raw rep: an immutable canonical representative, so == is exact
+equality, and every nonzero rep has an exact inverse.  A field object
+computes on its reps with ``_add``, ``_sub``, ``_mul`` and ``_inv``; a rep
+does not know its field, so the layers that mix values of two sources
+check the fields once at their boundary (``require_field``).  ``zero``,
+``one``, ``scalar`` and the character values of ``root_of_unity`` are
+reps too; a mode supports order n exactly when it contains a primitive
+n-th root.  ``rep_str`` is a rep's report string.
 
 Both characteristic-0 modes keep a coefficient as a plain ``int`` until a
 division and as a ``Fraction`` only after one: a rational rep is that
@@ -34,99 +38,6 @@ from functools import cached_property
 from . import polyutil
 
 
-class Scalar:
-    """A field element: a mode tag (the field) plus a canonical rep."""
-
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field, rep):
-        self.field = field
-        self.rep = rep
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if self.field != other.field:
-                raise ValueError(f"coefficient mode mismatch: {self.field} vs {other.field}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.scalar(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.field, self.field._add(self.rep, o.rep))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.field, self.field._sub(self.rep, o.rep))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.field, self.field._sub(o.rep, self.rep))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.field, self.field._mul(self.rep, o.rep))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o:
-            raise ZeroDivisionError("division by zero scalar")
-        return Scalar(self.field, self.field._mul(self.rep, self.field._inv(o.rep)))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return Scalar(self.field, self.field._sub(self.field.zero.rep, self.rep))
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inverse() ** -e
-        return Scalar(self.field, self.field._pow(self.rep, e))
-
-    def inverse(self):
-        return self.field.one / self
-
-    def __bool__(self):
-        return self.rep != self.field.zero.rep
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.rep == other.rep
-        if isinstance(other, (int, Fraction)):
-            return self.rep == self.field.scalar(other).rep
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.rep))
-
-    def __repr__(self):
-        return self.field.rep_str(self.rep)
-
-    def serialize(self) -> str:
-        return self.field.rep_str(self.rep)
-
-
 def require_field(field, other) -> None:
     """Raise unless `other` is `field` or an equal instance of it."""
     if other is not field and other != field:
@@ -141,18 +52,19 @@ def _integral(x: Fraction):
 class CoeffField:
     """Base for the three coefficient modes."""
 
-    def scalar(self, x) -> Scalar:
-        return Scalar(self, self._from_rational(Fraction(x)))
+    def scalar(self, x):
+        """The rep of a rational number (an int or a ``Fraction``)."""
+        return self._from_rational(Fraction(x))
 
     @cached_property
-    def zero(self) -> Scalar:
+    def zero(self):
         return self.scalar(0)
 
     @cached_property
-    def one(self) -> Scalar:
+    def one(self):
         return self.scalar(1)
 
-    def root_of_unity(self, n: int, e: int) -> Scalar:
+    def root_of_unity(self, n: int, e: int):
         """zeta_n^e; raises ValueError when the mode lacks the order."""
         e %= n
         if e == 0:
@@ -173,7 +85,7 @@ class CoeffField:
 
     def _pow(self, rep, e: int):
         """rep^e for e >= 0, by square-and-multiply over ``_mul``."""
-        out, base = self.one.rep, rep
+        out, base = self.one, rep
         while e:
             if e & 1:
                 out = self._mul(out, base)
@@ -184,10 +96,9 @@ class CoeffField:
     def _sub_scaled(self, a: dict, c, b: dict) -> dict:
         """a - c*b on dicts of raw reps, dropping the entries that cancel.
 
-        The elimination kernel of ``linalg``: the same raw calls, in the
-        same order, that the Scalar operators would make.
+        The elimination kernel of ``linalg``, on the field's raw ops.
         """
-        zero = self.zero.rep
+        zero = self.zero
         mul, sub = self._mul, self._sub
         out = dict(a)
         for k, v in b.items():
@@ -240,7 +151,7 @@ class RationalField(CoeffField):
                 out.pop(k, None)
         return out
 
-    def _primitive_root(self, order: int, e: int) -> Scalar:
+    def _primitive_root(self, order: int, e: int):
         if order == 1:
             return self.one
         if order == 2:
@@ -392,10 +303,10 @@ class CyclotomicField(CoeffField):
             lst.append(tuple(cur))
         return lst[k]
 
-    def _primitive_root(self, order: int, e: int) -> Scalar:
+    def _primitive_root(self, order: int, e: int):
         if self.n % order != 0:
             raise ValueError(f"cyclotomic order {self.n} has no root of order {order}")
-        return Scalar(self, self._zeta((self.n // order) * e))
+        return self._zeta((self.n // order) * e)
 
     def characteristic(self) -> int:
         return 0
@@ -489,9 +400,9 @@ class PrimeField(CoeffField):
         if self._gen is None:
             n = self.size - 1
             primes = polyutil.factorize(n)
-            one = self.one.rep
+            one = self.one
             for rep in self._elements():
-                if rep == self.zero.rep:
+                if rep == self.zero:
                     continue
                 if all(self._pow(rep, n // r) != one for r in primes):
                     self._gen = rep
@@ -500,7 +411,7 @@ class PrimeField(CoeffField):
                 raise RuntimeError("no multiplicative generator found")
         return self._gen
 
-    def _primitive_root(self, order: int, e: int) -> Scalar:
+    def _primitive_root(self, order: int, e: int):
         if (self.size - 1) % order != 0:
             raise ValueError(
                 f"F_{self.ell}^{self.m} has no root of unity of order {order}"
@@ -510,7 +421,7 @@ class PrimeField(CoeffField):
         if rep is None:
             rep = self._pow(self._generator(), (self.size - 1) // order * (e % order))
             self._root_cache[key] = rep
-        return Scalar(self, rep)
+        return rep
 
     def characteristic(self) -> int:
         return self.ell

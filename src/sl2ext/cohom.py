@@ -18,8 +18,8 @@ Everything here is raw: a FiniteRep is given raw generator matrices (the
 induced and Steinberg ones are read off the raw module action), and the
 builders multiply and accumulate raw reps through the field's raw ops and
 ``linalg._acc``, and hand raw rows to ``linalg.nullspace`` and
-``SparseSpan.insert``.  Scalars appear only in the outcome of a
-torus-cochain normalization.
+``SparseSpan.insert``.  The torus-cochain normalization reads and
+returns raw reps as well.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from . import grp
 from .charmod import TorusCharacter
-from .coeff import CoeffField, Scalar
+from .coeff import CoeffField
 from .indmod import HIGHEST, InducedModule
 from .linalg import SparseSpan, _acc, nullspace
 from .tower import Tower
@@ -38,7 +38,7 @@ from .tower import Tower
 
 
 def mat_mul(field, A, B):
-    mul, add, zero = field._mul, field._add, field.zero.rep
+    mul, add, zero = field._mul, field._add, field.zero
     n, k, m = len(A), len(B), len(B[0])
     out = []
     for r in range(n):
@@ -53,7 +53,7 @@ def mat_mul(field, A, B):
 
 
 def mat_identity(field, n):
-    one, zero = field.one.rep, field.zero.rep
+    one, zero = field.one, field.zero
     return tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))
 
 
@@ -119,7 +119,7 @@ class FiniteRep:
 
     @classmethod
     def trivial(cls, group: GroupTable, field: CoeffField) -> "FiniteRep":
-        one = ((field.one.rep,),)
+        one = ((field.one,),)
         return cls(group, field, [one for _ in group.gens], "trivial")
 
     @classmethod
@@ -128,7 +128,7 @@ class FiniteRep:
             raise ValueError("module level does not match the group level")
         labels = module.labels()
         col = {l: j for j, l in enumerate(labels)}
-        zero = module.field.zero.rep
+        zero = module.field.zero
         mats = []
         for s in group.gens:
             m = [[zero] * len(labels) for _ in labels]
@@ -147,7 +147,7 @@ class FiniteRep:
         vecs = module_tr.steinberg_vectors()
         # vector j is u(x).(1 - s).1, the basis vector at x
         col = {x: j for j, v in enumerate(vecs) for x in v.support if x != HIGHEST}
-        zero = module_tr.field.zero.rep
+        zero = module_tr.field.zero
         mats = []
         for s in group.gens:
             m = [[zero] * len(vecs) for _ in vecs]
@@ -166,7 +166,7 @@ def _coboundary_map(M: FiniteRep, N: FiniteRep) -> dict:
     """phi -> rho_N(s_k) phi - phi rho_M(s_k) as its rows: (k, r, c) -> the
     raw row over the entries (r0, c0) of phi; zero rows are left out."""
     field = M.field
-    add, sub, zero = field._add, field._sub, field.zero.rep
+    add, sub, zero = field._add, field._sub, field.zero
     rows = {}
     for k in range(len(M.group.gens)):
         A, B = N._gen_mats[k], M._gen_mats[k]
@@ -221,7 +221,7 @@ def _edge_forms(field, A, k, E, B):
     in the (k, r, c) variables, both terms accumulated into one dict per
     entry: A is rho_N(g), E the forms of C(g) and B is rho_M(s_k), all raw
     reps."""
-    mul, add, zero = field._mul, field._add, field.zero.rep
+    mul, add, zero = field._mul, field._add, field.zero
     dM = len(B)
     out = []
     for A_r, E_r in zip(A, E):
@@ -246,7 +246,7 @@ def ext1_bfs(M: FiniteRep, N: FiniteRep):
     if M.field != N.field:
         raise ValueError("coefficient mode mismatch between representations")
     field = M.field
-    add, sub, zero = field._add, field._sub, field.zero.rep
+    add, sub, zero = field._add, field._sub, field.zero
     group = M.group
     ngen = len(group.gens)
     variables = [(k, r, c) for k in range(ngen) for r in range(N.dim) for c in range(M.dim)]
@@ -285,8 +285,8 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
     if M.field != N.field:
         raise ValueError("coefficient mode mismatch between representations")
     field = M.field
-    add, zero = field._add, field.zero.rep
-    minus_one = field._sub(zero, field.one.rep)
+    add, zero = field._add, field.zero
+    minus_one = field._sub(zero, field.one)
     group = M.group
     e = group.identity_index
     # one key tuple per unknown, shared by every row that mentions it: these
@@ -323,7 +323,7 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
 @dataclass
 class NormalizeOutcome:
     status: str  # "normal" | "corrected" | "obstruction"
-    correction: Scalar | None
+    correction: object  # the constant a, a raw rep; None unless corrected
     note: str = ""
 
 
@@ -339,22 +339,23 @@ def normalize_torus_cochain(theta: TorusCharacter, level: int, phi: dict) -> Nor
     """
     tw = theta.tower
     field = theta.field
+    add, sub, mul = field._add, field._sub, field._mul
     torus_vals = tw.units(level)
     for t in torus_vals:
         if t not in phi:
             raise ValueError("cochain must be defined on the whole level torus")
     for x in torus_vals:
         for y in torus_vals:
-            if phi[tw._mul(x, y)] != theta.eval(y) * phi[x] + phi[y]:
+            if phi[tw._mul(x, y)] != add(mul(theta.eval(y), phi[x]), phi[y]):
                 raise ValueError(f"not a cochain: twisted additivity fails at ({x}, {y})")
-    if all(not phi[t] for t in torus_vals):
+    if all(phi[t] == field.zero for t in torus_vals):
         return NormalizeOutcome("normal", None)
     one = field.one
     if not theta.is_trivial_on_level(level):
         x0 = next(t for t in torus_vals if theta.eval(t) != one)
-        a = phi[x0] / (theta.eval(x0) - one)
+        a = mul(phi[x0], field._inv(sub(theta.eval(x0), one)))
         for t in torus_vals:
-            if phi[t] != a * (theta.eval(t) - one):
+            if phi[t] != mul(a, sub(theta.eval(t), one)):
                 raise ValueError("cochain is not of the normal shape despite the law")
         return NormalizeOutcome("corrected", a)
     n = len(torus_vals)

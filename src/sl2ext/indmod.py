@@ -31,11 +31,11 @@ module is s's, ``weyl_action``: the relation checks and the (1 - s)
 builders apply it in turn.
 
 A vector holds raw reps of the module's field, never a zero rep, and so
-do ``Action.label`` and ``oracle_act_label``.  Scalars enter a vector
-only through ``InducedModule.vec`` and ``Vec.__rmul__``, which check each
-Scalar's field against the module's (``coeff.require_field``), and as the
-character values the ``towerext`` builders write; they leave only through
-``repr``.
+do ``Action.label`` and ``oracle_act_label``.  A rep does not carry its
+field: the module reads its own character's values, and a caller that
+scales by or writes another character's values checks that character's
+field against the module's first (``coeff.require_field``), as the
+``towerext`` builders and checks do.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import functools
 
 from . import grp
 from .charmod import TorusCharacter
-from .coeff import Scalar, require_field
 from .grp import GroupElement, bruhat, weyl, unip, torus
 from .linalg import SparseSpan, _acc, monomial_invariants
 from .tower import Tower, BudgetError
@@ -72,7 +71,7 @@ class Vec:
         """self + other, or self - other, in one pass over other."""
         self._same(other)
         f = self.module.field
-        add, sub, zero = f._add, f._sub, f.zero.rep
+        add, sub, zero = f._add, f._sub, f.zero
         out = dict(self.support)
         for k, r in other.support.items():
             _acc(out, k, sub(zero, r) if minus else r, add, zero)
@@ -80,20 +79,16 @@ class Vec:
 
     def __neg__(self) -> "Vec":
         f = self.module.field
-        sub, zero = f._sub, f.zero.rep
+        sub, zero = f._sub, f.zero
         return Vec(self.module, {k: sub(zero, r) for k, r in self.support.items()})
 
-    def __rmul__(self, c) -> "Vec":
-        # an int is coerced into the field first and may vanish there
+    def scale(self, c) -> "Vec":
+        """c * self, for a raw rep c of the module's field."""
         f = self.module.field
-        if isinstance(c, Scalar):
-            require_field(f, c.field)
-        else:
-            c = f.scalar(c)
-        if not c:
+        if c == f.zero:
             return Vec(self.module, {})
-        mul, r = f._mul, c.rep
-        return Vec(self.module, {k: mul(v, r) for k, v in self.support.items()})
+        mul = f._mul
+        return Vec(self.module, {k: mul(v, c) for k, v in self.support.items()})
 
     def _same(self, other):
         if not isinstance(other, Vec) or other.module is not self.module:
@@ -147,7 +142,7 @@ class InducedModule:
         self.level = level
         # theta at a level element, as a raw field rep, memoized by encoding
         self._th = functools.lru_cache(maxsize=None)(
-            lambda val: theta.eval(tower.value(val, level)).rep)
+            lambda val: theta.eval(tower.value(val, level)))
 
     @property
     def dim(self) -> int:
@@ -159,20 +154,8 @@ class InducedModule:
     def zero(self) -> Vec:
         return Vec(self, {})
 
-    def vec(self, items) -> Vec:
-        """The vector of (label, Scalar) items; zero values are dropped and
-        a value from another field raises."""
-        field = self.field
-        zero = field.zero.rep
-        out = {}
-        for label, c in dict(items).items():
-            require_field(field, c.field)
-            if c.rep != zero:
-                out[label] = c.rep
-        return Vec(self, out)
-
     def basis_vector(self, label: int) -> Vec:
-        return Vec(self, {label: self.field.one.rep})
+        return Vec(self, {label: self.field.one})
 
     def highest_vector(self) -> Vec:
         return self.basis_vector(HIGHEST)
@@ -256,9 +239,10 @@ class InducedModule:
         """u(x) . (1 - s).1 for x at this level; trivial character only."""
         if not self.theta.is_trivial():
             raise ValueError("the alternating generator needs the trivial character")
-        one = self.field.one
-        hi, cell = one.rep, (-one).rep
-        return [Vec(self, {HIGHEST: hi, x: cell}) for x in self.tower.enumerate_level(self.level)]
+        f = self.field
+        one, minus_one = f.one, f._sub(f.zero, f.one)
+        return [Vec(self, {HIGHEST: one, x: minus_one})
+                for x in self.tower.enumerate_level(self.level)]
 
     def steinberg_coordinates(self, v: Vec) -> dict:
         """Coordinates of a Steinberg-span vector in the shifted-generator
@@ -267,7 +251,7 @@ class InducedModule:
         if v.module is not self:
             raise ValueError("vector from a different module")
         f = self.field
-        add, sub, zero = f._add, f._sub, f.zero.rep
+        add, sub, zero = f._add, f._sub, f.zero
         # the coordinate at x is minus the coefficient of cell(x)
         coords = {}
         total = zero
@@ -336,7 +320,7 @@ class InducedModule:
             conj = s * torus(tw, tw._neg(x)) * s  # the torus part of the refactored product
             if conj.b or conj.c:
                 return x
-            rhs = twist.eval(conj.a) * self.act(unip(tw, tw._neg(tw._inv(x))), s_one)
+            rhs = self.act(unip(tw, tw._neg(tw._inv(x))), s_one).scale(twist.eval(conj.a))
             if lhs != rhs:
                 return x
         return None
@@ -359,5 +343,6 @@ class InducedModule:
         None."""
         if not self.theta.is_trivial():
             raise ValueError("the relation lives in the trivial-character module")
-        one = self.field.one
-        return self.check_reflection_relation(xs, Vec(self, {HIGHEST: one.rep, 0: (-one).rep}))
+        f = self.field
+        eta = Vec(self, {HIGHEST: f.one, 0: f._sub(f.zero, f.one)})
+        return self.check_reflection_relation(xs, eta)

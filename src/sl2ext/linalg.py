@@ -4,10 +4,9 @@ SparseSpan keeps a reduced echelon basis with deterministic pivoting
 (smallest coordinate first), which makes dimensions, membership tests and
 serialized bases reproducible bit for bit.
 
-Everything here is raw: a vector is a dict of raw reps of one field and
-never holds a zero rep.  Scalars are checked and unwrapped at the module
-boundary (``InducedModule.vec``, ``Vec.__rmul__`` and the character values
-the ``towerext`` builders write), never here.  ``_acc`` is the one
+A vector is a dict of raw reps of one field (see ``coeff``) and never
+holds a zero rep.  Fields are checked where a character's values enter a
+module vector (``indmod``, ``towerext``), never here.  ``_acc`` is the one
 add-and-drop-on-cancel accumulator of the vector and cocycle builders.
 """
 
@@ -101,7 +100,7 @@ def nullspace(rows: list, variables: list, field: CoeffField) -> list:
         if r:
             span.insert({pos[k]: c for k, c in r.items()})
     echelon = span._rows
-    one, zero, sub = field.one.rep, field.zero.rep, field._sub
+    one, zero, sub = field.one, field.zero, field._sub
     basis = []
     for f in range(len(variables)):
         if f in echelon:
@@ -126,7 +125,7 @@ def monomial_invariants(labels, maps, field: CoeffField) -> list:
     component, rooted at the component's smallest label (coefficient 1
     there).
     """
-    mul, inv, one = field._mul, field._inv, field.one.rep
+    mul, inv, one = field._mul, field._inv, field.one
     parent = {l: l for l in labels}
     weight = {l: one for l in labels}  # v[l] = weight[l] * v[root]
     dead = set()

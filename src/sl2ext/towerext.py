@@ -18,13 +18,14 @@ the certificates record is that the connecting vector escapes the
 relevant invariant subspace, which is the finite shadow of the limit
 extension being nonsplit.
 
-Vectors hold raw reps (see ``indmod``).  The builders below write
-character values into them: each checks once that the character's field
-is the module's field, then unwraps the values it writes.  A system takes
-its field from its characters.  Tower elements (labels, torus values, the
-escape elements a and b) cross in and out as raw values and are computed
-with the tower's raw ops (see ``tower``, whose operator class is the
-tests' front only).
+Vectors hold raw reps (see ``indmod``), and so do character values.
+The builders below write a character's values into a vector, and
+``check_borel_weight`` scales by them: each checks once that the
+character's field is the module's field.  A system takes its field from
+its characters; the F and H systems' scalar top is a raw rep too.  Tower
+elements (labels, torus values, the escape elements a and b) cross in
+and out as raw values and are computed with the tower's raw ops (see
+``tower``, whose operator class is the tests' front only).
 """
 
 from __future__ import annotations
@@ -82,10 +83,10 @@ def borel_average(chi: TorusCharacter, i: int, mod_next: InducedModule,
     field = mod_next.field
     require_field(field, chi.field)
     tw = mod_next.tower
-    add, zero = field._add, field.zero.rep
+    add, zero = field._add, field.zero
     out: dict = {}
     for t, labels in shifted_cosets(tw, i, a):
-        c = chi.eval(tw._inv(t)).rep
+        c = chi.eval(tw._inv(t))
         for label in labels:
             _acc(out, label, c, add, zero)
     return Vec(mod_next, out)
@@ -105,12 +106,13 @@ def check_borel_weight(eta: Vec, lam: TorusCharacter, i: int) -> bool:
     """Exhaustively: fixed by the level-i unipotents, and h(t) scales by
     lam(t) for every level-i torus value."""
     mod = eta.module
+    require_field(mod.field, lam.field)
     tw = mod.tower
     for u in tw.enumerate_level(i):
         if mod.act(unip(tw, u), eta) != eta:
             return False
     for t in tw.units(i):
-        if mod.act(torus(tw, t), eta) != lam.eval(t) * eta:
+        if mod.act(torus(tw, t), eta) != eta.scale(lam.eval(t)):
             return False
     return True
 
@@ -159,14 +161,14 @@ def steinberg_weight_vector(theta: TorusCharacter, i: int, mod_next: InducedModu
     tw, field = mod_next.tower, mod_next.field
     b = _quadratic_free_element(theta, i, tw)
     require_field(field, theta.field)
-    add, sub, mul, zero = field._add, field._sub, field._mul, field.zero.rep
+    add, sub, mul, zero = field._add, field._sub, field._mul, field.zero
     neg, inv = tw._neg, tw._inv
     out: dict = {}
     for t, labels in shifted_cosets(tw, i, b):
-        cpos = theta.eval(inv(t)).rep
+        cpos = theta.eval(inv(t))
         for label in labels:
             _acc(out, label, cpos, add, zero)
-            cneg = mul(cpos, theta.eval(label).rep)
+            cneg = mul(cpos, theta.eval(label))
             _acc(out, neg(inv(label)), sub(zero, cneg), add, zero)
     return Vec(mod_next, out)
 
@@ -212,8 +214,8 @@ def check_steinberg_relations(zeta: Vec, theta: TorusCharacter, i: int) -> bool:
 
 @dataclass
 class ExtVec:
-    """An element of a level object: scalar top (F, H) or Steinberg top (L),
-    plus a module vector at the bottom."""
+    """An element of a level object: a scalar top (F, H), held as a raw
+    rep, or a Steinberg top (L), plus a module vector at the bottom."""
 
     top: object
     bottom: Vec
@@ -273,10 +275,10 @@ class DirectSystem:
         if self.tag == "F":
             if g.c != 0:
                 raise ValueError("system F only carries the Borel action")
-            scale = self.lam.eval(g.a)
+            mul, scale = self.field._mul, self.lam.eval(g.a)
 
             def top(t):
-                return scale * t
+                return mul(scale, t)
         elif self.tag == "H":
             def top(t):
                 return t
@@ -288,12 +290,12 @@ class DirectSystem:
     def connect(self, v: ExtVec) -> ExtVec:
         if self.tag != "L":
             bottom = _lift(v.bottom, self.mod_next)
-            if v.top:
-                bottom = bottom + v.top * self.conn
+            if v.top != self.field.zero:
+                bottom = bottom + self.conn.scale(v.top)
             return ExtVec(v.top, bottom)
         # the top's coordinate a at x adds a u(x).conn to the lifted bottom
         f = self.field
-        mul, add, zero = f._mul, f._add, f.zero.rep
+        mul, add, zero = f._mul, f._add, f.zero
         out = dict(v.bottom.support)  # the lifted bottom: labels embed
         for xval, a in self.st_i.steinberg_coordinates(v.top).items():
             for label, c in self._shifted_conn(xval).support.items():
@@ -322,8 +324,8 @@ class DirectSystem:
         if self.tag == "L":
             for k, c in v.top.support.items():
                 out[(0, k)] = c
-        elif v.top:
-            out[(0, 0)] = v.top.rep
+        elif v.top != self.field.zero:
+            out[(0, 0)] = v.top
         for k, c in v.bottom.support.items():
             out[(1, k)] = c
         return out
@@ -395,7 +397,7 @@ def nonsplit_certificate(tag: str, tower: Tower, i: int,
     inv = mod_next.invariant_subspace("T" if tag == "L" else "U")
 
     total = SparseSpan(system.field)
-    one = system.field.one.rep
+    one = system.field.one
     for label in system.mod_i.labels():
         total.insert({label: one})
     d_lower = total.dim

@@ -26,7 +26,7 @@ def test_multiplicativity_exhaustive(tower32, cyc8):
     elems = [tower32.element(t) for t in tower32.units(2)]
     for a in elems:
         for b in elems:
-            assert th.eval((a * b).val) == th.eval(a.val) * th.eval(b.val)
+            assert th.eval((a * b).val) == cyc8._mul(th.eval(a.val), th.eval(b.val))
 
 
 def test_restriction_coherence(tower33):
@@ -37,7 +37,7 @@ def test_restriction_coherence(tower33):
     zeta1 = F.root_of_unity(n1, 1)
     for t in tower33.units(1):
         e1 = tower33.dlog(t, 1)
-        assert th.eval(t) == zeta1 ** (th.restriction_exp(1) * e1)
+        assert th.eval(t) == F._pow(zeta1, th.restriction_exp(1) * e1)
 
 
 def test_weyl_twist_involution(tower32, cyc8):

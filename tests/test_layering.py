@@ -15,8 +15,10 @@ single-use `act`), so no module but `indmod.py` names either helper.
 
 Every public function and method in `src/sl2ext` has a reader in `src/`
 outside its own body: code that only tests call is deleted or becomes a
-registry check.  `Tower.element`, the tests' front for `TowerElem`, is
-the one exception.
+registry check.  A module function is read by its name or as an
+attribute; a method only as an attribute (`x.name`), so a local variable
+that shares a method's name does not count as a reader.  `Tower.element`,
+the tests' front for `TowerElem`, is the one exception.
 
 In `verify.py` only the runner builds a `Report`: check bodies return
 `(verdict, payload[, reason])` and `run_lemma` turns that into the report,
@@ -131,27 +133,33 @@ def test_only_the_runner_builds_reports():
 UNREFERENCED_OK = {"Tower.element"}
 
 
-def _referenced(node) -> collections.Counter:
-    """How often each name is read under node, as a Name or an Attribute."""
+def _referenced(node, attributes_only=False) -> collections.Counter:
+    """How often each name is read under node, as an Attribute and, unless
+    attributes_only, as a Name."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                               if isinstance(n, (ast.Name, ast.Attribute)))
+                               if isinstance(n, kinds))
 
 
 def _public_defs(tree):
-    """(qualified name, def) of every public module function and method."""
+    """(qualified name, def, is a method) of every public module function
+    and method."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name, node
+            yield node.name, node, False
         elif isinstance(node, ast.ClassDef):
-            yield from ((f"{node.name}.{d.name}", d) for d in node.body
+            yield from ((f"{node.name}.{d.name}", d, True) for d in node.body
                         if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"))
 
 
 def _unreferenced(src):
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(src.glob("*.py"))}
-    refs = sum((_referenced(tree) for tree in trees.values()), collections.Counter())
-    return [f"{name}:{qual}" for name, tree in trees.items() for qual, node in _public_defs(tree)
-            if refs[node.name] == _referenced(node)[node.name] and qual not in UNREFERENCED_OK]
+    refs = {kind: sum((_referenced(tree, kind) for tree in trees.values()), collections.Counter())
+            for kind in (False, True)}
+    return [f"{name}:{qual}" for name, tree in trees.items()
+            for qual, node, method in _public_defs(tree)
+            if refs[method][node.name] == _referenced(node, method)[node.name]
+            and qual not in UNREFERENCED_OK]
 
 
 def test_every_public_function_has_a_reader_in_src():
@@ -161,6 +169,11 @@ def test_every_public_function_has_a_reader_in_src():
 def test_the_reader_lint_sees_an_unread_function(tmp_path):
     (tmp_path / "a.py").write_text("def used():\n    return used()\n\n"
                                    "class K:\n    def m(self):\n        return self.m\n"
-                                   "    def n(self):\n        return 0\n")
-    (tmp_path / "b.py").write_text("from .a import K\nK().n()\n")
-    assert _unreferenced(tmp_path) == ["a.py:used", "a.py:K.m"]
+                                   "    def n(self):\n        return 0\n"
+                                   "    def v(self):\n        return 1\n")
+    # a local variable named like the unread method K.v is no reader of it;
+    # a module function read by its bare name is
+    (tmp_path / "b.py").write_text("from .a import K\nK().n()\n\n"
+                                   "def f():\n    return 2\n\n"
+                                   "def g():\n    v = f()\n    return v\n")
+    assert _unreferenced(tmp_path) == ["a.py:used", "a.py:K.m", "a.py:K.v", "b.py:g"]

@@ -4,7 +4,7 @@ import pytest
 
 from sl2ext import grp
 from sl2ext.charmod import TorusCharacter
-from sl2ext.coeff import CyclotomicField, PrimeField, RationalField, Scalar
+from sl2ext.coeff import CyclotomicField, PrimeField, RationalField
 from sl2ext.grp import unip, weyl
 from sl2ext.indmod import InducedModule, Vec
 from sl2ext.towerext import (
@@ -39,7 +39,7 @@ def test_eta_frozen_at_q2_level1(tower23, cyc63):
     a = tw.first_outside_subfield(1)
     # one representative, two unipotent shifts: cell(a) + cell(a + 1)
     assert sorted(eta.support) == sorted([a, tw._add(a, 1)])
-    assert all(c == cyc63.one.rep for c in eta.support.values())
+    assert all(c == cyc63.one for c in eta.support.values())
 
 
 def test_eta_support_size_and_units(tower33):
@@ -51,7 +51,7 @@ def test_eta_support_size_and_units(tower33):
     eta = borel_weight_vector(lam, mu, 2, m3)
     reps = len(grp.center_quotient_reps(tw, 2))
     assert len(eta.support) == reps * tw.level_size(2)
-    assert all(c != F.zero.rep for c in eta.support.values())
+    assert all(c != F.zero for c in eta.support.values())
 
 
 def test_eta_weight_checks(tower23, tower32, cyc63, cyc8):
@@ -77,13 +77,33 @@ def test_eta_center_mismatch_rejected(tower32, cyc8):
         borel_weight_vector(lam, mu, 1, m2)
 
 
+# each entry: a boundary where a character's values enter a module vector
+FIELD_BOUNDARIES = {
+    "borel_average": lambda ch, i, mod, eta: borel_average(ch, i, mod, mod.tower.first_outside_subfield(i)),
+    "steinberg_weight_vector": lambda ch, i, mod, eta: steinberg_weight_vector(ch, i, mod),
+    "check_borel_weight": lambda ch, i, mod, eta: check_borel_weight(eta, ch, i),
+}
+
+
+@pytest.mark.parametrize("foreign", [CyclotomicField(63), RationalField(), PrimeField(7, 2)], ids=repr)
+@pytest.mark.parametrize("boundary", FIELD_BOUNDARIES)
+def test_a_character_of_another_field_is_rejected(tower23, foreign, boundary):
+    # a raw rep does not carry its field, so each boundary compares fields
+    tw, own = tower23, PrimeField(7)
+    mod = InducedModule(tw, _char(tw, own, 0), 3)
+    eta = borel_average(_char(tw, own, 0), 2, mod, tw.first_outside_subfield(2))
+    assert check_borel_weight(eta, _char(tw, PrimeField(7), 0), 2)
+    with pytest.raises(ValueError, match="coefficient mode mismatch"):
+        FIELD_BOUNDARIES[boundary](_char(tw, foreign, 0), 2, mod, eta)
+
+
 def test_eta_scaling_insensitivity(tower23, cyc63):
     # scaling the vector changes neither the weight check nor membership
     tw = tower23
     tr = _char(tw, cyc63, 0)
     m3 = InducedModule(tw, tr, 3)
     eta = borel_weight_vector(tr, tr, 2, m3)
-    scaled = cyc63.scalar(7) * eta
+    scaled = eta.scale(cyc63.scalar(7))
     assert check_borel_weight(scaled, tr, 2)
     inv = m3.invariant_subspace("U")
     from sl2ext.linalg import SparseSpan
@@ -91,7 +111,7 @@ def test_eta_scaling_insensitivity(tower23, cyc63):
     span = SparseSpan(cyc63)
     m2 = InducedModule(tw, tr, 2)
     for label in m2.labels():
-        span.insert({label: cyc63.one.rep})
+        span.insert({label: cyc63.one})
     for row in inv.basis():
         span.insert(row)
     assert span.contains(eta.support) == span.contains(scaled.support)
@@ -196,7 +216,7 @@ def test_zeta_matches_one_minus_s(tower23, cyc63):
     for t in map(tw.element, grp.center_quotient_reps(tw, 2)):
         c = th.eval(t.inverse().val)
         for u in tw.enumerate_level(2):
-            borel = borel + c * m3.basis_vector((b_elem * t * t + tw.element(u)).val)
+            borel = borel + m3.basis_vector((b_elem * t * t + tw.element(u)).val).scale(c)
     assert steinberg_weight_vector(th, 2, m3) == borel - m3.act(weyl(tw), borel)
 
 
@@ -209,7 +229,7 @@ def test_zeta_coefficient_routes_agree(tower33):
     for t in map(tw.element, grp.center_quotient_reps(tw, 2)):
         for a in map(tw.element, tw.enumerate_level(2)):
             c = b * t * t + a
-            assert th.eval(t.inverse().val) * th.eval(c.val) == th.eval((b * t + a * t.inverse()).val)
+            assert F._mul(th.eval(t.inverse().val), th.eval(c.val)) == th.eval((b * t + a * t.inverse()).val)
 
 
 def test_zeta_negative_control_collides(tower23, tower33, cyc63):
@@ -233,7 +253,7 @@ def test_connect_F_restriction_is_inclusion(tower23, cyc63):
     sys_f = DirectSystem("F", tw, 1, lam=tr, mu=tr)
     m = sys_f.mod_i.basis_vector(0)
     out = sys_f.connect(ExtVec(cyc63.zero, m))
-    assert not out.top and out.bottom.support == m.support
+    assert out.top == cyc63.zero and out.bottom.support == m.support
 
 
 def test_connect_H_definition(tower23, cyc63):
@@ -321,9 +341,9 @@ def _direct_connect(system, v):
     tw, mod_next = system.tower, system.mod_next
     bottom = Vec(mod_next, dict(v.bottom.support))
     if system.tag != "L":
-        return ExtVec(v.top, bottom + v.top * system.conn if v.top else bottom)
+        return ExtVec(v.top, bottom + system.conn.scale(v.top))
     for x, a in system.st_i.steinberg_coordinates(v.top).items():
-        bottom = bottom + Scalar(system.field, a) * mod_next.act(unip(tw, x), system.conn)
+        bottom = bottom + mod_next.act(unip(tw, x), system.conn).scale(a)
     return ExtVec(Vec(system.st_next, dict(v.top.support)), bottom)
 
 

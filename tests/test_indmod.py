@@ -439,6 +439,33 @@ def test_steinberg_coordinates_roundtrip(tower22):
 # -- scaling, and the field check where a character's values enter --------------
 
 
+@pytest.mark.parametrize("foreign", [CyclotomicField(4), RationalField()], ids=repr)
+def test_action_rejects_scalars_of_another_field(tower32, cyc8, foreign):
+    # a raw rep carries no field: the values of a character over another
+    # field are stopped before they are summed or scaled under the action
+    mod = _module(tower32, cyc8, 1, 2)
+    a = tower32.first_outside_subfield(1)
+    eta = towerext.borel_average(TorusCharacter(tower32, cyc8, 0), 1, mod, a)
+    chi = TorusCharacter(tower32, foreign, 0)
+    with pytest.raises(ValueError, match="coefficient mode mismatch"):
+        towerext.borel_average(chi, 1, mod, a)
+    with pytest.raises(ValueError, match="coefficient mode mismatch"):
+        towerext.check_borel_weight(eta, chi, 1)
+
+
+@pytest.mark.parametrize("foreign", [PrimeField(11), RationalField()], ids=repr)
+@pytest.mark.parametrize("filled", [False, True], ids=["empty", "nonempty"])
+def test_vec_and_scaling_reject_scalars_of_another_field(tower22, foreign, filled):
+    # scaling a vector by a character's values checks the character's field,
+    # also when the vector is empty and no value would be scaled
+    F7 = PrimeField(7)
+    mod = _module(tower22, F7, 1, 2)
+    label = mod.labels()[2]
+    own = {HIGHEST: F7.one, label: F7.scalar(3)} if filled else {}
+    with pytest.raises(ValueError, match="coefficient mode mismatch"):
+        towerext.check_borel_weight(Vec(mod, own), TorusCharacter(tower22, foreign, 0), 1)
+
+
 def test_vec_and_scaling_accept_an_equal_field_instance(tower22):
     # the field check compares fields by value: a second F_7 instance passes
     mod = _module(tower22, PrimeField(7), 1, 2)

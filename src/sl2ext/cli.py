@@ -113,7 +113,13 @@ def cmd_verify(args) -> int:
         reports = run_all(Context(config), lemmas)
         doc = _report_json(config, reports)
         if args.format == "json":
-            rendered = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            # counting payloads hold exact integers past the int -> str digit limit
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                rendered = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            finally:
+                sys.set_int_max_str_digits(limit)
         else:
             rendered = render_text(doc)
         if out:

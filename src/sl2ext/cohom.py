@@ -61,9 +61,9 @@ class GroupTable:
     """The enumerated level-1 group with its generator set, its
     multiplication table and a BFS order."""
 
-    def __init__(self, tower: Tower, budget: int = 100000):
+    def __init__(self, tower: Tower):
         self.tower = tower
-        self.elements = grp.enumerate_subgroup(tower, "G", 1, budget=budget)
+        self.elements = grp.enumerate_subgroup(tower, "G", 1)
         self.index = {g.key(): i for i, g in enumerate(self.elements)}
         # product[gi][hi] is the index of elements[gi] * elements[hi]
         self.product = [[self.index[(g * h).key()] for h in self.elements] for g in self.elements]

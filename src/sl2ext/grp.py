@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .tower import Tower, BudgetError
+from .tower import Tower
 
 
 class GroupElement:
@@ -48,10 +48,6 @@ class GroupElement:
         e, f, g, h = other.a, other.b, other.c, other.d
         return GroupElement(tw, add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h)),
                             add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h)))
-
-    def inverse(self) -> "GroupElement":
-        tw = self.tower
-        return GroupElement(tw, self.d, tw._neg(self.b), tw._neg(self.c), self.a)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -152,16 +148,16 @@ def center_quotient_reps(tw: Tower, i: int) -> list:
     return [t for t in tw.units(i) if tw.p == 2 or t <= tw._neg(t)]
 
 
-def enumerate_subgroup(tw: Tower, which: str, level: int, budget: int = 100000, pgl: bool = False):
-    """Deterministic enumeration of B or G at a level: B as u(x) h(t) in
-    (x, t) order, G as B followed by each b s u(y) in (b, y) order.
+def enumerate_subgroup(tw: Tower, which: str, level: int, pgl: bool = False):
+    """Deterministic enumeration of all of B or G at a level (the registry
+    bounds each check's level by its cost): B as u(x) h(t) in (x, t)
+    order, G as B followed by each b s u(y) in (b, y) order.
 
     PGL mode restricts torus values to center-quotient representatives,
     which picks exactly one of each {g, -g} pair.
     """
-    size = subgroup_order(which, tw.q, level, pgl=pgl)
-    if size > budget:
-        raise BudgetError(f"|{which}_{level}| = {size} exceeds budget {budget}")
+    if which not in ("B", "G"):
+        raise ValueError(f"unknown subgroup {which!r}")
     torus_vals = center_quotient_reps(tw, level) if pgl else tw.units(level)
     xs = tw.enumerate_level(level)
     borel = [unip(tw, x) * torus(tw, t) for x in xs for t in torus_vals]

@@ -46,7 +46,7 @@ from . import grp
 from .charmod import TorusCharacter
 from .grp import GroupElement, bruhat, weyl, unip, torus
 from .linalg import SparseSpan, _acc, monomial_invariants
-from .tower import Tower, BudgetError
+from .tower import Tower
 
 HIGHEST = -1  # label of the highest line; cell labels are element encodings
 
@@ -276,8 +276,6 @@ class InducedModule:
                 w = act(v)
                 if span.insert(w.support):
                     queue.append(w)
-                    if span.dim > self.dim:
-                        raise BudgetError("closure exceeded the dimension cap")
         return span
 
     def invariant_subspace(self, which: str) -> SparseSpan:

@@ -142,13 +142,12 @@ def group_average_vector(theta: TorusCharacter, i: int, mod_next: InducedModule)
     return out
 
 
-def naive_group_average(theta: TorusCharacter, i: int, mod_next: InducedModule,
-                        b: int, budget: int = 200000) -> Vec:
+def naive_group_average(theta: TorusCharacter, i: int, mod_next: InducedModule, b: int) -> Vec:
     """Same vector as a literal sum over the enumerated group; cross-check."""
     tw = mod_next.tower
     base = mod_next.basis_vector(b)
     out = mod_next.zero()
-    for g in grp.enumerate_subgroup(tw, "G", i, budget=budget, pgl=True):
+    for g in grp.enumerate_subgroup(tw, "G", i, pgl=True):
         out = out + mod_next.act(g, base)
     return out
 

@@ -2,16 +2,16 @@
 covers, as one `Check` record.
 
 A record holds the check's stable id, its body, the level range it
-accepts, its other SKIP preconditions and its schedule.  `run_lemma`
-tests the tower or module rule, then the level range, then the other
-preconditions, and SKIPs with the first reason it meets, so a direct
-call at a level `run_all` would never schedule SKIPs as well.  Otherwise
-the body returns `(verdict, payload)` or `(verdict, payload, reason)` and
-`run_lemma` builds the Report.  `run_all` schedules the range's levels
-that fit the enumeration budget unless the record names its own schedule.
-
-Counting certificates run at any level i >= 1 with big integers; module
-level checks stop at the enumeration budget and the ambient-degree cap.
+accepts, its other SKIP preconditions, a level's cost and its schedule.
+`run_lemma` tests the tower or module rule, the level range, the other
+preconditions and last the cost against the budget, and SKIPs with the
+first reason it meets, also at a level `run_all` would never schedule.
+Otherwise the body returns `(verdict, payload)` or `(verdict, payload,
+reason)` and `run_lemma` builds the Report.  `run_all` schedules the
+range's levels whose cost fits the budget unless the record names its
+own schedule.  Only the registry reads the budget; no lower layer takes
+it.  Counting certificates run at any level i >= 1 with big integers;
+module level checks stop at the budget and the ambient-degree cap.
 Negative controls are their own records: they PASS exactly when the
 sabotaged input is caught.
 """
@@ -247,9 +247,12 @@ def _nontrivial_level_torus(ctx: Context, params: dict) -> str | None:
 
 
 def _ext_group(ctx: Context, params: dict) -> str | None:
-    if grp.subgroup_order("G", ctx.q, 1) > EXT_GROUP_CAP:
+    order = grp.subgroup_order("G", ctx.q, 1)
+    if order > EXT_GROUP_CAP:
         return (f"the cocycle oracle is budgeted for level-1 groups of order "
                 f"<= {EXT_GROUP_CAP}")
+    if order > ctx.budget:
+        return f"level budget: |G_1| = {order} exceeds budget {ctx.budget}"
     return None
 
 
@@ -275,7 +278,7 @@ def _chk_bruhat(ctx: Context, params: dict) -> tuple:
     tw = ctx.tower
     n = tw.level_size(i)
     small = big = 0
-    for g in grp.enumerate_subgroup(tw, "G", i, budget=ctx.budget):
+    for g in grp.enumerate_subgroup(tw, "G", i):
         form = grp.bruhat(g)
         if grp.reassemble(form, tw) != g:
             return "FAIL", {"element": g.key()}
@@ -300,7 +303,7 @@ def _chk_act_oracle(ctx: Context, params: dict) -> tuple:
     tw = ctx.tower
     exps = _exponents(ctx)
     gens = grp.generators(tw, i)
-    elements = grp.enumerate_subgroup(tw, "G", i, budget=ctx.budget)
+    elements = grp.enumerate_subgroup(tw, "G", i)
     checked = 0
     for e in exps:
         mod = InducedModule(tw, ctx.char(e), i)
@@ -421,22 +424,9 @@ def _chk_l44(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     tw = ctx.tower
     reps = grp.center_quotient_reps(tw, i)
-    a = tw.first_outside_subfield(i)
-    explicit = tw.level_size(i + 1) <= ctx.budget
-    if explicit:
-        count = _coset_distinct_count(tw, i, a)
-    else:
-        # algebraic criterion: a (t1^2 - t2^2) outside level i for t1 != t2
-        d = tw.level_degree(i)
-        squares = [tw._mul(t, t) for t in reps]
-        count = len(reps)
-        for x1 in range(len(reps)):
-            for x2 in range(x1 + 1, len(reps)):
-                diff = tw._mul(a, tw._add(squares[x1], tw._neg(squares[x2])))
-                if tw._frobenius_fixed(diff, d):
-                    count -= 1
+    count = _coset_distinct_count(tw, i, tw.first_outside_subfield(i))
     ok = count == len(reps)
-    payload = {"distinct_cosets": count, "expected": len(reps), "mode": "explicit" if explicit else "criterion"}
+    payload = {"distinct_cosets": count, "expected": len(reps), "mode": "explicit"}
     return ("PASS" if ok else "FAIL"), payload
 
 
@@ -526,18 +516,12 @@ def _chk_xi(ctx: Context, params: dict) -> tuple:
         return "FAIL", {"nonzero": False}
     pgl_order = ctx.group_order(i, pgl=True)
     payload = {"support": len(xi.support), "group_order": pgl_order}
-    if pgl_order <= ctx.budget:
-        naive = towerext.naive_group_average(theta, i, mod_next, tw.first_outside_double_subfield(i), budget=ctx.budget)
-        payload["structured_equals_naive"] = xi == naive
-        if not payload["structured_equals_naive"]:
-            return "FAIL", payload
-        elements = grp.enumerate_subgroup(tw, "G", i, budget=ctx.budget, pgl=True)
-        payload["invariance"] = "exhaustive"
-    else:
-        rng = random.Random(5303 + i)
-        elements = _sample_group(tw, i, rng, 200)
-        payload["invariance"] = "sampled-200"
-    for g in elements:
+    naive = towerext.naive_group_average(theta, i, mod_next, tw.first_outside_double_subfield(i))
+    payload["structured_equals_naive"] = xi == naive
+    if not payload["structured_equals_naive"]:
+        return "FAIL", payload
+    payload["invariance"] = "exhaustive"
+    for g in grp.enumerate_subgroup(tw, "G", i, pgl=True):
         if mod_next.act(g, xi) != xi:
             return "FAIL", {"moved_by": g.key()}
     return "PASS", payload
@@ -608,12 +592,12 @@ def _chk_connect(ctx: Context, params: dict) -> tuple:
     if not system.check_injective():
         return "FAIL", {"stage": "injectivity"}
     if tag == "F":
-        elements = grp.enumerate_subgroup(tw, "B", i, budget=min(ctx.budget, 2000))
+        elements = grp.enumerate_subgroup(tw, "B", i)
         mode = "exhaustive-borel"
     else:
         order = ctx.group_order(i, pgl=True)
         if order <= 200:
-            elements = grp.enumerate_subgroup(tw, "G", i, budget=ctx.budget, pgl=True)
+            elements = grp.enumerate_subgroup(tw, "G", i, pgl=True)
             mode = "exhaustive"
         else:
             rng = random.Random(7001 + i)
@@ -636,7 +620,7 @@ def _level1_reps(group, tw, field) -> dict:
 def _chk_ext1(ctx: Context, params: dict) -> tuple:
     q = ctx.q
     tw = ctx.tower
-    group = cohom.GroupTable(tw, budget=ctx.budget)
+    group = cohom.GroupTable(tw)
     order = len(group)
     torus_order = q - 1
     ell = choose_prime_for_order(max(torus_order, 1), 5)
@@ -690,18 +674,18 @@ class Check(NamedTuple):
     """One registry record: the check's id and body, the level range it
     accepts (per system for connect-inj; None for a check without a
     level), the tower or module rule, its other SKIP preconditions, the
-    enumeration cost of a level and an optional schedule."""
+    cost of a level and an optional schedule."""
 
     lemma_id: str
     body: Callable  # (ctx, params) -> (verdict, payload[, reason])
     needs: Callable | None
     levels: Levels | dict | None
     rules: tuple = ()
-    cost: Callable | None = None  # (ctx, i) -> elements that must fit the budget
+    cost: Callable | None = None  # (ctx, i) -> the level's cost; over the budget it SKIPs
     schedule: Callable | None = None  # (ctx, check) -> instance params
 
     def unmet(self, ctx: Context, params: dict) -> str | None:
-        """The reason of the first precondition the instance fails, if any."""
+        """The reason of the first precondition the instance fails (cost last), if any."""
         levels = self.levels
         if isinstance(levels, dict):  # one range per system
             if params.get("system") not in levels:
@@ -711,12 +695,16 @@ class Check(NamedTuple):
             reason = rule and rule(ctx, params)
             if reason:
                 return reason
-        return None
+        return self.over_budget(ctx, params.get("i"))
+
+    def over_budget(self, ctx: Context, i: int | None) -> str | None:
+        """The SKIP reason when level i costs more than the budget."""
+        cost = self.cost(ctx, i) if self.cost else 0
+        return f"level budget: level {i} costs {cost}, over budget {ctx.budget}" if cost > ctx.budget else None
 
     def fitting(self, ctx: Context, levels: Levels | None = None) -> list:
         """The levels of the range whose cost fits the budget."""
-        return [i for i in (levels or self.levels).candidates(ctx)
-                if self.cost is None or self.cost(ctx, i) <= ctx.budget]
+        return [i for i in (levels or self.levels).candidates(ctx) if not self.over_budget(ctx, i)]
 
     def instances(self, ctx: Context) -> list:
         if self.needs and ctx.blocked():
@@ -738,11 +726,11 @@ _THETA = (_theta_characters,)
 
 
 def _module_cost(ctx: Context, i: int) -> int:
-    return ctx.tower.level_size(i) + 1
+    return ctx.q ** math.factorial(i) + 1
 
 
 def _next_cost(ctx: Context, i: int) -> int:
-    return ctx.tower.level_size(i + 1) + 1
+    return _module_cost(ctx, i + 1)
 
 
 def _first_where(rule):
@@ -800,11 +788,8 @@ def run_lemma(ctx: Context, spec: CheckSpec) -> Report:
     if check is None:
         raise ValueError(f"unknown lemma id {spec.lemma_id!r}")
     t0 = time.monotonic()
-    try:
-        reason = check.unmet(ctx, spec.params)
-        outcome = ("SKIPPED", {}, reason) if reason else check.body(ctx, spec.params)
-    except BudgetError as e:
-        outcome = ("SKIPPED", {}, f"level budget: {e}")
+    reason = check.unmet(ctx, spec.params)
+    outcome = ("SKIPPED", {}, reason) if reason else check.body(ctx, spec.params)
     report = Report(spec.lemma_id, spec.params, *outcome)
     report.seconds = time.monotonic() - t0
     return report

@@ -1,0 +1,9 @@
+"""Group arithmetic that only the tests use."""
+
+from sl2ext.grp import GroupElement
+
+
+def group_inverse(g: GroupElement) -> GroupElement:
+    """The inverse [[d, -b], [-c, a]] of a determinant-1 matrix."""
+    tw = g.tower
+    return GroupElement(tw, g.d, tw._neg(g.b), tw._neg(g.c), g.a)

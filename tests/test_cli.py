@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -48,6 +49,20 @@ def test_prime_power_q_allowed(capsys, tmp_path):
         "--out", str(out),
     ])
     assert code == 0
+    capsys.readouterr()
+
+
+def test_counting_payloads_past_the_int_digit_limit(capsys, tmp_path):
+    # clm-4 at q=8 holds an integer of 4,552 digits, past the default limit
+    out = tmp_path / "report.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = main(["verify", "--q", "8", "--imax", "2", "--lemmas", "clm-4", "--out", str(out)])
+        assert sys.get_int_max_str_digits() == 4300  # lifted for the report only
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and '"fail": 0' in out.read_text()
     capsys.readouterr()
 
 

@@ -18,7 +18,7 @@ from sl2ext.grp import (
     unip,
     weyl,
 )
-from sl2ext.tower import BudgetError
+from sl2_helpers import group_inverse
 
 
 def test_generator_relations(tower32):
@@ -29,7 +29,7 @@ def test_generator_relations(tower32):
     for t in tw.units(2):
         for x in tw.enumerate_level(2):
             h = torus(tw, t)
-            assert h * unip(tw, x) * h.inverse() == unip(tw, tw._mul(tw._mul(t, t), x))
+            assert h * unip(tw, x) * group_inverse(h) == unip(tw, tw._mul(tw._mul(t, t), x))
     for x in tw.enumerate_level(2):
         for y in tw.enumerate_level(2):
             assert unip(tw, x) * unip(tw, y) == unip(tw, tw._add(x, y))
@@ -90,8 +90,6 @@ def test_subgroup_orders_and_enumeration(tower32):
     reps = enumerate_subgroup(tw, "G", 1, pgl=True)
     pairs = {frozenset((g.key(), (g * torus(tw, tw._neg(1))).key())) for g in reps}
     assert len(reps) == len(pairs) == subgroup_order("G", 3, 1, pgl=True) == 12
-    with pytest.raises(BudgetError):
-        enumerate_subgroup(tw, "G", 2, budget=100)
     for which in ("U", "T"):
         with pytest.raises(ValueError, match="unknown subgroup"):
             enumerate_subgroup(tw, which, 1)
@@ -193,8 +191,8 @@ def test_raw_arithmetic_matches_towerelem_operators(fix, request):
                 assert prod.key() == _old_product(x, y)
                 assert _level(prod) <= max(_level(x), _level(y))
         a, b, c, d = _entries(g)
-        inv = g.inverse()
-        assert inv.key() == _vals(d, -b, -c, a)
+        inv = group_inverse(g)
+        assert inv.key() == _vals(d, -b, -c, a) and g * inv == identity(tw)
         assert _level(inv) == _level(g)
         form = bruhat(g)
         assert (form.x, form.t, form.y) == _old_bruhat(g)

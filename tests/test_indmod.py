@@ -11,6 +11,7 @@ from sl2ext.coeff import CyclotomicField, PrimeField, RationalField
 from sl2ext.grp import torus, unip, weyl
 from sl2ext.indmod import HIGHEST, InducedModule, Vec
 from sl2ext.linalg import SparseSpan, _acc, monomial_invariants, nullspace
+from sl2_helpers import group_inverse
 from test_coeff import _elements, integral_fraction_cases
 
 
@@ -61,7 +62,7 @@ def test_oracle_agreement_exhaustive(fix, exps, request):
     for i in (1, 2):
         for e in exps:
             mod = _module(tw, field, e, i)
-            for g in grp.enumerate_subgroup(tw, "G", i, budget=1000):
+            for g in grp.enumerate_subgroup(tw, "G", i):
                 image = mod.action(g).label
                 for label in mod.labels():
                     assert image(label) == mod.oracle_act_label(g, label)
@@ -395,7 +396,7 @@ def test_level_is_read_from_the_entries(tower23, cyc63):
     t = tw.generator(2)
     t_2 = tw._inv(tw._mul(t, t))
     for g, expect in ((unip(tw, x) * unip(tw, tw._neg(x)), grp.identity(tw)),
-                      (torus(tw, t) * unip(tw, t_2) * torus(tw, t).inverse(), unip(tw, 1))):
+                      (torus(tw, t) * unip(tw, t_2) * group_inverse(torus(tw, t)), unip(tw, 1))):
         assert g == expect
         for label in mod.labels():
             v = mod.basis_vector(label)

@@ -4,7 +4,10 @@ import pathlib
 import pytest
 
 from sl2ext.cli import _config_from_args, _selected_lemmas, make_parser
+from sl2ext.grp import subgroup_order
 from sl2ext.verify import (
+    CHECKS,
+    REGISTRY,
     REGISTRY_IDS,
     CheckSpec,
     Context,
@@ -101,18 +104,6 @@ def test_l44_explicit_counts():
     assert r.verdict == "PASS" and r.payload["distinct_cosets"] == 1
     r = run_lemma(ctx3, CheckSpec("L4.4-basis", {"q": 3, "i": 2}))
     assert r.verdict == "PASS" and r.payload["distinct_cosets"] == 4
-
-
-@pytest.mark.parametrize("q, imax, i", [(2, 3, 1), (2, 3, 2), (3, 3, 1), (3, 3, 2), (4, 2, 1)])
-def test_l44_criterion_matches_explicit(q, imax, i):
-    # a budget below |level i+1| switches to the algebraic criterion
-    spec = CheckSpec("L4.4-basis", {"q": q, "i": i})
-    explicit = run_lemma(Context(RunConfig(q=q, imax=imax)), spec)
-    criterion = run_lemma(Context(RunConfig(q=q, imax=imax, budget=2)), spec)
-    assert explicit.payload["mode"] == "explicit" and criterion.payload["mode"] == "criterion"
-    assert criterion.verdict == explicit.verdict == "PASS"
-    assert criterion.payload["distinct_cosets"] == explicit.payload["distinct_cosets"]
-    assert criterion.payload["expected"] == explicit.payload["expected"]
 
 
 def test_l44_negative_control_catches():
@@ -215,6 +206,8 @@ def test_run_all_schedules_no_level_outside_its_range(name):
     config = _config_from_args(make_parser().parse_args(["verify", *GOLDEN_CONFIGS[name].split()]))
     reports = run_all(Context(config), _selected_lemmas(config))
     assert reports and not [r.lemma_id for r in reports if r.reason in LEVEL_REASONS]
+    # nor one over its cost
+    assert not [r.lemma_id for r in reports if r.reason.startswith("level budget: level ")]
 
 
 def test_run_all_small_config_no_failures():
@@ -252,6 +245,69 @@ def test_run_lemma_budget_overrun_is_skipped():
     ctx = Context(RunConfig(q=2, imax=3))
     r = run_lemma(ctx, CheckSpec("bruhat", {"q": 2, "i": 3}))
     assert r.verdict == "SKIPPED" and "budget" in r.reason
+
+
+def _costed_cases():
+    """Every costed record (each system of connect-inj) at the top level
+    of its range at q=2 imax=3, where its other rules pass at theta 0."""
+    for check in REGISTRY:
+        if check.cost is None:
+            continue
+        ranges = check.levels.items() if isinstance(check.levels, dict) else [(None, check.levels)]
+        for system, levels in ranges:
+            extra = {"system": system} if system else {}
+            i = 3 - levels.margin
+            yield pytest.param(check.lemma_id, extra, i, id="-".join([check.lemma_id, *extra.values(), f"i{i}"]))
+
+
+@pytest.mark.parametrize("lemma, extra, i", _costed_cases())
+def test_direct_call_over_its_cost_skips_on_budget(lemma, extra, i):
+    check = CHECKS[lemma]
+    ctx = Context(RunConfig(q=2, imax=3, budget=2))
+    cost = check.cost(ctx, i)
+    r = run_lemma(ctx, CheckSpec(lemma, {"q": 2, "i": i, **extra}))
+    assert cost > 2
+    assert (r.verdict, r.reason, r.payload) == ("SKIPPED", f"level budget: level {i} costs {cost}, over budget 2", {})
+    # a budget of exactly the cost admits the level
+    assert check.unmet(Context(RunConfig(q=2, imax=3, budget=cost)), {"q": 2, "i": i, **extra}) is None
+
+
+def test_negative_controls_skip_their_fallback_level_over_budget():
+    # no level fits budget 5, so each schedules its lowest level, costed 4^2 + 1
+    ctx = Context(RunConfig(q=4, imax=2, budget=5))
+    reports = run_all(ctx, ["L4.4-neg-control", "eta-weight-neg-control"])
+    reason = "level budget: level 1 costs 17, over budget 5"
+    assert [(r.lemma_id, r.params, r.verdict, r.reason) for r in reports] == [
+        (lemma, {"q": 4, "i": 1}, "SKIPPED", reason)
+        for lemma in ("L4.4-neg-control", "eta-weight-neg-control")]
+
+
+def test_cocycle_oracle_skips_a_level_one_group_over_budget():
+    ctx = Context(RunConfig(q=2, imax=2, budget=5))
+    r = run_lemma(ctx, CheckSpec("ext1-maschke", {"q": 2}))
+    assert (r.verdict, r.reason) == ("SKIPPED", "level budget: |G_1| = 6 exceeds budget 5")
+
+
+# (check, system, subgroup, PGL mode): every element sweep of a check body
+SWEEPS = [
+    ("bruhat", None, "G", False),
+    ("act-oracle", None, "G", False),
+    ("L5.3-xi", None, "G", True),
+    ("connect-inj", "F", "B", False),
+    ("connect-inj", "H", "G", True),
+    ("connect-inj", "L", "G", True),
+]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("lemma, system, which, pgl", SWEEPS)
+def test_each_sweep_stays_within_its_records_cost(lemma, system, which, pgl, q):
+    # the costs are arithmetic in q and i: no tower is built
+    check = CHECKS[lemma]
+    levels = check.levels[system] if system else check.levels
+    ctx = Context(RunConfig(q=q, imax=4))
+    for i in range(levels.lowest, 4):
+        assert subgroup_order(which, q, i, pgl=pgl) <= check.cost(ctx, i)
 
 
 def test_package_exports():

@@ -27,6 +27,10 @@ exponents: a product of two of them is the rep of zeta^(i+j) with the
 product sign, an inverse that of zeta^-k, and a factor of 1 returns the
 other operand.  Every other product is a schoolbook multiply folded mod
 Phi_n, every other inverse the Galois-norm product.
+
+``residue_map`` reduces a characteristic-0 field onto F_l for a prime
+l = 1 (mod n), the ring map behind ``cohom``'s mod-l rank bound, and
+``choose_prime_for_order`` picks that l, prime to a group order.
 """
 
 from __future__ import annotations
@@ -94,32 +98,35 @@ class CoeffField:
         return out
 
     def _sub_scaled(self, a: dict, c, b: dict) -> dict:
-        """a - c*b on dicts of raw reps, dropping the entries that cancel.
+        """a -= c*b in place on dicts of raw reps, dropping the entries that
+        cancel; returns a.
 
-        The elimination kernel of ``linalg``, on the field's raw ops.
+        The elimination kernel of ``linalg``, on the field's raw ops; no
+        other module calls it, since it changes its first argument.
         """
         zero = self.zero
         mul, sub = self._mul, self._sub
-        out = dict(a)
         for k, v in b.items():
-            w = out.get(k)
+            w = a.get(k)
             cv = mul(c, v)
             if w is None:
                 if cv != zero:
-                    out[k] = sub(zero, cv)
+                    a[k] = sub(zero, cv)
             else:
                 w = sub(w, cv)
                 if w != zero:
-                    out[k] = w
+                    a[k] = w
                 else:
-                    del out[k]
-        return out
+                    del a[k]
+        return a
 
     # subclasses: _add/_sub/_mul/_inv/_from_rational/_primitive_root/rep_str
 
 
 class RationalField(CoeffField):
     """Q; a rep is an ``int`` while integral, else a ``Fraction``."""
+
+    n = 1  # Q is Q(zeta_1); ``cohom`` picks its mod-l prime from n
 
     def _add(self, a, b):
         s = a + b
@@ -142,14 +149,13 @@ class RationalField(CoeffField):
         return _integral(x)
 
     def _sub_scaled(self, a: dict, c, b: dict) -> dict:
-        out = dict(a)
         for k, v in b.items():
-            w = out.get(k, 0) - c * v
+            w = a.get(k, 0) - c * v
             if w:
-                out[k] = w if type(w) is int else _integral(w)
+                a[k] = w if type(w) is int else _integral(w)
             else:
-                out.pop(k, None)
-        return out
+                a.pop(k, None)
+        return a
 
     def _primitive_root(self, order: int, e: int):
         if order == 1:
@@ -373,14 +379,13 @@ class PrimeField(CoeffField):
         if self.m != 1:
             return super()._sub_scaled(a, c, b)
         ell = self.ell
-        out = dict(a)
         for k, v in b.items():
-            w = (out.get(k, 0) - c * v) % ell
+            w = (a.get(k, 0) - c * v) % ell
             if w:
-                out[k] = w
+                a[k] = w
             else:
-                out.pop(k, None)
-        return out
+                a.pop(k, None)
+        return a
 
     def _inv(self, a):
         if self.m == 1:
@@ -441,18 +446,33 @@ class PrimeField(CoeffField):
         return f"F_{self.ell}" if self.m == 1 else f"F_{self.ell}^{self.m}"
 
 
-def choose_prime_for_order(n: int, floor: int = 5) -> int:
+def choose_prime_for_order(n: int, floor: int = 5, avoid: int = 1) -> int:
     """Smallest prime l >= floor with l = 1 (mod n), so that order-n roots
-    of unity live in the prime field itself."""
+    of unity live in the prime field itself, and l not dividing `avoid`
+    (a group order, so that the group's order is invertible mod l)."""
     ell = max(floor, 2)
-    if n == 1:
-        while not polyutil.is_prime(ell):
-            ell += 1
-        return ell
-    ell = ((ell - 2) // n + 1) * n + 1
-    while not polyutil.is_prime(ell):
+    if n > 1:
+        ell = ((ell - 2) // n + 1) * n + 1
+    while not polyutil.is_prime(ell) or avoid % ell == 0:
         ell += n
     return ell
+
+
+def residue_map(field: CoeffField, ell: int) -> tuple:
+    """(F_l, the reduction of `field`'s raw reps into it) for a
+    characteristic-0 field Q(zeta_n), with l = 1 (mod n) prime.
+
+    This is the ring map Z[zeta_n][1/d] -> F_l, d prime to l, that sends
+    zeta_n to a primitive n-th root mod l; such a map can only lower the
+    rank of a matrix.  A coefficient whose denominator l divides raises
+    ZeroDivisionError.
+    """
+    target = PrimeField(ell)
+    res = target._from_rational
+    if isinstance(field, RationalField):
+        return target, res
+    zeta = [target.root_of_unity(field.n, j) for j in range(field.degree)]
+    return target, lambda a: sum(res(c) * z for c, z in zip(a, zeta)) % ell
 
 
 def parse_coeff_spec(spec: str) -> tuple:

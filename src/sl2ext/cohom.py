@@ -14,6 +14,15 @@ coboundaries B1 are the span of its columns, whose dimension gives the
 extension dimension as a quotient.  Maschke cases (|G| invertible in the
 field) are the built-in zero controls.
 
+The unreduced solver decides a characteristic-0 system mod a prime l
+first: it builds the same rows over F_l from the reps' images under
+``coeff.residue_map``, a ring map that can only lower a rank.  So the
+nullity mod l bounds dim Z1 from above, and when it equals dim B1 (from
+the exact Hom space) Ext1 = 0 is proved without an exact elimination.
+When the bound is not met, or l divides a denominator of the reps, the
+rows are eliminated over the exact field.  The route is a run fact and
+never reaches a report; ``ext1_bfs`` stays exact.
+
 Everything here is raw: a FiniteRep is given raw generator matrices (the
 induced and Steinberg ones are read off the raw module action), and the
 builders multiply and accumulate raw reps through the field's raw ops and
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 
 from . import grp
 from .charmod import TorusCharacter
-from .coeff import CoeffField
+from .coeff import CoeffField, choose_prime_for_order, residue_map
 from .indmod import HIGHEST, InducedModule
 from .linalg import SparseSpan, _acc, nullspace
 from .tower import Tower
@@ -280,41 +289,73 @@ def ext1_bfs(M: FiniteRep, N: FiniteRep):
     return len(transversal), transversal
 
 
-def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
-    """Extension dimension from the unreduced |G|^2 cocycle system."""
-    if M.field != N.field:
-        raise ValueError("coefficient mode mismatch between representations")
-    field = M.field
+def _unreduced_rows(group: GroupTable, field, mats_M: list, mats_N: list):
+    """The rows of the unreduced system: C(gh) = rho_N(g) C(h) + C(g) rho_M(h)
+    entry by entry, for g, h != 1, over raw reps of `field`.  The unknown
+    C(g)[r][c] is the int key (g dN + r) dM + c, which orders the unknowns
+    as the tuples (g, r, c) would."""
     add, zero = field._add, field.zero
     minus_one = field._sub(zero, field.one)
-    group = M.group
     e = group.identity_index
-    # one key tuple per unknown, shared by every row that mentions it: these
-    # rows are the largest live data of the check
-    var = [[[(gi, r, c) for c in range(M.dim)] for r in range(N.dim)] for gi in range(len(group))]
-    variables = [v for gi, vg in enumerate(var) if gi != e for vr in vg for v in vr]
-    rows = []
+    dN, dM = len(mats_N[0]), len(mats_M[0])
+    # one key per unknown, shared by every row that mentions it
+    var = [[[(gi * dN + r) * dM + c for c in range(dM)] for r in range(dN)]
+           for gi in range(len(group))]
     for gi in range(len(group)):
         if gi == e:
             continue
         for hi, ki in enumerate(group.product[gi]):
             if hi == e:
                 continue
-            A, B = N._mats[gi], M._mats[hi]
-            for r in range(N.dim):
-                for c in range(M.dim):
+            A, B = mats_N[gi], mats_M[hi]
+            for r in range(dN):
+                for c in range(dM):
                     row = {}
                     if ki != e:
                         _acc(row, var[ki][r][c], minus_one, add, zero)
-                    for j in range(N.dim):
+                    for j in range(dN):
                         _acc(row, var[hi][j][c], A[r][j], add, zero)
-                    for j in range(M.dim):
+                    for j in range(dM):
                         _acc(row, var[gi][r][j], B[j][c], add, zero)
                     if row:
-                        rows.append(row)
-    zbasis = nullspace(rows, variables, field)
+                        yield row
+
+
+def _rank(rows, field) -> int:
+    span = SparseSpan(field)
+    for row in rows:
+        span.insert(row)
+    return span.dim
+
+
+def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
+    """Extension dimension from the unreduced |G|^2 cocycle system: the
+    nullity of its rows, dim Z1, less dim B1 = dN dM - dim Hom(M, N).
+
+    Over Q(zeta_n) the rows are first built over F_l, from the reps sent
+    through ``coeff.residue_map`` (l = 1 mod n, l prime to |G|).  That map
+    can only lower the rank, so the nullity mod l bounds dim Z1 >= dim B1
+    from above: when it equals dim B1, the extension dimension 0 is
+    proved.  Otherwise, or when l divides a denominator of the reps, the
+    same builder's rows are eliminated over the field itself.  Which route
+    decided is a run fact, not part of any report.
+    """
+    if M.field != N.field:
+        raise ValueError("coefficient mode mismatch between representations")
+    field, group = M.field, M.group
+    unknowns = (len(group) - 1) * N.dim * M.dim
     bdim = N.dim * M.dim - len(hom_space(M, N))
-    return len(zbasis) - bdim
+    if field.characteristic() == 0:
+        ell = choose_prime_for_order(field.n, 5, len(group))
+        target, res = residue_map(field, ell)
+        try:
+            mats = [[tuple(tuple(map(res, r)) for r in m) for m in R._mats] for R in (M, N)]
+        except ZeroDivisionError:
+            pass
+        else:
+            if unknowns - _rank(_unreduced_rows(group, target, *mats), target) == bdim:
+                return 0
+    return unknowns - _rank(_unreduced_rows(group, field, M._mats, N._mats), field) - bdim
 
 
 # -- torus cochain normalization ----------------------------------------------

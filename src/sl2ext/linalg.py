@@ -8,6 +8,15 @@ A vector is a dict of raw reps of one field (see ``coeff``) and never
 holds a zero rep.  Fields are checked where a character's values enter a
 module vector (``indmod``, ``towerext``), never here.  ``_acc`` is the one
 add-and-drop-on-cancel accumulator of the vector and cocycle builders.
+
+One elimination kernel serves every span: the field's ``_sub_scaled``,
+a -= c*b, which updates its first argument in place (this module is its
+only caller).  ``reduce`` copies a caller's vector on its first pivot hit
+and returns it as it is when it holds none, so a caller's dict is never
+changed.  ``insert`` keeps the holders index, from each non-pivot key to
+the pivots of the rows holding it, and back-substitutes a new pivot into
+those rows only.  The reduced echelon form under the smallest-key pivot
+rule is unique, so neither changes a row, a dimension or a report byte.
 """
 
 from __future__ import annotations
@@ -31,23 +40,29 @@ def _acc(dst: dict, key, rep, add, zero):
 
 
 class SparseSpan:
-    """A reduced echelon spanning set; rows indexed by their pivots."""
+    """A reduced echelon spanning set; rows indexed by their pivots, and
+    each non-pivot key indexed by the rows holding it."""
 
     def __init__(self, field: CoeffField):
         self.field = field
         self._rows: dict = {}  # pivot key -> raw row with that pivot normalized to 1
+        self._holders: dict = {}  # non-pivot key -> set of pivots of the rows holding it
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def reduce(self, out: dict) -> dict:
+    def reduce(self, vec: dict) -> dict:
         """The remainder of a vector modulo the span; empty when the vector
-        lies in it."""
+        lies in it.  `vec` is never changed: it is copied on the first pivot
+        it holds, and returned as it is when it holds none."""
         rows, sub_scaled = self._rows, self.field._sub_scaled
-        for k in sorted(out):
+        out = vec
+        for k in sorted(vec):
             if k in out and k in rows:
-                out = sub_scaled(out, out[k], rows[k])
+                if out is vec:
+                    out = dict(vec)
+                sub_scaled(out, out[k], rows[k])
         # reductions cannot reintroduce pivot keys: rows are mutually reduced
         return out
 
@@ -60,11 +75,20 @@ class SparseSpan:
         pivot = min(rem)
         inv, mul = f._inv(rem[pivot]), f._mul
         row = {k: mul(v, inv) for k, v in rem.items()}
-        rows, sub_scaled = self._rows, f._sub_scaled
-        for k, other in rows.items():
-            c = other.get(pivot)
-            if c is not None:
-                rows[k] = sub_scaled(other, c, row)
+        rows, holders, sub_scaled = self._rows, self._holders, f._sub_scaled
+        for j in row:
+            if j != pivot:
+                holders.setdefault(j, set()).add(pivot)
+        for k in holders.pop(pivot, ()):
+            other = rows[k]
+            sub_scaled(other, other[pivot], row)
+            # only the keys of `row` can enter or leave `other`; the pivot
+            # always leaves it and is no longer a holders key
+            for j in row:
+                if j in other:
+                    holders[j].add(k)
+                elif j != pivot:
+                    holders[j].discard(k)
         rows[pivot] = row
         return True
 

@@ -623,9 +623,7 @@ def _chk_ext1(ctx: Context, params: dict) -> tuple:
     group = cohom.GroupTable(tw)
     order = len(group)
     torus_order = q - 1
-    ell = choose_prime_for_order(max(torus_order, 1), 5)
-    while order % ell == 0 or ell == ctx.p:
-        ell = choose_prime_for_order(max(torus_order, 1), ell + 1)
+    ell = choose_prime_for_order(max(torus_order, 1), 5, order)
     fields = [("char0", CyclotomicField(max(torus_order, 1)) if torus_order > 2 else RationalField()),
               (f"char{ell}", PrimeField(ell))]
     dims, level1 = {}, {}

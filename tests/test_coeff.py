@@ -14,6 +14,7 @@ from sl2ext.coeff import (
     field_from_spec,
     parse_coeff_spec,
     require_field,
+    residue_map,
 )
 
 
@@ -141,6 +142,42 @@ def test_choose_prime_for_order():
     assert choose_prime_for_order(63, 5) == 127
     assert choose_prime_for_order(2, 5) == 5
     assert choose_prime_for_order(1, 5) == 5
+    # a prime dividing the group order to avoid is skipped
+    assert choose_prime_for_order(1, 5, 60) == 7
+    assert choose_prime_for_order(3, 5, 60) == 7
+    assert choose_prime_for_order(4, 5, 120) == 13
+    assert choose_prime_for_order(2, 5, 24) == 5
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_residue_map_is_a_ring_map(n, data):
+    field = CyclotomicField(n)
+    ell = choose_prime_for_order(n)
+    target, res = residue_map(field, ell)
+    assert target == PrimeField(ell)
+    a, b = data.draw(_elements(field)), data.draw(_elements(field))
+    try:
+        ra, rb = res(a), res(b)
+    except ZeroDivisionError:  # a denominator divisible by l
+        assume(False)
+    assert res(field._add(a, b)) == target._add(ra, rb)
+    assert res(field._mul(a, b)) == target._mul(ra, rb)
+    assert res(field.one) == 1 and res(field.zero) == 0
+    # zeta goes to a primitive n-th root
+    z = res(field.root_of_unity(n, 1))
+    assert target._pow(z, n) == 1 and all(target._pow(z, k) != 1 for k in range(1, n))
+
+
+def test_residue_map_rejects_a_denominator_divisible_by_l():
+    _, res = residue_map(RationalField(), 5)
+    assert res(Fraction(3, 4)) == 3 * 4 % 5 and res(-7) == 3
+    with pytest.raises(ZeroDivisionError):
+        res(Fraction(1, 5))
+    _, res = residue_map(CyclotomicField(4), 5)
+    with pytest.raises(ZeroDivisionError):
+        res((1, Fraction(2, 5)))
 
 
 def test_field_from_spec():
@@ -327,11 +364,13 @@ def test_rational_sub_scaled_matches_fraction_oracle(a, b, c):
     expect = {k: a.get(k, Fraction(0)) - c * b.get(k, Fraction(0)) for k in set(a) | set(b)}
     expect = {k: v for k, v in expect.items() if v}
     raw = {k: _q_rep(v) for k, v in a.items()}
-    got = Q._sub_scaled(raw, _q_rep(c), {k: _q_rep(v) for k, v in b.items()})
+    raw_b = {k: _q_rep(v) for k, v in b.items()}
+    got = Q._sub_scaled(raw, _q_rep(c), raw_b)
+    assert got is raw  # a is updated in place
     assert got == expect
     for k, v in got.items():
         _check_q_rep(v, expect[k])
-    assert raw == {k: _q_rep(v) for k, v in a.items()}  # the input is not changed
+    assert raw_b == {k: _q_rep(v) for k, v in b.items()}  # b is not changed
 
 
 def test_rational_inverse_and_scalar_forms():

@@ -318,6 +318,61 @@ def test_normalize_additive_obstruction(tower22):
     assert out.status == "obstruction"
 
 
+# -- the mod-l certificate of the unreduced solver ------------------------------
+
+
+def _spy_ranks(monkeypatch):
+    """The fields the unreduced system is eliminated over, call by call."""
+    fields, rank = [], cohom._rank
+
+    def spied(rows, field):
+        fields.append(field)
+        return rank(rows, field)
+
+    monkeypatch.setattr(cohom, "_rank", spied)
+    return fields
+
+
+@pytest.mark.parametrize("fix,exp", [("tower22", 0), ("tower32", 1)])
+def test_certificate_decides_every_char0_pair_mod_l(fix, exp, rat, monkeypatch, request):
+    _, reps = _reps(request.getfixturevalue(fix), rat, exp)
+    fields = _spy_ranks(monkeypatch)
+    for M, N in itertools.product(reps.values(), repeat=2):
+        assert cohom.ext1_unreduced(M, N) == 0 == cohom.ext1_bfs(M, N)[0]
+    # one elimination per pair, every one over F_5: none over Q
+    assert fields == [PrimeField(5)] * 9
+
+
+def test_inconclusive_certificate_falls_back_to_the_exact_field(tower32, rat, monkeypatch):
+    # l = 2 divides |SL2(F_3)| = 24: mod 2 the cocycle space grows exactly
+    # for the pairs with a modular extension (MODULAR_EXTENSIONS), where the
+    # bound proves nothing and the exact elimination over Q decides
+    _, reps = _reps(tower32, rat, 0)
+    monkeypatch.setattr(cohom, "choose_prime_for_order", lambda n, floor, avoid: 2)
+    fields = _spy_ranks(monkeypatch)
+    for nm, M in reps.items():
+        for nn, N in reps.items():
+            fields.clear()
+            assert cohom.ext1_unreduced(M, N) == cohom.ext1_bfs(M, N)[0] == 0
+            nonzero_mod_2 = (nm, nn) in MODULAR_EXTENSIONS[("tower32", 2, 0)]
+            assert fields == [PrimeField(2)] + [rat] * nonzero_mod_2, (nm, nn)
+
+
+def test_denominator_divisible_by_l_falls_back(tower22, rat, monkeypatch):
+    # St conjugated by diag(5, 1) has entries with denominator 5 = l, which
+    # the reduction mod 5 cannot map: the system is eliminated over Q
+    group, reps = _reps(tower22, rat, 0)
+    P, P_inv = ((5, 0), (0, 1)), ((Fraction(1, 5), 0), (0, 1))
+    conj = [cohom.mat_mul(rat, cohom.mat_mul(rat, P_inv, X), P) for X in reps["St"]._gen_mats]
+    St5 = cohom.FiniteRep(group, rat, conj, "St^P")
+    assert any(type(x) is Fraction for X in St5._gen_mats for r in X for x in r)
+    fields = _spy_ranks(monkeypatch)
+    for M, N in ((St5, St5), (St5, reps["tr"]), (reps["tr"], St5)):
+        fields.clear()
+        assert cohom.ext1_unreduced(M, N) == cohom.ext1_bfs(M, N)[0] == 0
+        assert fields == [rat]
+
+
 def test_order_condition_table():
     for m in (2, 3, 4, 6):
         for char in (0, 2, 3, 5, 7):

@@ -20,6 +20,10 @@ attribute; a method only as an attribute (`x.name`), so a local variable
 that shares a method's name does not count as a reader.  `Tower.element`,
 the tests' front for `TowerElem`, is the one exception.
 
+`CoeffField._sub_scaled` updates its first argument in place, so no
+module but `linalg.py` reads it, to call it or to bind it for a call;
+`coeff.py` only forwards it to the base class (`super()._sub_scaled`).
+
 In `verify.py` only the runner builds a `Report`: check bodies return
 `(verdict, payload[, reason])` and `run_lemma` turns that into the report,
 with `run_all` adding one SKIP for a check it cannot schedule."""
@@ -118,6 +122,27 @@ def test_only_indmod_reaches_the_compiled_action_helpers(path):
 def test_loops_take_the_public_compiled_action(name):
     tree = ast.parse((SRC / name).read_text(), filename=name)
     assert _calls(tree, "action")
+
+
+def _sub_scaled_reads(tree):
+    """Lines reading `_sub_scaled` (to call it, or to bind it for a call),
+    except a forward to `super()`."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr == "_sub_scaled"
+                  and not (isinstance(n.value, ast.Call) and getattr(n.value.func, "id", None) == "super"))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py"),
+                         ids=lambda p: p.name)
+def test_only_linalg_calls_the_in_place_kernel(path):
+    assert _sub_scaled_reads(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_kernel_lint_sees_every_call():
+    source = ("def f(field, a, b):\n    field._sub_scaled(a, 1, b)\n"
+              "    sub = field._sub_scaled\n    return super()._sub_scaled(a, 1, b)\n")
+    assert _sub_scaled_reads(ast.parse(source)) == [2, 3]
+    assert _sub_scaled_reads(ast.parse((SRC / "linalg.py").read_text()))
 
 
 def test_only_the_runner_builds_reports():

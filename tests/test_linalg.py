@@ -184,3 +184,55 @@ def test_insert_builds_the_dense_reduced_basis(field, data):
     grew = batch.extend(list(data.draw(st.permutations(vecs))))
     assert batch.basis() == dense
     assert len(grew) == batch.dim
+
+
+# -- the elimination kernel: in-place rows and the holders index -------------
+
+KERNEL_FIELDS = [RationalField(), PrimeField(7), PrimeField(5, 2), CyclotomicField(8)]
+
+
+def _holders_of(rows):
+    """Each non-pivot key -> the pivots of the rows holding it."""
+    out = {}
+    for p, row in rows.items():
+        for k in row:
+            if k != p:
+                out.setdefault(k, set()).add(p)
+    return out
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_holders_index_the_rows_through_inserts_and_extends(field, data):
+    nvars = data.draw(st.integers(1, 8))
+    batches = data.draw(st.lists(st.lists(_sparse_vector(field, nvars), max_size=4), max_size=4))
+    span = SparseSpan(field)
+    given_vecs, copies = [], []
+    for batch in batches:
+        given_vecs += batch
+        copies += [dict(v) for v in batch]
+        if data.draw(st.booleans()):
+            span.extend(batch)
+        else:
+            for v in batch:
+                span.insert(v)
+        assert span._holders == _holders_of(span._rows)
+        assert [span._rows[p] for p in sorted(span._rows)] == _dense_rref(given_vecs, nvars, field)
+    # rows are updated in place, but never a caller's vector
+    assert given_vecs == copies
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_reduce_never_changes_the_callers_vector(field, data):
+    nvars = data.draw(st.integers(1, 6))
+    span = SparseSpan(field)
+    span.extend(data.draw(st.lists(_sparse_vector(field, nvars), max_size=5)))
+    vec = data.draw(_sparse_vector(field, nvars))
+    copy = dict(vec)
+    rem = span.reduce(vec)
+    assert vec == copy
+    # a vector that holds no pivot comes back as it is; any other is copied
+    assert (rem is vec) == (not set(vec) & set(span._rows))

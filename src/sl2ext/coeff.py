@@ -11,6 +11,9 @@ check the fields once at their boundary (``require_field``).  ``zero``,
 reps too; a mode supports order n exactly when it contains a primitive
 n-th root.  ``rep_str`` is a rep's report string.
 
+Every F_l rep is an ``int``: a residue for m = 1, else the encoding
+sum(c_j * l^j) of ``tower.GaloisField(l, m)``, which runs every op of F_{l^m}.
+
 Both characteristic-0 modes keep a coefficient as a plain ``int`` until a
 division and as a ``Fraction`` only after one: a rational rep is that
 number, a cyclotomic rep a tuple of such coefficients (Phi_n is monic, so
@@ -40,6 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import polyutil
+from .tower import TABLE_BUDGET, GaloisField
 
 
 def require_field(field, other) -> None:
@@ -86,16 +90,6 @@ class CoeffField:
 
     def characteristic(self) -> int:
         raise NotImplementedError
-
-    def _pow(self, rep, e: int):
-        """rep^e for e >= 0, by square-and-multiply over ``_mul``."""
-        out, base = self.one, rep
-        while e:
-            if e & 1:
-                out = self._mul(out, base)
-            base = self._mul(base, base)
-            e >>= 1
-        return out
 
     def _sub_scaled(self, a: dict, c, b: dict) -> dict:
         """a -= c*b in place on dicts of raw reps, dropping the entries that
@@ -331,11 +325,8 @@ class CyclotomicField(CoeffField):
 
 
 class PrimeField(CoeffField):
-    """F_l, or F_{l^m} for extension degree m > 1.
-
-    The extension is F_l[x] modulo the first irreducible polynomial of
-    degree m; reps are ints (m = 1) or coefficient tuples.
-    """
+    """F_l, or F_{l^m} for extension degree m > 1 on a `GaloisField`, whose
+    encodings are the reps; a residue encodes itself."""
 
     def __init__(self, ell: int, m: int = 1):
         if not polyutil.is_prime(ell):
@@ -344,36 +335,30 @@ class PrimeField(CoeffField):
             raise ValueError("extension degree must be >= 1")
         self.ell = ell
         self.m = m
+        self._gf = None if m == 1 else GaloisField(ell, m)
         self.size = ell ** m
-        self._modulus = None if m == 1 else polyutil.first_irreducible(ell, m)
-        self._gen = None  # generator of the multiplicative group, found lazily
         self._root_cache = {}
 
     def _from_rational(self, x: Fraction):
         den = x.denominator % self.ell
         if den == 0:
             raise ZeroDivisionError(f"denominator divisible by {self.ell}")
-        v = x.numerator * pow(den, -1, self.ell) % self.ell
-        if self.m == 1:
-            return v
-        return (v,) + (0,) * (self.m - 1)
+        return x.numerator * pow(den, -1, self.ell) % self.ell
 
     def _add(self, a, b):
         if self.m == 1:
             return (a + b) % self.ell
-        return tuple((x + y) % self.ell for x, y in zip(a, b))
+        return self._gf._add(a, b)
 
     def _sub(self, a, b):
         if self.m == 1:
             return (a - b) % self.ell
-        return tuple((x - y) % self.ell for x, y in zip(a, b))
+        return self._gf._add(a, self._gf._neg(b))
 
     def _mul(self, a, b):
         if self.m == 1:
             return a * b % self.ell
-        prod = polyutil.mul_mod(list(a), list(b), self.ell)
-        prod = polyutil.rem_mod(prod, self._modulus, self.ell)
-        return tuple(prod + [0] * (self.m - len(prod)))
+        return self._gf._mul(a, b)
 
     def _sub_scaled(self, a: dict, c, b: dict) -> dict:
         if self.m != 1:
@@ -392,29 +377,14 @@ class PrimeField(CoeffField):
             if a == 0:
                 raise ZeroDivisionError("scalar is not invertible")
             return pow(a, -1, self.ell)
-        if not any(a):
-            raise ZeroDivisionError("scalar is not invertible")
-        return self._pow(a, self.size - 2)  # x^(size-2) in the multiplicative group
+        return self._gf._inv(a)
 
-    def _elements(self):
-        if self.m == 1:
-            return range(self.ell)
-        return (tuple(polyutil.digits(k, self.ell, self.m)) for k in range(self.size))
-
-    def _generator(self):
-        if self._gen is None:
-            n = self.size - 1
-            primes = polyutil.factorize(n)
-            one = self.one
-            for rep in self._elements():
-                if rep == self.zero:
-                    continue
-                if all(self._pow(rep, n // r) != one for r in primes):
-                    self._gen = rep
-                    break
-            else:
-                raise RuntimeError("no multiplicative generator found")
-        return self._gen
+    @cached_property
+    def _generator(self) -> int:
+        """The first primitive root mod l."""
+        n = self.ell - 1
+        primes = polyutil.factorize(n)
+        return next(g for g in range(1, self.ell) if all(pow(g, n // r, self.ell) != 1 for r in primes))
 
     def _primitive_root(self, order: int, e: int):
         if (self.size - 1) % order != 0:
@@ -424,7 +394,8 @@ class PrimeField(CoeffField):
         key = (order, e % order)
         rep = self._root_cache.get(key)
         if rep is None:
-            rep = self._pow(self._generator(), (self.size - 1) // order * (e % order))
+            k = (self.size - 1) // order * (e % order)
+            rep = pow(self._generator, k, self.ell) if self.m == 1 else self._gf._pow(self._gf.gen_val, k)
             self._root_cache[key] = rep
         return rep
 
@@ -434,7 +405,7 @@ class PrimeField(CoeffField):
     def rep_str(self, rep) -> str:
         if self.m == 1:
             return str(rep)
-        return "[" + ",".join(str(c) for c in rep) + "]"
+        return "[" + ",".join(str(c) for c in polyutil.digits(rep, self.ell, self.m)) + "]"
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and (other.ell, other.m) == (self.ell, self.m)
@@ -490,6 +461,10 @@ def parse_coeff_spec(spec: str) -> tuple:
         raise ValueError(f"coefficient mode {spec!r} takes positive arguments")
     if kind == "fp" and args and not polyutil.is_prime(args[0]):
         raise ValueError("fp characteristic must be prime")
+    # l^m >= 2^m, so a degree of the budget's bit length or more is over it
+    if kind == "fp" and len(args) == 2 and (
+            args[1] >= TABLE_BUDGET.bit_length() or args[0] ** args[1] > TABLE_BUDGET):
+        raise ValueError(f"fp:{args[0]}:{args[1]} exceeds the table budget of {TABLE_BUDGET} elements")
     return kind, args
 
 

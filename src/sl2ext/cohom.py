@@ -136,17 +136,9 @@ class FiniteRep:
         if module.level != 1:
             raise ValueError("module level does not match the group level")
         labels = module.labels()
-        col = {l: j for j, l in enumerate(labels)}
-        zero = module.field.zero
-        mats = []
-        for s in group.gens:
-            m = [[zero] * len(labels) for _ in labels]
-            image = module.action(s).label
-            for l in labels:
-                l2, c = image(l)
-                m[col[l2]][col[l]] = c
-            mats.append(tuple(tuple(r) for r in m))
-        return cls(group, module.field, mats, f"induced[{module.theta.exp}]")
+        return cls._on_basis(group, module, [module.basis_vector(l) for l in labels],
+                             {l: j for j, l in enumerate(labels)}, lambda v: v.support,
+                             f"induced[{module.theta.exp}]")
 
     @classmethod
     def steinberg(cls, group: GroupTable, module_tr: InducedModule) -> "FiniteRep":
@@ -156,16 +148,24 @@ class FiniteRep:
         vecs = module_tr.steinberg_vectors()
         # vector j is u(x).(1 - s).1, the basis vector at x
         col = {x: j for j, v in enumerate(vecs) for x in v.support if x != HIGHEST}
-        zero = module_tr.field.zero
+        return cls._on_basis(group, module_tr, vecs, col, module_tr.steinberg_coordinates, "steinberg")
+
+    @classmethod
+    def _on_basis(cls, group: GroupTable, module: InducedModule, vecs: list, col: dict,
+                  coordinates, name: str) -> "FiniteRep":
+        """The rep on the span of `vecs`: each generator's matrix has in
+        column j the coordinates of its image of vecs[j], read off as
+        key -> raw rep and placed at row col[key]."""
+        zero = module.field.zero
         mats = []
         for s in group.gens:
             m = [[zero] * len(vecs) for _ in vecs]
-            act_s = module_tr.action(s)
+            act_s = module.action(s)
             for j, v in enumerate(vecs):
-                for x, c in module_tr.steinberg_coordinates(act_s(v)).items():
+                for x, c in coordinates(act_s(v)).items():
                     m[col[x]][j] = c
             mats.append(tuple(tuple(r) for r in m))
-        return cls(group, module_tr.field, mats, "steinberg")
+        return cls(group, module.field, mats, name)
 
 
 # -- Hom spaces and coboundaries ---------------------------------------------

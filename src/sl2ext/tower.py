@@ -1,10 +1,12 @@
-"""The field tower F_q < F_{q^{2!}} < ... < F_{q^{imax!}}.
+"""The finite-field kernel and the field tower F_q < F_{q^{2!}} < ... < F_{q^{imax!}}.
 
-Every level lives inside one ambient field F_{q^{imax!}}: a level is the
-fixed-point set of the appropriate Frobenius power, so cross-level
-equality is plain ambient equality and no embedding maps are needed.
-Elements are encoded as integers sum(c_j * p^j) over their coefficient
-vectors; enumeration order is increasing encoding, which makes every
+`GaloisField(p, n)` is F_{p^n}, written once: the tower's ambient field
+is one, and so is `coeff.PrimeField`'s F_{l^m} for m > 1.  Elements are
+encoded as integers sum(c_j * p^j) over their coefficient vectors.
+Every level of a `Tower` lives inside its ambient field F_{q^{imax!}}: a
+level is the fixed-point set of the appropriate Frobenius power, so
+cross-level equality is plain ambient equality and no embedding maps are
+needed.  Enumeration order is increasing encoding, which makes every
 distinguished choice (generators, level-escape elements) reproducible.
 An element carries no level: it lies in level i exactly when
 `_frobenius_fixed` holds at `level_degree(i)`, and code that needs the
@@ -26,7 +28,7 @@ class BudgetError(RuntimeError):
     pass
 
 
-# the ambient field's size cap: its exp/log tables are materialized
+# a GaloisField's size cap: its exp/log tables are materialized
 TABLE_BUDGET = 2 ** 20
 
 
@@ -118,40 +120,28 @@ class TowerElem:
         return f"t{self.val}"
 
 
-class Tower:
-    """Arithmetic for all levels of the tower at once.
+class GaloisField:
+    """F_{p^degree}: F_p[x] modulo the first irreducible polynomial of the
+    degree in enumeration order, capped at TABLE_BUDGET elements.
 
-    q: prime power; imax >= 2; the ambient field F_{q^{imax!}} is defined
-    by the first irreducible polynomial in enumeration order and capped at
-    TABLE_BUDGET elements.
-
-    Multiplication goes through the exp/log tables of the ambient
-    generator g.  In characteristic 2 addition is XOR of the encodings; for
-    odd p it uses a Zech-logarithm table (Huber 1990): zech[d] = log(1 + g^d),
-    None where 1 + g^d = 0, so g^a + g^b = g^(a + zech[b - a]) and
-    -g^a = g^(a + (size - 1)/2).  The table is built alongside exp/log, one
-    lookup per entry.
+    Multiplication goes through the exp/log tables of `gen_val`, the first
+    primitive element in encoding order.  In characteristic 2 addition is
+    XOR of the encodings; for odd p it uses a Zech-logarithm table (Huber
+    1990): zech[d] = log(1 + g^d), None where 1 + g^d = 0, so
+    g^a + g^b = g^(a + zech[b - a]) and -g^a = g^(a + (size - 1)/2).  The
+    table is built alongside exp/log, one lookup per entry.
     """
 
-    def __init__(self, q: int, imax: int):
-        pk = polyutil.prime_power(q)
-        if pk is None:
-            raise ValueError("q must be a prime power")
-        self.p, self.d0 = pk
-        if imax < 2:
-            raise ValueError("imax must be >= 2")
-        self.q = q
-        self.imax = imax
-        self.degree = math.factorial(imax) * self.d0
-        self.size = self.p ** self.degree
+    def __init__(self, p: int, degree: int):
+        self.p = p
+        self.degree = degree
+        self.size = p ** degree
         if self.size > TABLE_BUDGET:
             raise BudgetError(
-                f"ambient field F_{self.p}^{self.degree} exceeds the table budget"
+                f"ambient field F_{p}^{degree} exceeds the table budget"
             )
-        self.poly = tuple(polyutil.first_irreducible(self.p, self.degree))
+        self.poly = tuple(polyutil.first_irreducible(p, degree))
         self._build_tables()
-        self._levels = {}
-        self._check_generator_chain()
 
     # -- integer encoding <-> coefficient vectors ------------------------
 
@@ -189,7 +179,7 @@ class Tower:
 
     def _inv(self, a: int) -> int:
         if a == 0:
-            raise ZeroDivisionError("inverting 0 in the tower")
+            raise ZeroDivisionError("inverting 0")
         return self._exp[(-self._log[a]) % (self.size - 1)]
 
     def _pow(self, a: int, e: int) -> int:
@@ -230,6 +220,24 @@ class Tower:
         if p != 2:
             # 1 + g^d differs from g^d only in its lowest base-p digit
             self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp]
+
+
+class Tower(GaloisField):
+    """Arithmetic for all levels of the tower at once, in the ambient
+    GaloisField F_{q^{imax!}}; q a prime power, imax >= 2."""
+
+    def __init__(self, q: int, imax: int):
+        pk = polyutil.prime_power(q)
+        if pk is None:
+            raise ValueError("q must be a prime power")
+        p, self.d0 = pk
+        if imax < 2:
+            raise ValueError("imax must be >= 2")
+        self.q = q
+        self.imax = imax
+        super().__init__(p, math.factorial(imax) * self.d0)
+        self._levels = {}
+        self._check_generator_chain()
 
     # -- levels -----------------------------------------------------------
 

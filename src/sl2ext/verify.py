@@ -485,7 +485,8 @@ def _chk_clm(ctx: Context, params: dict) -> tuple:
     i = params["i"]
     ineq = towerext.counting_inequality("F", ctx.q, i)
     payload = {"lhs": ineq["lhs"], "rhs": ineq["rhs"], "holds": ineq["holds"]}
-    if ctx.tower is not None and i < ctx.imax and ctx.tower.level_size(i + 1) <= ctx.budget:
+    # the explicit coset count is L4.4-basis's, run where that check would run
+    if CHECKS["L4.4-basis"].unmet(ctx, params) is None:
         tw = ctx.tower
         a = tw.first_outside_subfield(i)
         covered = _coset_distinct_count(tw, i, a)

@@ -42,6 +42,15 @@ def test_imax_validation():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("coeff", ["fp:2:21", "fp:3:13", "fp:2:" + "9" * 30])
+def test_a_coefficient_field_over_the_table_budget_is_a_usage_error(coeff, capsys):
+    # F_{l^m} runs on exp/log tables, so l^m is capped like the tower
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "2", "--imax", "2", "--coeff", coeff])
+    assert exc.value.code == 2
+    assert "exceeds the table budget" in capsys.readouterr().err
+
+
 def test_prime_power_q_allowed(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main([

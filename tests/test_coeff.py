@@ -16,6 +16,7 @@ from sl2ext.coeff import (
     require_field,
     residue_map,
 )
+from sl2_helpers import field_power
 
 
 def _random_scalar(field, rng):
@@ -167,7 +168,8 @@ def test_cyclotomic_residue_map_is_a_ring_map(n, data):
     assert res(field.one) == 1 and res(field.zero) == 0
     # zeta goes to a primitive n-th root
     z = res(field.root_of_unity(n, 1))
-    assert target._pow(z, n) == 1 and all(target._pow(z, k) != 1 for k in range(1, n))
+    powers = [field_power(target, z, k) for k in range(1, n + 1)]
+    assert powers[-1] == 1 and 1 not in powers[:-1]
 
 
 def test_residue_map_rejects_a_denominator_divisible_by_l():
@@ -191,7 +193,8 @@ def test_field_from_spec():
 
 
 @pytest.mark.parametrize("spec", ["fp:abc", "bogus", "fp:7:0", "cyclo:0", "cyclo:-5",
-                                  "fp:4", "fp:", "rat:2", "fp:7:2:1"])
+                                  "fp:4", "fp:", "rat:2", "fp:7:2:1", "fp:2:21", "fp:3:13",
+                                  "fp:2:" + "9" * 30])
 def test_parse_coeff_spec_rejects(spec):
     with pytest.raises(ValueError):
         parse_coeff_spec(spec)
@@ -202,6 +205,8 @@ def test_parse_coeff_spec_forms():
     assert parse_coeff_spec("cyclo") == ("cyclo", ())
     assert parse_coeff_spec("cyclo:9") == ("cyclo", (9,))
     assert parse_coeff_spec("fp:7:2") == ("fp", (7, 2))
+    # the largest field the table budget admits, 2^20 elements
+    assert parse_coeff_spec("fp:2:20") == ("fp", (2, 20))
 
 
 def test_f2_has_the_trivial_root():
@@ -320,7 +325,8 @@ def test_zero_and_one_are_built_once(field):
         a = _random_scalar(field, rng)
         assert add(a, zero) == a == add(zero, a) and mul(a, zero) == zero
         assert sub(zero, sub(zero, a)) == a and mul(a, one) == a == mul(one, a)
-    assert field._pow(zero, 3) == zero and field._pow(one, 2) == one and field._inv(one) == one
+    assert field_power(field, zero, 3) == zero and field_power(field, one, 2) == one
+    assert field._inv(one) == one
     assert field.zero is zero and field.one is one
     assert zero == field.scalar(0) and one == field.scalar(1) and zero != one
 
@@ -396,32 +402,104 @@ def test_rational_inverse_and_scalar_forms():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_prime_field_pow_matches_repeated_mul(field, data):
-    a = data.draw(_elements(field))
+    # every root of unity is a power of the generator zeta_{size-1}
+    n = field.size - 1
     e = data.draw(st.integers(0, 2 * field.size))
-    expect = field.one
-    for _ in range(e):
-        expect = field._mul(expect, a)
-    assert field._pow(a, e) == expect
-    if a != field.zero:
-        assert field._mul(a, field._inv(a)) == field.one
+    assert field.root_of_unity(n, e) == field_power(field, field.root_of_unity(n, 1), e)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_scalar_pow_matches_repeated_mul(field, data):
-    # a negative power is a power of the inverse, which zero lacks
-    a = data.draw(_elements(field))
+    # zeta_d^e for every order d the mode holds; a negative power is a
+    # power of the inverse
+    n = _root_order(field)
+    d = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
     e = data.draw(st.integers(-5, 12))
-    if e < 0 and a == field.zero:
+    z = field.root_of_unity(d, 1)
+    base = z if e >= 0 else field._inv(z)
+    assert field.root_of_unity(d, e) == field_power(field, base, abs(e))
+
+
+# -- F_{l^m} on the GaloisField kernel, against polynomial arithmetic ----------
+
+EXTENSIONS = [PrimeField(2, 4), PrimeField(3, 2), PrimeField(5, 2), PrimeField(5, 3)]
+
+
+def _poly_ops(field):
+    """Reference ops on the encodings: digit vectors multiplied with
+    polyutil.mul_mod and reduced with rem_mod by the first irreducible
+    polynomial of degree m; the inverse is a^(l^m - 2)."""
+    ell, m = field.ell, field.m
+    modulus = polyutil.first_irreducible(ell, m)
+
+    def vec(a):
+        return polyutil.digits(a, ell, m)
+
+    def enc(v):
+        return sum((c % ell) * ell ** j for j, c in enumerate(v))
+
+    def add(a, b):
+        return enc([x + y for x, y in zip(vec(a), vec(b))])
+
+    def sub(a, b):
+        return enc([x - y for x, y in zip(vec(a), vec(b))])
+
+    def mul(a, b):
+        return enc(polyutil.rem_mod(polyutil.mul_mod(vec(a), vec(b), ell), modulus, ell))
+
+    def inv(a):
+        out = 1
+        for _ in range(field.size - 2):
+            out = mul(out, a)
+        return out
+
+    return add, sub, mul, inv
+
+
+@pytest.mark.parametrize("field", EXTENSIONS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extension_ops_match_the_polynomial_oracle(field, data):
+    add, sub, mul, inv = _poly_ops(field)
+    a, b = (data.draw(st.integers(0, field.size - 1)) for _ in range(2))
+    assert field._add(a, b) == add(a, b)
+    assert field._sub(a, b) == sub(a, b)
+    assert field._mul(a, b) == mul(a, b)
+    if a:
+        assert field._inv(a) == inv(a)
+    else:
         with pytest.raises(ZeroDivisionError):
             field._inv(a)
-        return
-    base = a if e >= 0 else field._inv(a)
-    expect = field.one
-    for _ in range(abs(e)):
-        expect = field._mul(expect, base)
-    assert field._pow(base, abs(e)) == expect
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(7), PrimeField(13)] + EXTENSIONS, ids=repr)
+def test_the_generator_is_the_first_primitive_element(field):
+    n = field.size - 1
+
+    def order(a):
+        k, acc = 1, a
+        while acc != field.one:
+            k, acc = k + 1, field._mul(acc, a)
+        return k
+
+    first = next(a for a in range(1, field.size) if order(a) == n)
+    assert field.root_of_unity(n, 1) == first
+
+
+@pytest.mark.parametrize("field", [PrimeField(7)] + EXTENSIONS, ids=repr)
+def test_every_prime_field_rep_is_an_int(field):
+    # a residue encodes itself; an extension rep prints its digits
+    assert field.scalar(-1) == field.ell - 1 and field.one == 1 and field.zero == 0
+    for a in range(field.size):
+        for b in (0, 1, field.size - 1, a):
+            for r in (field._add(a, b), field._sub(a, b), field._mul(a, b)):
+                assert type(r) is int and 0 <= r < field.size
+    z = field.root_of_unity(field.size - 1, 1)
+    assert type(z) is int and 0 <= z < field.size
+    if field.m > 1:
+        assert field.rep_str(z) == "[" + ",".join(map(str, polyutil.digits(z, field.ell, field.m))) + "]"
 
 
 CYCLO_INV_ORDERS = [1, 2, 3, 8, 12, 15, 63]

@@ -497,9 +497,8 @@ def _assert_raw(v):
     for r in v.support.values():
         assert r != field.zero
         if isinstance(field, PrimeField):
-            coeffs = (r,) if field.m == 1 else r
-            assert isinstance(coeffs, tuple) and len(coeffs) == field.m
-            assert all(type(x) is int and 0 <= x < field.ell for x in coeffs)
+            # a residue, or the encoding sum(c_j * l^j) of an F_{l^m} element
+            assert type(r) is int and 0 <= r < field.size
         elif isinstance(field, RationalField):
             assert type(r) is int or (type(r) is Fraction and r.denominator > 1)
         else:

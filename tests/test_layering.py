@@ -24,6 +24,11 @@ the tests' front for `TowerElem`, is the one exception.
 module but `linalg.py` reads it, to call it or to bind it for a call;
 `coeff.py` only forwards it to the base class (`super()._sub_scaled`).
 
+F_{p^n} arithmetic is written once, in `tower.GaloisField`, whose tables
+are built with `polyutil`'s polynomial products: no module but `tower.py`
+reads `mul_mod`, `rem_mod` or `pow_mod` as an attribute or imports them
+(`polyutil.py` itself calls them by their bare names).
+
 In `verify.py` only the runner builds a `Report`: check bodies return
 `(verdict, payload[, reason])` and `run_lemma` turns that into the report,
 with `run_all` adding one SKIP for a check it cannot schedule."""
@@ -143,6 +148,30 @@ def test_the_kernel_lint_sees_every_call():
               "    sub = field._sub_scaled\n    return super()._sub_scaled(a, 1, b)\n")
     assert _sub_scaled_reads(ast.parse(source)) == [2, 3]
     assert _sub_scaled_reads(ast.parse((SRC / "linalg.py").read_text()))
+
+
+POLY_ARITHMETIC = {"mul_mod", "rem_mod", "pow_mod"}
+
+
+def _poly_arithmetic_reads(tree):
+    """Lines reading a polynomial product mod p as an attribute or
+    importing one."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in POLY_ARITHMETIC
+                  or isinstance(n, ast.ImportFrom) and any(a.name in POLY_ARITHMETIC for a in n.names))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_tower_multiplies_polynomials_mod_p(path):
+    assert _poly_arithmetic_reads(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_polynomial_lint_sees_every_spelling():
+    source = ("from .polyutil import mul_mod, trim\nfrom . import polyutil\n"
+              "def f(a, b, m, p):\n    r = polyutil.rem_mod(mul_mod(a, b, p), m, p)\n"
+              "    g = polyutil.pow_mod\n    return polyutil.trim(r)\n")
+    assert _poly_arithmetic_reads(ast.parse(source)) == [1, 4, 5]
+    assert _poly_arithmetic_reads(ast.parse((SRC / "tower.py").read_text()))
 
 
 def test_only_the_runner_builds_reports():

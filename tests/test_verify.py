@@ -106,6 +106,18 @@ def test_l44_explicit_counts():
     assert r.verdict == "PASS" and r.payload["distinct_cosets"] == 4
 
 
+def test_clm_counts_cosets_exactly_where_l44_basis_runs():
+    # at q=2, L4.4-basis at i=1 costs |level 2| + 1 = 5: at budget 4 it
+    # SKIPs and clm-4 i=1 reports no explicit count; at budget 5 both count
+    for budget, runs in ((4, False), (5, True)):
+        reports = run_all(Context(RunConfig(q=2, imax=3, budget=budget)), ["L4.4-basis", "clm-4"])
+        l44 = [r for r in reports if r.lemma_id == "L4.4-basis" and r.verdict != "SKIPPED"]
+        clm = next(r for r in reports if r.lemma_id == "clm-4" and r.params["i"] == 1)
+        assert bool(l44) is runs and ("explicit" in clm.payload) is runs
+        if runs:
+            assert clm.payload["explicit"]["total_cosets"] == 2
+
+
 def test_l44_negative_control_catches():
     ctx = Context(RunConfig(q=2, imax=3))
     r = run_lemma(ctx, CheckSpec("L4.4-neg-control", {"q": 2, "i": 2}))

@@ -22,6 +22,10 @@ Composed along the Bruhat form of g, they give the closed form that
     u(x)h(t)su(y).1       = theta(t)^-1 . cell(x)
     u(x)h(t)su(y).cell(L) = theta(-t) . 1                 (l = 0)
     u(x)h(t)su(y).cell(L) = theta(l/t) . cell(x - t^2/l)  (l != 0)
+The label part of a cell's form runs on the tower's fused map
+(``Tower._mobius``, table lookups only); ``_compile`` adds the highest
+line, the l = 0 case and theta.  ``oracle_act_label`` does not use the
+fused map: it multiplies matrices and refactors them on the raw ops.
 
 ``InducedModule.action(g)`` compiles g once and returns an ``Action``
 that applies it to many labels or vectors; a loop that repeats an element
@@ -171,28 +175,26 @@ class InducedModule:
         d = tw.level_degree(self.level)
         if not all(tw._frobenius_fixed(v, d) for v in g.key()):
             raise ValueError("group element lives above the module level")
-        add, mul, inv = tw._add, tw._mul, tw._inv
         form = bruhat(g)
         x, t = form.x, form.t
-        t2, t_inv = mul(t, t), inv(t)
+        t_inv = tw._inv(t)
         if not form.big_cell:
-            top, cell = th(t), th(t_inv)
+            cell_map, top, cell = tw._mobius(x, t), th(t), th(t_inv)
 
             def small(label):
                 if label == HIGHEST:
                     return HIGHEST, top
-                return add(x, mul(t2, label)), cell
+                return cell_map(label), cell
             return small
-        y, neg_t2 = form.y, tw._neg(t2)
-        top, bottom = th(t_inv), th(tw._neg(t))
+        cell_map, top, bottom = tw._mobius(x, t, form.y), th(t_inv), th(tw._neg(t))
 
         def big(label):
             if label == HIGHEST:
                 return x, top
-            l = add(y, label)
-            if l == 0:
+            image = cell_map(label)
+            if image is None:
                 return HIGHEST, bottom
-            return add(x, mul(neg_t2, inv(l))), th(mul(l, t_inv))
+            return image[0], th(image[1])
         return big
 
     def _apply(self, image, v: Vec) -> Vec:

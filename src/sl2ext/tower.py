@@ -14,7 +14,10 @@ level reads it from the value there.
 
 Elements cross every module boundary as these raw ints, computed with the
 raw ops (`_add`, `_neg`, `_mul`, `_inv`, `_pow`) and validated by `value`;
-`TowerElem`, a value with operators, is the tests' front only.
+`TowerElem`, a value with operators, is the tests' front only.  One fused
+kernel sits beside the raw ops: `_mobius`, the label map of one Bruhat
+cell on the tables, which `indmod`'s compiled actions apply to every
+label; the action oracle and `grp` stay on the raw ops.
 """
 
 from __future__ import annotations
@@ -188,6 +191,62 @@ class GaloisField:
                 raise ZeroDivisionError("0 to a non-positive power")
             return 0
         return self._exp[(self._log[a] * e) % (self.size - 1)]
+
+    def _mobius(self, x: int, t: int, y: int | None = None):
+        """The label map of one Bruhat cell, fused on the tables (t != 0).
+
+        For y None, the small cell u(x)h(t): L -> x + t^2 L.  Otherwise the
+        big cell u(x)h(t)su(y): L -> (x - t^2/l, l/t) with l = y + L, or
+        None where l = 0.  Each label costs table lookups only: an addition
+        is XOR for p = 2 and one Zech lookup for odd p, and l is kept as its
+        logarithm.
+        """
+        exp, log, n = self._exp, self._log, self.size - 1
+        lt = log[t]
+        lt2 = 2 * lt % n
+        if self.p == 2:
+            if y is None:
+                def small(L):
+                    return x ^ exp[(lt2 + log[L]) % n] if L else x
+                return small
+
+            def big(L):
+                l = y ^ L
+                if not l:
+                    return None
+                ll = log[l]
+                return x ^ exp[(lt2 - ll) % n], exp[(ll - lt) % n]
+            return big
+        zech, lx = self._zech, log[x]
+        if y is None:
+            def small(L):
+                if not L:
+                    return x
+                e = lt2 + log[L]
+                if lx is None:
+                    return exp[e % n]
+                z = zech[(e - lx) % n]
+                return 0 if z is None else exp[(lx + z) % n]
+            return small
+        ly, lt2_neg = log[y], lt2 + n // 2
+
+        def big(L):
+            if ly is None or not L:
+                l = y or L
+                if not l:
+                    return None
+                ll = log[l]
+            else:
+                z = zech[(log[L] - ly) % n]
+                if z is None:
+                    return None
+                ll = ly + z
+            e = lt2_neg - ll
+            if lx is None:
+                return exp[e % n], exp[(ll - lt) % n]
+            z = zech[(e - lx) % n]
+            return (0 if z is None else exp[(lx + z) % n]), exp[(ll - lt) % n]
+        return big
 
     def _build_tables(self):
         p, poly = self.p, list(self.poly)

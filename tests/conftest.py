@@ -25,6 +25,11 @@ def tower33():
 
 
 @pytest.fixture(scope="session")
+def tower42():
+    return Tower(4, 2)
+
+
+@pytest.fixture(scope="session")
 def tower52():
     return Tower(5, 2)
 

@@ -55,11 +55,16 @@ def test_weyl_square_on_cell0(tower32, cyc8):
         assert got == mod.highest_vector().scale(mod.theta.eval(tw._neg(1)))
 
 
-@pytest.mark.parametrize("fix,exps", [("tower22", (0, 1)), ("tower32", (0, 1, 3))])
+# levels 1 and 2, but only level 1 at q = 5, whose level-2 group has 15,600 elements
+ORACLE_LEVELS = {"tower52": (1,)}
+
+
+@pytest.mark.parametrize("fix,exps", [("tower22", (0, 1)), ("tower32", (0, 1, 3)),
+                                      ("tower42", (0, 1, 5)), ("tower52", (0, 1, 6))])
 def test_oracle_agreement_exhaustive(fix, exps, request):
     tw = request.getfixturevalue(fix)
     field = CyclotomicField(tw.size - 1)
-    for i in (1, 2):
+    for i in ORACLE_LEVELS.get(fix, (1, 2)):
         for e in exps:
             mod = _module(tw, field, e, i)
             for g in grp.enumerate_subgroup(tw, "G", i):

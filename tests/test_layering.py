@@ -2,8 +2,11 @@
 
 The tower's exp, log and Zech tables are private to `tower.py`.  Every
 other module reaches tower arithmetic through the raw ops (`_add`, `_neg`,
-`_mul`, `_inv`, `_pow`), so no module but `tower.py` may read an attribute
-named `_exp`, `_log` or `_zech`.  Tower elements cross every module
+`_mul`, `_inv`, `_pow`) and the fused cell map `_mobius`, so no module but
+`tower.py` may read an attribute named `_exp`, `_log` or `_zech`.  Only
+`InducedModule._compile` reads `_mobius` (as an attribute or a getattr
+string): the action oracle, `bruhat` and `reassemble` stay on the raw ops
+and matrix products, independent of it.  Tower elements cross every module
 boundary as raw ints: `TowerElem` is the tests' operator front, so no
 module but `tower.py` names it (in an import, an annotation or a call),
 reads a `.val` or calls `Tower.element`.
@@ -172,6 +175,47 @@ def test_the_polynomial_lint_sees_every_spelling():
               "    g = polyutil.pow_mod\n    return polyutil.trim(r)\n")
     assert _poly_arithmetic_reads(ast.parse(source)) == [1, 4, 5]
     assert _poly_arithmetic_reads(ast.parse((SRC / "tower.py").read_text()))
+
+
+FUSED_CELL_MAP = "_mobius"
+CELL_MAP_READER = ("indmod.py", "InducedModule._compile")
+
+
+def _cell_map_reads(node, scope=""):
+    """(enclosing qualified name, line) of every read of the fused cell map,
+    as an attribute or a getattr string; the scope is "" at module level."""
+    reads = []
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if (isinstance(child, ast.Attribute) and child.attr == FUSED_CELL_MAP
+                or isinstance(child, ast.Constant) and child.value == FUSED_CELL_MAP):
+            reads.append((scope, child.lineno))
+        reads += _cell_map_reads(child, inner)
+    return sorted(reads, key=lambda r: r[1])
+
+
+def _foreign_cell_map_reads(name, tree):
+    return [r for r in _cell_map_reads(tree) if (name, r[0]) != CELL_MAP_READER]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_compile_reads_the_fused_cell_map(path):
+    assert _foreign_cell_map_reads(path.name, ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_cell_map_lint_sees_every_read():
+    source = ("cell = tower._mobius\n"
+              "class InducedModule:\n    def _compile(self, g):\n        return self.tower._mobius(0, 1)\n"
+              "    def oracle_act_label(self, g, label):\n        f = getattr(self.tower, '_mobius')\n"
+              "        def inner():\n            return self.tower._mobius\n"
+              "def bruhat(g):\n    return g.tower._mobius(0, 1, 0)\n")
+    assert _foreign_cell_map_reads("indmod.py", ast.parse(source)) == [
+        ("", 1), ("InducedModule.oracle_act_label", 6),
+        ("InducedModule.oracle_act_label.inner", 8), ("bruhat", 10)]
+    assert _foreign_cell_map_reads("grp.py", ast.parse(source))[1] == ("InducedModule._compile", 4)
+    assert _cell_map_reads(ast.parse((SRC / "indmod.py").read_text()))
 
 
 def test_only_the_runner_builds_reports():

@@ -326,3 +326,30 @@ def test_digits_round_trip_with_encode(key):
         ds = polyutil.digits(v, tw.p, tw.degree)
         assert len(ds) == tw.degree and all(0 <= c < tw.p for c in ds)
         assert ds == _digits(tw, v) and tw._encode(ds) == v
+
+
+@pytest.mark.parametrize("q,level", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2),
+                                     (5, 1), (5, 2)])
+def test_the_fused_cell_map_matches_the_raw_ops(q, level):
+    """_mobius at every (x, t, y, L) of the level, y None for the small
+    cell, against the raw ops composed; this meets x = 0, y = 0 and
+    y + L = 0 (the big cell's None)."""
+    tw = Tower(q, 2)
+    add, neg, mul, inv = tw._add, tw._neg, tw._mul, tw._inv
+    elements = tw.enumerate_level(level)
+    nones = 0
+    for x in elements:
+        for t in tw.units(level):
+            t2 = mul(t, t)
+            small = tw._mobius(x, t)
+            assert [small(L) for L in elements] == [add(x, mul(t2, L)) for L in elements]
+            for y in elements:
+                big = tw._mobius(x, t, y)
+                for L in elements:
+                    l = add(y, L)
+                    if l == 0:
+                        assert big(L) is None
+                        nones += 1
+                    else:
+                        assert big(L) == (add(x, neg(mul(t2, inv(l)))), mul(l, inv(t)))
+    assert elements[0] == 0 and nones == len(elements) ** 2 * len(tw.units(level))

@@ -26,10 +26,13 @@ alike, so reps stay canonical by value.  No operation ever yields a float.
 Over Q(zeta_n) every character value, and nearly every coefficient of the
 induced action, is a root of unity +-zeta_n^k.  ``CyclotomicField`` keeps
 the one tuple rep for these too, but looks them up in an index of their
-exponents: a product of two of them is the rep of zeta^(i+j) with the
-product sign, an inverse that of zeta^-k, and a factor of 1 returns the
-other operand.  Every other product is a schoolbook multiply folded mod
-Phi_n, every other inverse the Galois-norm product.
+exponents, first of all: a product of two of them is read from a table of
+the signed roots at exponent i+j mod n and the product sign, an inverse at
+-k.  A product with another operand then checks for a rational factor,
+which scales the other operand (1 returns it), and is otherwise a
+schoolbook multiply folded mod Phi_n; every other inverse is the
+Galois-norm product.  Sums and differences map ``operator.add`` and
+``operator.sub`` over the coefficient tuples.
 
 ``residue_map`` reduces a characteristic-0 field onto F_l for a prime
 l = 1 (mod n), the ring map behind ``cohom``'s mod-l rank bound, and
@@ -39,6 +42,7 @@ l = 1 (mod n), the ring map behind ``cohom``'s mod-l rank bound, and
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 
@@ -183,6 +187,12 @@ class CyclotomicField(CoeffField):
     and may stay a ``Fraction`` after one, integral or not: only ``_inv``
     and ``_from_rational`` turn integral results back into ``int``s, and
     the hot ``_mul`` does not normalise.
+
+    ``_mul`` looks both operands up in ``_root_index`` first; two signed
+    roots +-zeta^i and +-zeta^j give ``_signed_roots[sign][(i + j) % n]``,
+    a table built once beside the index from the index's own tuples.
+    Only then does a rational operand scale the other, and any other pair
+    goes through the schoolbook product.
     """
 
     def __init__(self, n: int):
@@ -205,13 +215,19 @@ class CyclotomicField(CoeffField):
         return (_integral(x),) + (0,) * (self.degree - 1)
 
     def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def _sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(operator.sub, a, b))
 
     def _mul(self, a, b):
-        d = self.degree
+        # two roots of unity multiply by adding exponents
+        index = self._root_index
+        ra = index.get(a)
+        if ra is not None:
+            rb = index.get(b)
+            if rb is not None:
+                return self._signed_roots[ra[1] * rb[1]][(ra[0] + rb[0]) % self.n]
         # rational factors act by plain scaling, and 1 not at all
         if not any(a[1:]):
             c = a[0]
@@ -223,13 +239,7 @@ class CyclotomicField(CoeffField):
             if c == 1:
                 return a
             return tuple(c * x for x in a) if c else b
-        # two roots of unity multiply by adding exponents
-        index = self._root_index
-        ra = index.get(a)
-        if ra is not None:
-            rb = index.get(b)
-            if rb is not None:
-                return self._signed_zeta(ra[0] + rb[0], ra[1] * rb[1])
+        d = self.degree
         out = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
@@ -245,21 +255,37 @@ class CyclotomicField(CoeffField):
         return tuple(out[:d])
 
     @cached_property
+    def _signed_roots(self):
+        """The reps of +-zeta_n^k: ``_signed_roots[sign][k]`` for sign +-1
+        and 0 <= k < n, one list per sign (the middle slot is unused).
+
+        For even n, -zeta^k is zeta^(k + n/2), so both lists hold the same
+        tuple objects; for odd n the negative list holds n negated ones."""
+        n = self.n
+        pos = [self._zeta(k) for k in range(n)]
+        if n % 2:
+            neg = [tuple(-c for c in z) for z in pos]
+        else:
+            neg = pos[n // 2:] + pos[:n // 2]
+        return (None, pos, neg)
+
+    @cached_property
     def _root_index(self):
         """Every root of unity of the field, +-zeta_n^k, -> (k, +-1).
 
         These are the character values and nearly every coefficient of the
-        induced action, so most products and inverses are of them.  For
-        even n, -zeta^k is zeta^(k + n/2) and keeps its unsigned entry;
-        built on first use, it holds at most 2n reps."""
-        index = {self._zeta(k): (k, 1) for k in range(self.n)}
-        for k in range(self.n):
-            index.setdefault(self._signed_zeta(k, -1), (k, -1))
+        induced action, so most products and inverses are of them.  Its
+        keys are the tuples of ``_signed_roots``; for even n, -zeta^k is
+        zeta^(k + n/2) and keeps its unsigned entry.  Built on first use, it
+        holds at most 2n reps."""
+        _, pos, neg = self._signed_roots
+        index = {z: (k, 1) for k, z in enumerate(pos)}
+        for k, z in enumerate(neg):
+            index.setdefault(z, (k, -1))
         return index
 
     def _signed_zeta(self, k: int, sign: int):
-        z = self._zeta(k)
-        return z if sign == 1 else tuple(-c for c in z)
+        return self._signed_roots[sign][k % self.n]
 
     def _inv(self, a):
         """(+-zeta^k)^-1 = +-zeta^-k; any other a^-1 is

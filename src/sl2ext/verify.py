@@ -10,8 +10,9 @@ Otherwise the body returns `(verdict, payload)` or `(verdict, payload,
 reason)` and `run_lemma` builds the Report.  `run_all` schedules the
 range's levels whose cost fits the budget unless the record names its
 own schedule.  Only the registry reads the budget; no lower layer takes
-it.  Counting certificates run at any level i >= 1 with big integers;
-module level checks stop at the budget and the ambient-degree cap.
+it.  Counting certificates run at any level i >= 1 with big integers
+up to the counting cap; module level checks stop at the budget and the
+ambient-degree cap.
 Negative controls are their own records: they PASS exactly when the
 sabotaged input is caught.
 """
@@ -36,6 +37,7 @@ MODULE_DEGREE_CAP = 12  # ambient F_p-degree cap for explicit module work
 CYCLOTOMIC_ORDER_CAP = 2000  # cap for the auto-selected cyclotomic order
 EXT_GROUP_CAP = 60  # largest level-1 group the cocycle oracle enumerates
 COUNTING_LEVELS = 6
+COUNTING_BITS_CAP = 1 << 19  # largest integer, in bits, a counting check builds
 
 
 @dataclass
@@ -189,7 +191,8 @@ def _module(ctx: Context, params: dict) -> str | None:
 
 class Levels(NamedTuple):
     """The levels a check accepts: lowest <= i <= imax - margin, or every
-    i >= lowest when margin is None (counting checks run at any level)."""
+    i >= lowest when margin is None (the counting checks, which the
+    counting cap bounds instead)."""
 
     lowest: int
     margin: int | None
@@ -243,6 +246,18 @@ def _two_quotient_reps(ctx: Context, params: dict) -> str | None:
 def _nontrivial_level_torus(ctx: Context, params: dict) -> str | None:
     if ctx.tower.level_size(params["i"]) - 1 < 2:
         return "every character agrees on a trivial level torus"
+    return None
+
+
+def _counting_size(ctx: Context, params: dict) -> str | None:
+    """The counting integers fit the cap.  The largest, ineq-36's
+    q^i! (q^(2 i!) - 1) or 2 q^(i+1)!, has about k log2(q) bits for
+    k = max(i + 1, 3) i!; the test compares k, an int, without a power."""
+    i = params["i"]
+    k = max(i + 1, 3) * math.factorial(i)
+    if k > COUNTING_BITS_CAP / math.log2(ctx.q):
+        return (f"counting cap: level {i} builds integers of about {k} * log2({ctx.q}) bits, "
+                f"over the cap of {COUNTING_BITS_CAP} bits")
     return None
 
 
@@ -763,9 +778,9 @@ REGISTRY = [
     Check("eta-weight", _chk_eta_weight, _module, _NEXT_LEVEL, cost=_next_cost),
     Check("eta-weight-neg-control", _chk_eta_weight_neg, _module, _NEXT_LEVEL,
           (_nontrivial_level_torus,), _next_cost, _first_where(_nontrivial_level_torus)),
-    Check("clm-4", _chk_clm, None, _ANY_LEVEL),
-    Check("ineq-36", partial(_chk_ineq, "H"), None, _ANY_LEVEL),
-    Check("ineq-37", partial(_chk_ineq, "L"), None, _ANY_LEVEL),
+    Check("clm-4", _chk_clm, None, _ANY_LEVEL, (_counting_size,)),
+    Check("ineq-36", partial(_chk_ineq, "H"), None, _ANY_LEVEL, (_counting_size,)),
+    Check("ineq-37", partial(_chk_ineq, "L"), None, _ANY_LEVEL, (_counting_size,)),
     Check("L4.6-noFU", partial(_chk_certificate, "F"), _module, _CONNECT_F,
           (_pair_characters,), _next_cost),
     Check("L5.3-xi", _chk_xi, _module, _QUADRATIC_FREE, _THETA, _next_cost),

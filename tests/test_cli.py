@@ -75,6 +75,32 @@ def test_counting_payloads_past_the_int_digit_limit(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_counting_levels_over_the_cap_skip(capsys, tmp_path):
+    # --imax 30 schedules the counting checks up to level 30, where
+    # q^((i+1)!) would have 31! bits: past the counting cap they SKIP and
+    # the run ends in seconds
+    out = tmp_path / "report.json"
+    t0 = time.monotonic()
+    code = main(["verify", "--q", "2", "--imax", "30", "--out", str(out)])
+    assert code == 0 and time.monotonic() - t0 < 30
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(out.read_text())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    counting = [r for r in doc["reports"] if r["id"] in ("clm-4", "ineq-36", "ineq-37")]
+    assert len(counting) == 3 * 30
+    for r in counting:
+        i = r["params"]["i"]
+        if i <= 8:
+            assert r["verdict"] == "PASS" or (i == 1 and r["id"] != "clm-4")
+        else:
+            assert r["verdict"] == "SKIPPED" and r["reason"].startswith(f"counting cap: level {i} ")
+    assert doc["summary"]["fail"] == 0
+    capsys.readouterr()
+
+
 def test_unknown_lemma_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--q", "2", "--lemmas", "sus,unknown-thing"])

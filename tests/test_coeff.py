@@ -579,6 +579,55 @@ def test_signed_roots_take_no_fold(n):
 
 
 @pytest.mark.parametrize("n", CYCLO_INV_ORDERS)
+def test_signed_root_table_holds_the_index_tuples(n):
+    # the table adds no rep of its own: every entry is the index's key
+    # object, and every key is the table entry at its (k, sign)
+    field = CyclotomicField(n)
+    index = field._root_index
+    table = field._signed_roots
+    keys = {key: key for key in index}
+    for sign in (1, -1):
+        assert len(table[sign]) == n
+        for k, z in enumerate(table[sign]):
+            assert keys[z] is z and field._signed_zeta(k, sign) is z
+    for key, (k, sign) in index.items():
+        assert table[sign][k] is key
+
+
+@pytest.mark.parametrize("n", CYCLO_INV_ORDERS)
+def test_signed_roots_times_other_operands_match_fraction_oracle(n):
+    # the root lookup comes first; a product with one operand off the index
+    # still reaches the rational scaling (0, +-1, 2, 1/2) or, for a rep with
+    # a nonzero higher coefficient, the schoolbook product
+    field = CyclotomicField(n)
+    others = [field.scalar(c) for c in (0, 1, -1, 2, Fraction(1, 2))]
+    non_root = (2,) + (1,) * (field.degree - 1)
+    assert non_root not in field._root_index
+    others.append(non_root)
+    for _, _, root in _signed_roots(field):
+        for other in others:
+            want = _fraction_product_mod_phi(n, root, other)
+            assert field._mul(root, other) == want and field._mul(other, root) == want
+
+
+@pytest.mark.parametrize("n", CYCLO_INV_ORDERS)
+def test_cyclotomic_add_sub_keep_coefficient_types(n):
+    # int coefficients stay ints, and an integral Fraction stays a Fraction
+    # where an operand had a Fraction
+    field = CyclotomicField(n)
+    rng = random.Random(n)
+    for _ in range(10):
+        a, b = _random_scalar(field, rng), _random_scalar(field, rng)
+        for s in (field._add(a, b), field._sub(a, b)):
+            assert all(type(c) is int for c in s)
+    half = field.scalar(Fraction(1, 2))
+    half_zeta = field._mul(half, field.root_of_unity(n, 1))
+    for (got, want), operand in zip(integral_fraction_cases(field), (half, half_zeta, half_zeta)):
+        assert got == want
+        assert [type(c) for c in got] == [type(c) for c in operand]
+
+
+@pytest.mark.parametrize("n", CYCLO_INV_ORDERS)
 def test_cyclotomic_inverse_of_zero_raises(n):
     field = CyclotomicField(n)
     for zero in (field.zero, (Fraction(0),) * field.degree):

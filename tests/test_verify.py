@@ -7,6 +7,7 @@ from sl2ext.cli import _config_from_args, _selected_lemmas, make_parser
 from sl2ext.grp import subgroup_order
 from sl2ext.verify import (
     CHECKS,
+    COUNTING_BITS_CAP,
     REGISTRY,
     REGISTRY_IDS,
     CheckSpec,
@@ -93,6 +94,18 @@ def test_counting_beyond_module_levels():
         for lemma in ("clm-4", "ineq-36", "ineq-37"):
             r = run_lemma(ctx, CheckSpec(lemma, {"q": 9, "i": i}))
             assert r.verdict == "PASS", (lemma, i)
+
+
+def test_counting_cap_skips_by_size():
+    # at q = 2, level 8's largest integer has 9! = 362,880 bits, under the
+    # cap; level 9's would have 10! bits, and the level SKIPs unbuilt
+    ctx = Context(RunConfig(q=2, imax=2))
+    for lemma in ("clm-4", "ineq-36", "ineq-37"):
+        assert run_lemma(ctx, CheckSpec(lemma, {"q": 2, "i": 8})).verdict == "PASS"
+        r = run_lemma(ctx, CheckSpec(lemma, {"q": 2, "i": 9}))
+        assert r.verdict == "SKIPPED" and r.payload == {}
+        assert r.reason == ("counting cap: level 9 builds integers of about 3628800 * log2(2) bits, "
+                            f"over the cap of {COUNTING_BITS_CAP} bits")
 
 
 def test_l44_explicit_counts():

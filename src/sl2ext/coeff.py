@@ -8,8 +8,15 @@ computes on its reps with ``_add``, ``_sub``, ``_mul`` and ``_inv``; a rep
 does not know its field, so the layers that mix values of two sources
 check the fields once at their boundary (``require_field``).  ``zero``,
 ``one``, ``scalar`` and the character values of ``root_of_unity`` are
-reps too; a mode supports order n exactly when it contains a primitive
-n-th root.  ``rep_str`` is a rep's report string.
+reps too.  ``rep_str`` is a rep's report string.
+
+The roots of unity of a mode are one cyclic group of order ``root_order``:
+2 over Q, n over Q(zeta_n) for even n and 2n for odd n, and l^m - 1 over
+F_{l^m}.  ``_root(k)`` is the k-th power of the mode's fixed generator: -1,
+the one below over Q(zeta_n), the first primitive root mod l, or the
+``GaloisField`` generator.  ``root_of_unity`` and ``supports_order`` read
+only these two, so a mode supports order n exactly when n divides
+``root_order``.
 
 Every F_l rep is an ``int``: a residue for m = 1, else the encoding
 sum(c_j * l^j) of ``tower.GaloisField(l, m)``, which runs every op of F_{l^m}.
@@ -24,15 +31,16 @@ integral ``Fraction`` in place.  ``Fraction(k) == k`` and the two hash
 alike, so reps stay canonical by value.  No operation ever yields a float.
 
 Over Q(zeta_n) every character value, and nearly every coefficient of the
-induced action, is a root of unity +-zeta_n^k.  ``CyclotomicField`` keeps
-the one tuple rep for these too, but looks them up in an index of their
-exponents, first of all: a product of two of them is read from a table of
-the signed roots at exponent i+j mod n and the product sign, an inverse at
--k.  A product with another operand then checks for a rational factor,
-which scales the other operand (1 returns it), and is otherwise a
-schoolbook multiply folded mod Phi_n; every other inverse is the
-Galois-norm product.  Sums and differences map ``operator.add`` and
-``operator.sub`` over the coefficient tuples.
+induced action, is a root of unity: +-zeta_n^k, a power of the generator
+x for even n and of -x^((n+1)/2) for odd n.  ``CyclotomicField`` keeps the
+one tuple rep for these too, in one table of the generator's powers, and
+looks them up in an index of their exponents first of all: a product of
+two of them is the table entry at exponent i+j, an inverse at -k.  A
+product with another operand then checks for a rational factor, which
+scales the other operand (1 returns it), and is otherwise a schoolbook
+multiply folded mod Phi_n; every other inverse is the Galois-norm
+product.  Sums and differences map ``operator.add`` and ``operator.sub``
+over the coefficient tuples.
 
 ``residue_map`` reduces a characteristic-0 field onto F_l for a prime
 l = 1 (mod n), the ring map behind ``cohom``'s mod-l rank bound, and
@@ -77,20 +85,16 @@ class CoeffField:
         return self.scalar(1)
 
     def root_of_unity(self, n: int, e: int):
-        """zeta_n^e; raises ValueError when the mode lacks the order."""
-        e %= n
-        if e == 0:
-            return self.one
-        g = math.gcd(e, n)
-        return self._primitive_root(n // g, e // g)
+        """zeta_n^e; raises ValueError when the mode lacks its order."""
+        g = math.gcd(n, e)
+        d = n // g
+        if not self.supports_order(d):
+            raise ValueError(f"{self!r} has no root of unity of order {d}")
+        return self._root(self.root_order // d * (e // g) % self.root_order)
 
     def supports_order(self, n: int) -> bool:
         """Whether a primitive n-th root of unity exists in this mode."""
-        try:
-            self._primitive_root(n, 1)
-            return True
-        except ValueError:
-            return False
+        return self.root_order % n == 0
 
     def characteristic(self) -> int:
         raise NotImplementedError
@@ -118,13 +122,14 @@ class CoeffField:
                     del a[k]
         return a
 
-    # subclasses: _add/_sub/_mul/_inv/_from_rational/_primitive_root/rep_str
+    # subclasses: root_order/_root/_add/_sub/_mul/_inv/_from_rational/rep_str
 
 
 class RationalField(CoeffField):
     """Q; a rep is an ``int`` while integral, else a ``Fraction``."""
 
     n = 1  # Q is Q(zeta_1); ``cohom`` picks its mod-l prime from n
+    root_order = 2  # +-1
 
     def _add(self, a, b):
         s = a + b
@@ -155,12 +160,8 @@ class RationalField(CoeffField):
                 a.pop(k, None)
         return a
 
-    def _primitive_root(self, order: int, e: int):
-        if order == 1:
-            return self.one
-        if order == 2:
-            return self.scalar(-1)
-        raise ValueError(f"rational mode has no root of unity of order {order}")
+    def _root(self, k: int):
+        return -1 if k else 1
 
     def characteristic(self) -> int:
         return 0
@@ -188,9 +189,12 @@ class CyclotomicField(CoeffField):
     and ``_from_rational`` turn integral results back into ``int``s, and
     the hot ``_mul`` does not normalise.
 
-    ``_mul`` looks both operands up in ``_root_index`` first; two signed
-    roots +-zeta^i and +-zeta^j give ``_signed_roots[sign][(i + j) % n]``,
-    a table built once beside the index from the index's own tuples.
+    The roots of unity form one cyclic group of order ``root_order``: n for
+    even n, and 2n for odd n, where -1 is no power of x.  Its generator is
+    x for even n and -x^((n+1)/2), whose square is x, for odd n.
+    ``_roots[k]`` is the generator's k-th power and ``_root_index`` maps
+    each of those tuples back to k.  ``_mul`` looks both operands up in the
+    index first, and two roots i and j give ``_roots[(i + j) % root_order]``.
     Only then does a rational operand scale the other, and any other pair
     goes through the schoolbook product.
     """
@@ -199,17 +203,8 @@ class CyclotomicField(CoeffField):
         if n < 1:
             raise ValueError("cyclotomic order must be >= 1")
         self.n = n
-        phi = polyutil.cyclotomic(n)
-        self.degree = len(phi) - 1
-        # x^k mod Phi_n for k in [degree, 2*degree-2], used to fold products;
-        # the first row drives _zeta, which gives the others
-        self._fold = [tuple(-c for c in phi[:-1])]
-        # x^k mod Phi_n, extended on demand by shift-and-fold
-        self._zeta_list = [self._one_rep()]
-        self._fold += [self._zeta(k) for k in range(self.degree + 1, 2 * self.degree - 1)]
-
-    def _one_rep(self):
-        return (1,) + (0,) * (self.degree - 1)
+        self.degree = len(polyutil.cyclotomic(n)) - 1
+        self.root_order = n if n % 2 == 0 else 2 * n
 
     def _from_rational(self, x: Fraction):
         return (_integral(x),) + (0,) * (self.degree - 1)
@@ -223,11 +218,11 @@ class CyclotomicField(CoeffField):
     def _mul(self, a, b):
         # two roots of unity multiply by adding exponents
         index = self._root_index
-        ra = index.get(a)
-        if ra is not None:
-            rb = index.get(b)
-            if rb is not None:
-                return self._signed_roots[ra[1] * rb[1]][(ra[0] + rb[0]) % self.n]
+        i = index.get(a)
+        if i is not None:
+            j = index.get(b)
+            if j is not None:
+                return self._roots[(i + j) % self.root_order]
         # rational factors act by plain scaling, and 1 not at all
         if not any(a[1:]):
             c = a[0]
@@ -255,57 +250,70 @@ class CyclotomicField(CoeffField):
         return tuple(out[:d])
 
     @cached_property
-    def _signed_roots(self):
-        """The reps of +-zeta_n^k: ``_signed_roots[sign][k]`` for sign +-1
-        and 0 <= k < n, one list per sign (the middle slot is unused).
+    def _roots(self):
+        """The generator's powers, ``_roots[k]`` for 0 <= k < root_order.
 
-        For even n, -zeta^k is zeta^(k + n/2), so both lists hold the same
-        tuple objects; for odd n the negative list holds n negated ones."""
-        n = self.n
-        pos = [self._zeta(k) for k in range(n)]
-        if n % 2:
-            neg = [tuple(-c for c in z) for z in pos]
-        else:
-            neg = pos[n // 2:] + pos[:n // 2]
-        return (None, pos, neg)
+        x^k for k < n comes by shift and fold, x^degree being minus the low
+        coefficients of Phi_n.  For odd n the generator's k-th power is
+        (-1)^k x^(k(n+1)/2): the even slots hold the x^k in order, and each
+        odd slot one negated x^k."""
+        n, d = self.n, self.degree
+        top_row = [-c for c in polyutil.cyclotomic(n)[:-1]]
+        powers = [self.one]
+        for _ in range(n - 1):
+            prev = powers[-1]
+            cur = [0, *prev[:-1]]
+            top = prev[-1]
+            if top:
+                for j in range(d):
+                    cur[j] += top * top_row[j]
+            powers.append(tuple(cur))
+        if n % 2 == 0:
+            return powers
+        negated = [tuple(-c for c in z) for z in powers]
+        return [(negated if k % 2 else powers)[k * (n + 1) // 2 % n] for k in range(2 * n)]
 
     @cached_property
     def _root_index(self):
-        """Every root of unity of the field, +-zeta_n^k, -> (k, +-1).
+        """Every root of unity of the field -> its exponent in ``_roots``.
 
         These are the character values and nearly every coefficient of the
         induced action, so most products and inverses are of them.  Its
-        keys are the tuples of ``_signed_roots``; for even n, -zeta^k is
-        zeta^(k + n/2) and keeps its unsigned entry.  Built on first use, it
-        holds at most 2n reps."""
-        _, pos, neg = self._signed_roots
-        index = {z: (k, 1) for k, z in enumerate(pos)}
-        for k, z in enumerate(neg):
-            index.setdefault(z, (k, -1))
-        return index
+        keys are the tuples of ``_roots`` themselves."""
+        return {z: k for k, z in enumerate(self._roots)}
 
-    def _signed_zeta(self, k: int, sign: int):
-        return self._signed_roots[sign][k % self.n]
+    @cached_property
+    def _fold(self):
+        """x^k mod Phi_n for degree <= k <= 2*degree - 2: the rows that fold
+        a schoolbook product back below the degree."""
+        d, order = self.degree, self.root_order
+        step = order // self.n
+        return [self._roots[step * k % order] for k in range(d, 2 * d - 1)]
+
+    def _root(self, k: int):
+        return self._roots[k]
 
     def _inv(self, a):
-        """(+-zeta^k)^-1 = +-zeta^-k; any other a^-1 is
+        """A root of unity inverts at minus its exponent; any other a^-1 is
         prod_{k != 1} sigma_k(a) / N(a), k over (Z/n)^*, where
-        sigma_k(a) = sum_j a_j zeta^(jk).  With the denominators of a
-        cleared first, the product stays in Z[zeta_n] and one division by
-        the norm ends it."""
-        root = self._root_index.get(a)
-        if root is not None:
-            return self._signed_zeta(-root[0], root[1])
+        sigma_k(a) = sum_j a_j x^(jk).  With the denominators of a cleared
+        first, the product stays in Z[zeta_n] and one division by the norm
+        ends it."""
+        roots, order = self._roots, self.root_order
+        i = self._root_index.get(a)
+        if i is not None:
+            return roots[-i % order]
         den = math.lcm(*(c.denominator for c in a))
         a = tuple(c.numerator * (den // c.denominator) for c in a)
-        d = self.degree
-        prod = self._one_rep()
-        for k in range(2, self.n):
-            if math.gcd(k, self.n) == 1:
+        n, d = self.n, self.degree
+        step = order // n
+        prod = self.one
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
                 conj = [0] * d
                 for j, c in enumerate(a):
                     if c:
-                        z = self._zeta(j * k)
+                        z = roots[step * j * k % order]
                         for m in range(d):
                             conj[m] += c * z[m]
                 prod = self._mul(prod, tuple(conj))
@@ -313,26 +321,6 @@ class CyclotomicField(CoeffField):
         if norm == 0:
             raise ZeroDivisionError("scalar is not invertible")
         return tuple(_integral(Fraction(c * den, norm)) for c in prod)
-
-    def _zeta(self, k: int):
-        """x^k mod Phi_n, from an incrementally extended power table."""
-        k %= self.n
-        lst = self._zeta_list
-        while len(lst) <= k:
-            prev = lst[-1]
-            top = prev[-1]
-            cur = [0] + list(prev[:-1])
-            if top:
-                row = self._fold[0]
-                for j in range(self.degree):
-                    cur[j] += top * row[j]
-            lst.append(tuple(cur))
-        return lst[k]
-
-    def _primitive_root(self, order: int, e: int):
-        if self.n % order != 0:
-            raise ValueError(f"cyclotomic order {self.n} has no root of order {order}")
-        return self._zeta((self.n // order) * e)
 
     def characteristic(self) -> int:
         return 0
@@ -363,7 +351,7 @@ class PrimeField(CoeffField):
         self.m = m
         self._gf = None if m == 1 else GaloisField(ell, m)
         self.size = ell ** m
-        self._root_cache = {}
+        self.root_order = self.size - 1
 
     def _from_rational(self, x: Fraction):
         den = x.denominator % self.ell
@@ -412,18 +400,10 @@ class PrimeField(CoeffField):
         primes = polyutil.factorize(n)
         return next(g for g in range(1, self.ell) if all(pow(g, n // r, self.ell) != 1 for r in primes))
 
-    def _primitive_root(self, order: int, e: int):
-        if (self.size - 1) % order != 0:
-            raise ValueError(
-                f"F_{self.ell}^{self.m} has no root of unity of order {order}"
-            )
-        key = (order, e % order)
-        rep = self._root_cache.get(key)
-        if rep is None:
-            k = (self.size - 1) // order * (e % order)
-            rep = pow(self._generator, k, self.ell) if self.m == 1 else self._gf._pow(self._gf.gen_val, k)
-            self._root_cache[key] = rep
-        return rep
+    def _root(self, k: int):
+        if self.m == 1:
+            return pow(self._generator, k, self.ell)
+        return self._gf._pow(self._gf.gen_val, k)
 
     def characteristic(self) -> int:
         return self.ell

@@ -36,8 +36,8 @@ TABLE_BUDGET = 2 ** 20
 
 
 # a bare int could be a raw value or an integer of the prime field; the
-# operators take neither, so a caller wraps it with Tower.element
-BARE_INT = "a tower element does not mix with a bare int; wrap it with Tower.element"
+# operators take neither, so a caller wraps it in a TowerElem
+BARE_INT = "a tower element does not mix with a bare int; wrap it in a TowerElem"
 
 
 class TowerElem:
@@ -320,9 +320,6 @@ class Tower(GaloisField):
             if not self._frobenius_fixed(val, self.level_degree(level)):
                 raise ValueError(f"value {val} is not fixed by Frobenius^{self.level_degree(level)}")
         return val
-
-    def element(self, val: int, level: int | None = None) -> TowerElem:
-        return TowerElem(self, self.value(val, level))
 
     def enumerate_level(self, i: int) -> list:
         """All q^{i!} elements of level i, by increasing encoding."""

@@ -157,7 +157,7 @@ class Context:
     def char_supported(self, exp: int) -> bool:
         """Whether every value of the exponent-exp character fits the mode."""
         n = self.tower.size - 1
-        return self.field.supports_order(n // math.gcd(n, exp % n if exp % n else n))
+        return self.field.supports_order(n // math.gcd(n, exp))
 
     @property
     def theta(self):

@@ -101,6 +101,20 @@ def test_counting_levels_over_the_cap_skip(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_rational_subfields_give_the_rational_reports(capsys, tmp_path):
+    # Q(zeta_3) = Q(zeta_6) holds -1, like Q = Q(zeta_1): every character of
+    # order dividing 6 runs in all four modes, with the same verdicts
+    reports = {}
+    for coeff in ("rat", "cyclo:1", "cyclo:3", "cyclo:6"):
+        out = tmp_path / f"{coeff.replace(':', '-')}.json"
+        assert main(["verify", "--q", "3", "--imax", "2", "--theta-exp", "4", "--lambda-exp", "4",
+                     "--coeff", coeff, "--out", str(out)]) == 0
+        reports[coeff] = json.loads(out.read_text())["reports"]
+    capsys.readouterr()
+    assert all(r.get("reason") != "mode lacks the character order" for r in reports["rat"])
+    assert reports["cyclo:1"] == reports["cyclo:3"] == reports["cyclo:6"] == reports["rat"]
+
+
 def test_unknown_lemma_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--q", "2", "--lemmas", "sus,unknown-thing"])

@@ -102,8 +102,40 @@ def test_supports_order():
     assert RationalField().supports_order(2)
     assert not RationalField().supports_order(4)
     assert CyclotomicField(63).supports_order(21)
-    assert not CyclotomicField(63).supports_order(2)
+    # -1 = -x^0 lies in Q(zeta_63) = Q(zeta_126), whose roots are the 126th
+    assert CyclotomicField(63).supports_order(2) and CyclotomicField(63).supports_order(126)
+    assert not CyclotomicField(63).supports_order(4)
     assert PrimeField(7).supports_order(6)
+
+
+ROOT_GROUP_FIELDS = ([CyclotomicField(n) for n in (*range(1, 31), 63)]
+                     + [RationalField(), PrimeField(2), PrimeField(7), PrimeField(13),
+                        PrimeField(5, 2), PrimeField(2, 4)])
+
+
+@pytest.mark.parametrize("field", ROOT_GROUP_FIELDS, ids=repr)
+def test_each_mode_has_one_cyclic_root_group(field):
+    # _root(k) runs over root_order distinct values, the powers of a
+    # generator of order exactly root_order
+    order = field.root_order
+    roots = [field._root(k) for k in range(order)]
+    assert len(set(roots)) == order
+    gen = field._root(1)
+    assert field_power(field, gen, order) == field.one
+    assert all(field_power(field, gen, order // r) != field.one for r in polyutil.factorize(order))
+    assert all(field_power(field, gen, k) == z for k, z in enumerate(roots))
+
+
+@pytest.mark.parametrize("field", ROOT_GROUP_FIELDS, ids=repr)
+def test_supported_orders_divide_the_root_order(field):
+    order = field.root_order
+    for d in range(1, 2 * order + 2):
+        assert field.supports_order(d) == (order % d == 0)
+        if order % d == 0:
+            assert field.root_of_unity(d, 1) == field._root(order // d % order)
+        else:
+            with pytest.raises(ValueError, match=f"no root of unity of order {d}"):
+                field.root_of_unity(d, 1)
 
 
 def test_mode_mismatch_and_zero_division():
@@ -526,7 +558,7 @@ def test_cyclotomic_norm_inverse_property(n, data):
     a = data.draw(_cyclo_non_roots(field))
     inv = field._inv(a)
     assert len(inv) == field.degree
-    assert field._mul(a, inv) == field._one_rep()
+    assert field._mul(a, inv) == field.one
     # integral results are ints, every other coefficient a Fraction
     assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in inv)
 
@@ -549,7 +581,7 @@ def test_signed_root_products_match_fraction_oracle(n):
     for i, _, a in roots[::2]:
         for j, _, b in roots[2 * i::2]:
             oracle[i, j] = _fraction_product_mod_phi(n, a, b)
-    one = field._one_rep()
+    one = field.one
     for i, s, a in roots:
         for j, t, b in roots:
             want = oracle[min(i, j), max(i, j)]
@@ -580,18 +612,16 @@ def test_signed_roots_take_no_fold(n):
 
 @pytest.mark.parametrize("n", CYCLO_INV_ORDERS)
 def test_signed_root_table_holds_the_index_tuples(n):
-    # the table adds no rep of its own: every entry is the index's key
-    # object, and every key is the table entry at its (k, sign)
+    # the index adds no rep of its own: every key is the table entry at its
+    # exponent, and every table entry is the index's key object
     field = CyclotomicField(n)
-    index = field._root_index
-    table = field._signed_roots
+    table, index = field._roots, field._root_index
     keys = {key: key for key in index}
-    for sign in (1, -1):
-        assert len(table[sign]) == n
-        for k, z in enumerate(table[sign]):
-            assert keys[z] is z and field._signed_zeta(k, sign) is z
-    for key, (k, sign) in index.items():
-        assert table[sign][k] is key
+    assert len(table) == len(index) == field.root_order
+    for k, z in enumerate(table):
+        assert keys[z] is z and index[z] == k and field._root(k) is z
+    for key, k in index.items():
+        assert table[k] is key
 
 
 @pytest.mark.parametrize("n", CYCLO_INV_ORDERS)
@@ -652,7 +682,7 @@ def test_fold_rows_are_reduced_monomials():
     for n in range(1, 61):
         field = CyclotomicField(n)
         d = field.degree
-        assert len(field._fold) == max(1, d - 1)
+        assert len(field._fold) == d - 1
         for r, row in enumerate(field._fold):
             assert row == _monomial_mod_phi(n, d + r)
             assert all(type(c) is int for c in row)

@@ -18,7 +18,7 @@ from sl2ext.grp import (
     unip,
     weyl,
 )
-from sl2_helpers import group_inverse
+from sl2_helpers import group_inverse, tower_element
 
 
 def test_generator_relations(tower32):
@@ -147,7 +147,7 @@ def test_determinant_enforced(tower22):
 
 def _entries(g):
     """g's entries as TowerElems, for the operator reference below."""
-    return [g.tower.element(v) for v in g.key()]
+    return [tower_element(g.tower, v) for v in g.key()]
 
 
 def _vals(*elems):
@@ -224,12 +224,12 @@ def test_out_of_range_entries_rejected(tower22, tower23, bad):
 @st.composite
 def _sl2_elements(draw, tw, level):
     """A uniform-ish SL2 element at the level: a, c not both zero, then b, d."""
-    els = [tw.element(x) for x in tw.enumerate_level(level)]
+    els = [tower_element(tw, x) for x in tw.enumerate_level(level)]
     nonzero = els[1:]
     a = draw(st.sampled_from(els))
     if a.val:
         b, c = draw(st.sampled_from(els)), draw(st.sampled_from(els))
-        d = (tw.element(1) + b * c) / a
+        d = (tower_element(tw, 1) + b * c) / a
     else:
         c = draw(st.sampled_from(nonzero))
         b, d = -c.inverse(), draw(st.sampled_from(els))

@@ -9,7 +9,7 @@ string): the action oracle, `bruhat` and `reassemble` stay on the raw ops
 and matrix products, independent of it.  Tower elements cross every module
 boundary as raw ints: `TowerElem` is the tests' operator front, so no
 module but `tower.py` names it (in an import, an annotation or a call),
-reads a `.val` or calls `Tower.element`.
+reads a `.val` or calls an `element` builder.
 
 A group element's action on an induced module is compiled by
 `InducedModule._compile` and applied by `InducedModule._apply`; every
@@ -20,8 +20,7 @@ Every public function and method in `src/sl2ext` has a reader in `src/`
 outside its own body: code that only tests call is deleted or becomes a
 registry check.  A module function is read by its name or as an
 attribute; a method only as an attribute (`x.name`), so a local variable
-that shares a method's name does not count as a reader.  `Tower.element`,
-the tests' front for `TowerElem`, is the one exception.
+that shares a method's name does not count as a reader.
 
 `CoeffField._sub_scaled` updates its first argument in place, so no
 module but `linalg.py` reads it, to call it or to bind it for a call;
@@ -227,10 +226,6 @@ def test_only_the_runner_builds_reports():
     assert inside > 0 and len(_calls(tree, "Report")) == inside
 
 
-# the tests' operator front, kept alive by the benchmark's tracer
-UNREFERENCED_OK = {"Tower.element"}
-
-
 def _referenced(node, attributes_only=False) -> collections.Counter:
     """How often each name is read under node, as an Attribute and, unless
     attributes_only, as a Name."""
@@ -256,8 +251,7 @@ def _unreferenced(src):
             for kind in (False, True)}
     return [f"{name}:{qual}" for name, tree in trees.items()
             for qual, node, method in _public_defs(tree)
-            if refs[method][node.name] == _referenced(node, method)[node.name]
-            and qual not in UNREFERENCED_OK]
+            if refs[method][node.name] == _referenced(node, method)[node.name]]
 
 
 def test_every_public_function_has_a_reader_in_src():

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -21,6 +22,7 @@ from sl2ext.towerext import (
     nonsplit_certificate,
     steinberg_weight_vector,
 )
+from sl2_helpers import tower_element
 from test_indmod import _count_compiles
 
 
@@ -212,11 +214,11 @@ def test_zeta_matches_one_minus_s(tower23, cyc63):
     m3 = InducedModule(tw, th, 3)
     b = tw.first_outside_double_subfield(2)
     borel = m3.zero()
-    b_elem = tw.element(b)
-    for t in map(tw.element, grp.center_quotient_reps(tw, 2)):
+    b_elem = tower_element(tw, b)
+    for t in map(partial(tower_element, tw), grp.center_quotient_reps(tw, 2)):
         c = th.eval(t.inverse().val)
         for u in tw.enumerate_level(2):
-            borel = borel + m3.basis_vector((b_elem * t * t + tw.element(u)).val).scale(c)
+            borel = borel + m3.basis_vector((b_elem * t * t + tower_element(tw, u)).val).scale(c)
     assert steinberg_weight_vector(th, 2, m3) == borel - m3.act(weyl(tw), borel)
 
 
@@ -225,9 +227,9 @@ def test_zeta_coefficient_routes_agree(tower33):
     tw = tower33
     F = RationalField()
     th = _char(tw, F, 364)
-    b = tw.element(tw.first_outside_double_subfield(2))
-    for t in map(tw.element, grp.center_quotient_reps(tw, 2)):
-        for a in map(tw.element, tw.enumerate_level(2)):
+    b = tower_element(tw, tw.first_outside_double_subfield(2))
+    for t in map(partial(tower_element, tw), grp.center_quotient_reps(tw, 2)):
+        for a in map(partial(tower_element, tw), tw.enumerate_level(2)):
             c = b * t * t + a
             assert F._mul(th.eval(t.inverse().val), th.eval(c.val)) == th.eval((b * t + a * t.inverse()).val)
 

@@ -59,15 +59,6 @@ class TorusCharacter:
     def is_trivial_on_level(self, i: int) -> bool:
         return self.restriction_exp(i) == 0
 
-    def __eq__(self, other):
-        if not isinstance(other, TorusCharacter):
-            return NotImplemented
-        return (
-            self.tower is other.tower
-            and self.field == other.field
-            and self.exp == other.exp
-        )
-
     def __repr__(self):
         return f"chi[{self.exp}]"
 

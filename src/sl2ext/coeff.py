@@ -8,7 +8,7 @@ computes on its reps with ``_add``, ``_sub``, ``_mul`` and ``_inv``; a rep
 does not know its field, so the layers that mix values of two sources
 check the fields once at their boundary (``require_field``).  ``zero``,
 ``one``, ``scalar`` and the character values of ``root_of_unity`` are
-reps too.  ``rep_str`` is a rep's report string.
+reps too; no report prints one.
 
 The roots of unity of a mode are one cyclic group of order ``root_order``:
 2 over Q, n over Q(zeta_n) for even n and 2n for odd n, and l^m - 1 over
@@ -44,7 +44,7 @@ over the coefficient tuples.
 
 ``residue_map`` reduces a characteristic-0 field onto F_l for a prime
 l = 1 (mod n), the ring map behind ``cohom``'s mod-l rank bound, and
-``choose_prime_for_order`` picks that l, prime to a group order.
+``choose_prime_for_order`` picks that l >= 5, prime to a group order.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class CoeffField:
                     del a[k]
         return a
 
-    # subclasses: root_order/_root/_add/_sub/_mul/_inv/_from_rational/rep_str
+    # subclasses: root_order/_root/_add/_sub/_mul/_inv/_from_rational
 
 
 class RationalField(CoeffField):
@@ -165,9 +165,6 @@ class RationalField(CoeffField):
 
     def characteristic(self) -> int:
         return 0
-
-    def rep_str(self, rep) -> str:
-        return f"{rep.numerator}/{rep.denominator}"
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -325,9 +322,6 @@ class CyclotomicField(CoeffField):
     def characteristic(self) -> int:
         return 0
 
-    def rep_str(self, rep) -> str:
-        return "[" + ",".join(f"{c.numerator}/{c.denominator}" for c in rep) + "]"
-
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.n == self.n
 
@@ -408,11 +402,6 @@ class PrimeField(CoeffField):
     def characteristic(self) -> int:
         return self.ell
 
-    def rep_str(self, rep) -> str:
-        if self.m == 1:
-            return str(rep)
-        return "[" + ",".join(str(c) for c in polyutil.digits(rep, self.ell, self.m)) + "]"
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and (other.ell, other.m) == (self.ell, self.m)
 
@@ -423,13 +412,14 @@ class PrimeField(CoeffField):
         return f"F_{self.ell}" if self.m == 1 else f"F_{self.ell}^{self.m}"
 
 
-def choose_prime_for_order(n: int, floor: int = 5, avoid: int = 1) -> int:
-    """Smallest prime l >= floor with l = 1 (mod n), so that order-n roots
-    of unity live in the prime field itself, and l not dividing `avoid`
-    (a group order, so that the group's order is invertible mod l)."""
-    ell = max(floor, 2)
+def choose_prime_for_order(n: int, avoid: int = 1) -> int:
+    """Smallest prime l >= 5 with l = 1 (mod n), so that order-n roots of
+    unity live in the prime field itself, and l not dividing `avoid` (a
+    group order, so that the group's order is invertible mod l).  The
+    bound 5 is the paper's regime char k >= 5."""
+    ell = 5
     if n > 1:
-        ell = ((ell - 2) // n + 1) * n + 1
+        ell = (3 // n + 1) * n + 1
     while not polyutil.is_prime(ell) or avoid % ell == 0:
         ell += n
     return ell

@@ -346,7 +346,7 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
     unknowns = (len(group) - 1) * N.dim * M.dim
     bdim = N.dim * M.dim - len(hom_space(M, N))
     if field.characteristic() == 0:
-        ell = choose_prime_for_order(field.n, 5, len(group))
+        ell = choose_prime_for_order(field.n, len(group))
         target, res = residue_map(field, ell)
         try:
             mats = [[tuple(tuple(map(res, r)) for r in m) for m in R._mats] for R in (M, N)]

@@ -107,14 +107,7 @@ class Vec:
         return self.module is other.module and self.support == other.support
 
     def __repr__(self):
-        if not self.support:
-            return "0"
-        rep_str = self.module.field.rep_str
-        bits = []
-        for k in sorted(self.support):
-            name = "hi" if k == HIGHEST else f"c({k})"
-            bits.append(f"{rep_str(self.support[k])}*{name}")
-        return " + ".join(bits)
+        return f"Vec({self.support!r})"
 
 
 class Action:

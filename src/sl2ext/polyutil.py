@@ -2,7 +2,8 @@
 
 Coefficient lists run lowest degree first and are trimmed; [] is the zero
 polynomial.  These back the cyclotomic quotient fields and the finite
-field tower; they are deliberately minimal (small p, degree <= ~20).
+field tower, whose modulus ``first_irreducible`` finds by trial division;
+they are deliberately minimal (small p, degree <= ~20).
 """
 
 from __future__ import annotations
@@ -15,12 +16,6 @@ def trim(c: list) -> list:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def sub_mod(a: list, b: list, p: int) -> list:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return trim(out)
 
 
 def mul_mod(a: list, b: list, p: int) -> list:
@@ -59,36 +54,6 @@ def pow_mod(base: list, e: int, m: list, p: int) -> list:
     return result
 
 
-def monic_gcd(a: list, b: list, p: int) -> list:
-    a = trim([x % p for x in a])
-    b = trim([x % p for x in b])
-    while b:
-        inv = pow(b[-1], -1, p)
-        b = [(x * inv) % p for x in b]
-        a, b = b, rem_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(x * inv) % p for x in a]
-    return a
-
-
-def is_irreducible(f: list, p: int) -> bool:
-    """Irreducibility over F_p via Frobenius fixed-point criteria."""
-    n = len(f) - 1
-    if n < 1 or f[-1] % p != 1:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    if pow_mod(x, p ** n, f, p) != rem_mod(x, f, p):
-        return False
-    for r in sorted(factorize(n)):
-        xr = pow_mod(x, p ** (n // r), f, p)
-        if monic_gcd(sub_mod(xr, x, p), f, p) != [1]:
-            return False
-    return True
-
-
 def digits(k: int, p: int, n: int) -> list:
     """The n lowest base-p digits of k, least significant first."""
     out = []
@@ -99,14 +64,16 @@ def digits(k: int, p: int, n: int) -> list:
 
 
 def first_irreducible(p: int, n: int) -> list:
-    """Smallest monic irreducible of degree n over F_p.
+    """Smallest monic irreducible of degree n over F_p, by trial division.
 
     Candidates are ordered by the integer encoding sum(c_j * p^j) of the
     non-leading coefficient vector, constant coefficient varying fastest.
+    A reducible candidate has a monic factor of degree at most n // 2.
     """
+    factors = [digits(k, p, d) + [1] for d in range(1, n // 2 + 1) for k in range(p ** d)]
     for k in range(p ** n):
         f = digits(k, p, n) + [1]
-        if is_irreducible(f, p):
+        if all(rem_mod(f, g, p) for g in factors):
             return f
     raise ValueError(f"no irreducible polynomial of degree {n} over F_{p}")
 

@@ -350,17 +350,11 @@ class Tower(GaloisField):
             if self._pow(self.generator(i + 1), ratio) != self.generator(i):
                 raise RuntimeError("generator chain is not norm-compatible")
 
-    def dlog(self, x: int, level: int | None = None) -> int:
-        """Exponent e with generator(level)^e = x, 0 <= e < q^{level!}-1."""
+    def dlog(self, x: int) -> int:
+        """Exponent e with generator(imax)^e = x, 0 <= e < q^{imax!}-1."""
         if x == 0:
             raise ZeroDivisionError("dlog of 0")
-        e = self._log[self.value(x)]
-        if level is None:
-            return e  # against the ambient generator
-        c = self._cofactor(level)
-        if e % c:
-            raise ValueError(f"element is not in level {level}")
-        return e // c
+        return self._log[self.value(x)]
 
     # -- subfield membership ----------------------------------------------
 

@@ -639,7 +639,7 @@ def _chk_ext1(ctx: Context, params: dict) -> tuple:
     group = cohom.GroupTable(tw)
     order = len(group)
     torus_order = q - 1
-    ell = choose_prime_for_order(max(torus_order, 1), 5, order)
+    ell = choose_prime_for_order(max(torus_order, 1), order)
     fields = [("char0", CyclotomicField(max(torus_order, 1)) if torus_order > 2 else RationalField()),
               (f"char{ell}", PrimeField(ell))]
     dims, level1 = {}, {}
@@ -655,7 +655,9 @@ def _chk_ext1(ctx: Context, params: dict) -> tuple:
                     return "FAIL", {"dims": dims}
     # dual-solver agreement on the smallest pair, including a modular case;
     # the char-0 BFS side is the sweep's dimension on the same reps
-    field_mod = PrimeField([p for p in (2, 3, 5, 7, 11) if order % p == 0 and p != ctx.p][0])
+    # a modular prime dividing |G_1| = q(q^2 - 1) other than p: 2 for odd q,
+    # and 3 for even q, as 3 divides one of q - 1, q, q + 1 and not q
+    field_mod = PrimeField(3 if ctx.p == 2 else 2)
     level1["modular"] = _level1_reps(group, tw, field_mod)
     agreements = {}
     for tag_f in ("char0", "modular"):
@@ -721,7 +723,7 @@ class Check(NamedTuple):
         return [i for i in (levels or self.levels).candidates(ctx) if not self.over_budget(ctx, i)]
 
     def instances(self, ctx: Context) -> list:
-        if self.needs and ctx.blocked():
+        if self.needs and self.needs(ctx, {}):
             return []
         if self.schedule:
             return self.schedule(ctx, self)
@@ -820,7 +822,7 @@ def run_all(ctx: Context, lemmas: list | None = None) -> list:
             continue
         instances = check.instances(ctx)
         if not instances:
-            reason = ctx.blocked() or "no valid level at this configuration"
+            reason = check.needs and check.needs(ctx, {}) or "no valid level at this configuration"
             reports.append(Report(check.lemma_id, {"q": ctx.q}, "SKIPPED", reason=reason))
         for params in instances:
             reports.append(run_lemma(ctx, CheckSpec(check.lemma_id, params)))

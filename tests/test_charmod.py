@@ -36,15 +36,16 @@ def test_restriction_coherence(tower33):
     th = TorusCharacter(tower33, F, 5)
     n1 = tower33.level_size(1) - 1
     zeta1 = F.root_of_unity(n1, 1)
+    cofactor = (tower33.size - 1) // n1
     for t in tower33.units(1):
-        e1 = tower33.dlog(t, 1)
+        e1 = tower33.dlog(t) // cofactor
         assert th.eval(t) == field_power(F, zeta1, th.restriction_exp(1) * e1)
 
 
 def test_weyl_twist_involution(tower32, cyc8):
     for e in range(8):
         th = TorusCharacter(tower32, cyc8, e)
-        assert th.weyl_twist().weyl_twist() == th
+        assert th.weyl_twist().weyl_twist().exp == th.exp
         assert th.weyl_twist().exp == (-e) % 8
     # characters of order dividing 2 are twist-fixed
     assert TorusCharacter(tower32, cyc8, 4).weyl_twist().exp == 4

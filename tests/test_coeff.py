@@ -167,19 +167,19 @@ def test_extension_prime_field_roots():
     seen = set()
     for _ in range(24):
         acc = F._mul(acc, z)
-        seen.add(F.rep_str(acc))
+        seen.add(acc)
     assert len(seen) == 24 and acc == F.one
 
 
 def test_choose_prime_for_order():
-    assert choose_prime_for_order(63, 5) == 127
-    assert choose_prime_for_order(2, 5) == 5
-    assert choose_prime_for_order(1, 5) == 5
+    assert choose_prime_for_order(63) == 127
+    assert choose_prime_for_order(2) == 5
+    assert choose_prime_for_order(1) == 5
     # a prime dividing the group order to avoid is skipped
-    assert choose_prime_for_order(1, 5, 60) == 7
-    assert choose_prime_for_order(3, 5, 60) == 7
-    assert choose_prime_for_order(4, 5, 120) == 13
-    assert choose_prime_for_order(2, 5, 24) == 5
+    assert choose_prime_for_order(1, 60) == 7
+    assert choose_prime_for_order(3, 60) == 7
+    assert choose_prime_for_order(4, 120) == 13
+    assert choose_prime_for_order(2, 24) == 5
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
@@ -246,15 +246,6 @@ def test_f2_has_the_trivial_root():
     F = PrimeField(2)
     assert F.supports_order(1)
     assert not F.supports_order(2)
-
-
-def test_serialization_shapes():
-    Q, C3, F7 = RationalField(), CyclotomicField(3), PrimeField(7)
-    assert Q.rep_str(Q.scalar(Fraction(3, 4))) == "3/4"
-    assert C3.rep_str(C3.root_of_unity(3, 1)) == "[0/1,1/1]"
-    assert F7.rep_str(F7.scalar(10)) == "3"
-    F25 = PrimeField(5, 2)
-    assert F25.rep_str(F25.scalar(7)) == "[2,0]"
 
 
 # -- property tests and the integral fast path --------------------------------
@@ -424,8 +415,7 @@ def test_rational_inverse_and_scalar_forms():
     two = Q.scalar(2)
     assert type(two) is int
     assert two == Fraction(2) and hash(two) == hash(Fraction(2))
-    assert Q.rep_str(two) == "2/1" and Q.rep_str(Q.scalar(-3)) == "-3/1"
-    assert Q.rep_str(Q.scalar(Fraction(6, 3))) == "2/1" and Q.rep_str(Fraction(2)) == "2/1"
+    assert Q.scalar(Fraction(6, 3)) == 2 and type(Q.scalar(Fraction(6, 3))) is int
     assert Q._mul(Q.scalar(Fraction(1, 2)), Q.scalar(2)) == 1
     assert type(Q._mul(Q.scalar(Fraction(1, 2)), Q.scalar(2))) is int
 
@@ -522,7 +512,7 @@ def test_the_generator_is_the_first_primitive_element(field):
 
 @pytest.mark.parametrize("field", [PrimeField(7)] + EXTENSIONS, ids=repr)
 def test_every_prime_field_rep_is_an_int(field):
-    # a residue encodes itself; an extension rep prints its digits
+    # a residue encodes itself; an extension rep encodes its digits
     assert field.scalar(-1) == field.ell - 1 and field.one == 1 and field.zero == 0
     for a in range(field.size):
         for b in (0, 1, field.size - 1, a):
@@ -530,8 +520,6 @@ def test_every_prime_field_rep_is_an_int(field):
                 assert type(r) is int and 0 <= r < field.size
     z = field.root_of_unity(field.size - 1, 1)
     assert type(z) is int and 0 <= z < field.size
-    if field.m > 1:
-        assert field.rep_str(z) == "[" + ",".join(map(str, polyutil.digits(z, field.ell, field.m))) + "]"
 
 
 CYCLO_INV_ORDERS = [1, 2, 3, 8, 12, 15, 63]
@@ -700,8 +688,7 @@ def integral_fraction_cases(field):
 
 def test_integral_fraction_coefficients_equal_ints(cyc8):
     # cyclotomic +, - and * leave integral Fractions in place; such a rep
-    # equals and hashes like its int form, and prints like it
+    # equals and hashes like its int form
     for got, want in integral_fraction_cases(cyc8):
         assert any(type(c) is Fraction for c in got) and all(type(c) is int for c in want)
         assert got == want and hash(got) == hash(want)
-        assert cyc8.rep_str(got) == cyc8.rep_str(want)

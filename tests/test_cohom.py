@@ -348,7 +348,7 @@ def test_inconclusive_certificate_falls_back_to_the_exact_field(tower32, rat, mo
     # for the pairs with a modular extension (MODULAR_EXTENSIONS), where the
     # bound proves nothing and the exact elimination over Q decides
     _, reps = _reps(tower32, rat, 0)
-    monkeypatch.setattr(cohom, "choose_prime_for_order", lambda n, floor, avoid: 2)
+    monkeypatch.setattr(cohom, "choose_prime_for_order", lambda n, avoid: 2)
     fields = _spy_ranks(monkeypatch)
     for nm, M in reps.items():
         for nn, N in reps.items():

@@ -332,7 +332,7 @@ def test_integral_fraction_reps_compare_equal_in_vectors(tower32, cyc8):
     (p1, one), (pz, zeta), (p0, _) = integral_fraction_cases(cyc8)
     for got, want in ((p1, one), (pz, zeta)):
         v, w = Vec(mod, {0: got, 1: cyc8.one}), Vec(mod, {0: want, 1: cyc8.one})
-        assert v == w and repr(v) == repr(w)
+        assert v == w
         assert hash(frozenset(v.support.items())) == hash(frozenset(w.support.items()))
         assert not (v - w).support and v + w == w.scale(cyc8.scalar(2))
     # a zero with integral Fraction coefficients scales a vector to nothing
@@ -406,14 +406,6 @@ def test_level_is_read_from_the_entries(tower23, cyc63):
         for label in mod.labels():
             v = mod.basis_vector(label)
             assert mod.act(g, v) == mod.act(expect, v)
-
-
-def test_vector_serialization(tower22):
-    field = CyclotomicField(3)
-    mod = _module(tower22, field, 0, 1)
-    v = mod.highest_vector() - mod.basis_vector(0)
-    assert repr(v) == "[1/1,0/1]*hi + [-1/1,0/1]*c(0)"
-    assert repr(mod.zero()) == "0"
 
 
 # -- canonical supports and the action as a group action -------------------------

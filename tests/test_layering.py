@@ -8,8 +8,8 @@ other module reaches tower arithmetic through the raw ops (`_add`, `_neg`,
 string): the action oracle, `bruhat` and `reassemble` stay on the raw ops
 and matrix products, independent of it.  Tower elements cross every module
 boundary as raw ints: `TowerElem` is the tests' operator front, so no
-module but `tower.py` names it (in an import, an annotation or a call),
-reads a `.val` or calls an `element` builder.
+module but `tower.py` names it (in an import, an annotation or a call)
+or reads a `.val`.
 
 A group element's action on an induced module is compiled by
 `InducedModule._compile` and applied by `InducedModule._apply`; every
@@ -104,7 +104,7 @@ def test_only_the_tower_names_tower_elements(path):
 def test_only_the_tower_unwraps_tower_elements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "val"]
-    assert reads == [] and [n.lineno for n in _calls(tree, "element")] == []
+    assert reads == []
 
 
 def test_the_lints_see_every_spelling():

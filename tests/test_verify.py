@@ -131,6 +131,27 @@ def test_clm_counts_cosets_exactly_where_l44_basis_runs():
             assert clm.payload["explicit"]["total_cosets"] == 2
 
 
+def test_run_all_skips_a_check_only_on_its_own_tower_or_module_rule():
+    # at q=4 imax=3 the auto cyclotomic order 4095 is over the field cap:
+    # the module checks SKIP on it, but the tower-only checks run, with
+    # run_lemma's reports, and clm-4 counts cosets where L4.4-basis runs
+    ctx = Context(RunConfig(q=4, imax=3))
+    assert ctx.tower_error is None and "4095" in ctx.blocked()
+    tower_only = ["sus", "bruhat", "L4.4-basis", "L4.4-neg-control"]
+    reports = run_all(ctx, tower_only + ["act-oracle", "clm-4"])
+    ran = [r for r in reports if r.lemma_id in tower_only]
+    assert {r.lemma_id for r in ran} == set(tower_only)
+    for r in ran:
+        again = run_lemma(ctx, CheckSpec(r.lemma_id, r.params))
+        assert r.verdict == again.verdict == "PASS" and r.payload == again.payload
+    module = [r for r in reports if r.lemma_id == "act-oracle"]
+    assert [(r.verdict, r.reason) for r in module] == [("SKIPPED", ctx.blocked())]
+    l44_levels = {r.params["i"] for r in ran if r.lemma_id == "L4.4-basis"}
+    clm = [r for r in reports if r.lemma_id == "clm-4"]
+    assert l44_levels == {1, 2}
+    assert {r.params["i"] for r in clm if "explicit" in r.payload} == l44_levels
+
+
 def test_l44_negative_control_catches():
     ctx = Context(RunConfig(q=2, imax=3))
     r = run_lemma(ctx, CheckSpec("L4.4-neg-control", {"q": 2, "i": 2}))

@@ -17,11 +17,20 @@ field) are the built-in zero controls.
 The unreduced solver decides a characteristic-0 system mod a prime l
 first: it builds the same rows over F_l from the reps' images under
 ``coeff.residue_map``, a ring map that can only lower a rank.  So the
-nullity mod l bounds dim Z1 from above, and when it equals dim B1 (from
-the exact Hom space) Ext1 = 0 is proved without an exact elimination.
+nullity mod l bounds dim Z1 from above, and when it equals dim B1 (taken
+over the exact field) Ext1 = 0 is proved without an exact elimination.
 When the bound is not met, or l divides a denominator of the reps, the
 rows are eliminated over the exact field.  The route is a run fact and
 never reaches a report; ``ext1_bfs`` stays exact.
+
+Every coboundary is a cocycle, so B1 lies in Z1 and the rank of the
+unreduced rows, over the field or mod l, is at most unknowns - dim B1.
+``_rank`` stops eliminating when it reaches that bound: the rows left
+are dependent and Ext1 = 0, on either route.  dim B1 is taken in the
+unreduced frame itself, as the rank of the coboundaries of the matrix
+units, and checked against the Hom space, as ``ext1_bfs`` checks its
+own; a Hom space short of a vector raises instead of shifting the
+answer.  ``ext1_bfs`` keeps no bound and eliminates every row.
 
 Everything here is raw: a FiniteRep is given raw generator matrices (the
 induced and Steinberg ones are read off the raw module action), and the
@@ -321,10 +330,37 @@ def _unreduced_rows(group: GroupTable, field, mats_M: list, mats_N: list):
                         yield row
 
 
-def _rank(rows, field) -> int:
+def _rank(rows, field, most: int) -> int:
+    """The rank of the rows, or `most` as soon as they reach it: `most`
+    is a bound the rank cannot pass, so every row left is dependent."""
     span = SparseSpan(field)
     for row in rows:
-        span.insert(row)
+        if span.insert(row) and span.dim == most:
+            break
+    return span.dim
+
+
+def _coboundary_rank(M: FiniteRep, N: FiniteRep) -> int:
+    """dim B1 in the unreduced frame: the rank of the coboundaries
+    g -> rho_N(g) E - E rho_M(g) of the dN dM matrix units E, over every
+    g != 1, keyed as ``_unreduced_rows`` keys the unknowns."""
+    field, group = M.field, M.group
+    add, sub, zero = field._add, field._sub, field.zero
+    dN, dM = N.dim, M.dim
+    span = SparseSpan(field)
+    for r0 in range(dN):
+        for c0 in range(dM):
+            vec = {}
+            for gi in range(len(group)):
+                if gi == group.identity_index:
+                    continue
+                A, B = N._mats[gi], M._mats[gi]
+                # (A E)[r][c] = A[r][r0] at c = c0; (E B)[r][c] = B[c0][c] at r = r0
+                for r in range(dN):
+                    _acc(vec, (gi * dN + r) * dM + c0, A[r][r0], add, zero)
+                for c in range(dM):
+                    _acc(vec, (gi * dN + r0) * dM + c, sub(zero, B[c0][c]), add, zero)
+            span.insert(vec)
     return span.dim
 
 
@@ -332,19 +368,28 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
     """Extension dimension from the unreduced |G|^2 cocycle system: the
     nullity of its rows, dim Z1, less dim B1 = dN dM - dim Hom(M, N).
 
+    dim B1 is the rank of the coboundaries of the matrix units in the
+    system's own unknowns; a RuntimeError is raised when it differs from
+    dN dM - dim Hom(M, N).  As B1 lies in Z1, the rank of the rows is at
+    most unknowns - dim B1, and the elimination stops when it gets there:
+    the nullity is then dim B1 and the extension dimension 0.
+
     Over Q(zeta_n) the rows are first built over F_l, from the reps sent
     through ``coeff.residue_map`` (l = 1 mod n, l prime to |G|).  That map
     can only lower the rank, so the nullity mod l bounds dim Z1 >= dim B1
-    from above: when it equals dim B1, the extension dimension 0 is
-    proved.  Otherwise, or when l divides a denominator of the reps, the
-    same builder's rows are eliminated over the field itself.  Which route
-    decided is a run fact, not part of any report.
+    from above, and the same bound caps the rank mod l: when the rank mod
+    l reaches it, the extension dimension 0 is proved.  Otherwise, or
+    when l divides a denominator of the reps, the same builder's rows are
+    eliminated over the field itself.  Which route decided is a run fact,
+    not part of any report.
     """
     if M.field != N.field:
         raise ValueError("coefficient mode mismatch between representations")
     field, group = M.field, M.group
-    unknowns = (len(group) - 1) * N.dim * M.dim
-    bdim = N.dim * M.dim - len(hom_space(M, N))
+    bdim = _coboundary_rank(M, N)
+    if bdim != N.dim * M.dim - len(hom_space(M, N)):
+        raise RuntimeError("coboundary rank is inconsistent with the Hom space")
+    most = (len(group) - 1) * N.dim * M.dim - bdim  # unknowns - dim B1
     if field.characteristic() == 0:
         ell = choose_prime_for_order(field.n, len(group))
         target, res = residue_map(field, ell)
@@ -353,9 +398,9 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
         except ZeroDivisionError:
             pass
         else:
-            if unknowns - _rank(_unreduced_rows(group, target, *mats), target) == bdim:
+            if _rank(_unreduced_rows(group, target, *mats), target, most) == most:
                 return 0
-    return unknowns - _rank(_unreduced_rows(group, field, M._mats, N._mats), field) - bdim
+    return most - _rank(_unreduced_rows(group, field, M._mats, N._mats), field, most)
 
 
 # -- torus cochain normalization ----------------------------------------------

@@ -95,6 +95,7 @@ class Context:
         self._tower_error = None
         self._field = None
         self._field_error = None
+        self._chars = {}  # exponent mod q^{imax!} - 1 -> its one TorusCharacter
 
     @property
     def q(self):
@@ -152,7 +153,13 @@ class Context:
         return self._field_error
 
     def char(self, exp: int) -> TorusCharacter:
-        return TorusCharacter(self.tower, self.field, exp)
+        """The run's one character of this exponent, so that its value
+        cache serves every check."""
+        key = exp % (self.tower.size - 1)
+        chi = self._chars.get(key)
+        if chi is None:
+            chi = self._chars[key] = TorusCharacter(self.tower, self.field, key)
+        return chi
 
     def char_supported(self, exp: int) -> bool:
         """Whether every value of the exponent-exp character fits the mode."""

@@ -7,9 +7,9 @@ import pytest
 
 from sl2ext import cohom
 from sl2ext.charmod import TorusCharacter
-from sl2ext.coeff import PrimeField
+from sl2ext.coeff import PrimeField, RationalField
 from sl2ext.indmod import InducedModule
-from sl2ext.linalg import nullspace
+from sl2ext.linalg import SparseSpan, nullspace
 
 
 def _reps(tw, field, theta_exp):
@@ -325,9 +325,9 @@ def _spy_ranks(monkeypatch):
     """The fields the unreduced system is eliminated over, call by call."""
     fields, rank = [], cohom._rank
 
-    def spied(rows, field):
+    def spied(rows, field, most):
         fields.append(field)
-        return rank(rows, field)
+        return rank(rows, field, most)
 
     monkeypatch.setattr(cohom, "_rank", spied)
     return fields
@@ -371,6 +371,57 @@ def test_denominator_divisible_by_l_falls_back(tower22, rat, monkeypatch):
         fields.clear()
         assert cohom.ext1_unreduced(M, N) == cohom.ext1_bfs(M, N)[0] == 0
         assert fields == [rat]
+
+
+# -- the rank bound of the unreduced solver ---------------------------------------
+
+
+@pytest.mark.parametrize("fix,exp,ells", [("tower22", 0, (2, 3, 5)), ("tower32", 0, (2, 3, 5)),
+                                          ("tower32", 1, (3, 5))])  # F_2 has no character of order 2
+def test_rank_bound_stop_gives_the_full_elimination(fix, exp, ells, request, monkeypatch):
+    # over Q and the fields of MODULAR_EXTENSIONS, the whole system is
+    # eliminated here with a plain span: its rank never passes
+    # unknowns - dim B1 (B1 lies in Z1), and the stopped solver returns
+    # the full elimination's nullity less dim B1
+    consumed = []
+    rank = cohom._rank
+
+    def counted(rows, field, most):
+        rows = list(rows)
+        left = iter(rows)
+        r = rank(left, field, most)
+        consumed.append((len(rows) - sum(1 for _ in left), len(rows)))
+        return r
+
+    monkeypatch.setattr(cohom, "_rank", counted)
+    stopped = 0
+    for field in (RationalField(), *map(PrimeField, ells)):
+        group, reps = _reps(request.getfixturevalue(fix), field, exp)
+        for (nm, M), (nn, N) in itertools.product(reps.items(), repeat=2):
+            unknowns = (len(group) - 1) * N.dim * M.dim
+            bdim = N.dim * M.dim - len(cohom.hom_space(M, N))
+            span = SparseSpan(field)
+            for row in cohom._unreduced_rows(group, field, M._mats, N._mats):
+                span.insert(row)
+            assert span.dim <= unknowns - bdim, (field, nm, nn)
+            consumed.clear()
+            d = cohom.ext1_unreduced(M, N)
+            assert d == unknowns - span.dim - bdim == cohom.ext1_bfs(M, N)[0], (field, nm, nn)
+            if d == 0:
+                stopped += all(used < built for used, built in consumed)
+            else:  # the bound is never reached: every row is eliminated
+                assert all(used == built for used, built in consumed), (field, nm, nn)
+    assert stopped > 0
+
+
+def test_short_hom_space_is_caught(tower32, rat, monkeypatch):
+    # a Hom space one vector short would make the nullity look one short
+    # of dim B1; the coboundary rank in the unreduced frame disagrees
+    _, reps = _reps(tower32, PrimeField(2), 0)
+    hom_space = cohom.hom_space
+    monkeypatch.setattr(cohom, "hom_space", lambda M, N: hom_space(M, N)[1:])
+    with pytest.raises(RuntimeError, match="coboundary rank is inconsistent with the Hom space"):
+        cohom.ext1_unreduced(reps["tr"], reps["tr"])
 
 
 def test_order_condition_table():

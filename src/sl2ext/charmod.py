@@ -31,6 +31,7 @@ class TorusCharacter:
         self.order_mod = tower.size - 1  # q^{imax!} - 1
         self.exp = exp % self.order_mod
         self._cache = {}
+        self._twist = None
 
     def eval(self, val: int):
         """Value at a nonzero tower element: an exact root of unity, as a
@@ -42,8 +43,13 @@ class TorusCharacter:
         return v
 
     def weyl_twist(self) -> "TorusCharacter":
-        """Conjugation by the Weyl element inverts torus values: e -> -e."""
-        return TorusCharacter(self.tower, self.field, -self.exp)
+        """Conjugation by the Weyl element inverts torus values: e -> -e.
+        The twist is built once, and twists back to this character, so
+        both value caches last."""
+        if self._twist is None:
+            self._twist = TorusCharacter(self.tower, self.field, -self.exp)
+            self._twist._twist = self
+        return self._twist
 
     def is_trivial(self) -> bool:
         return self.exp == 0

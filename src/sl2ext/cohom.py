@@ -23,14 +23,17 @@ When the bound is not met, or l divides a denominator of the reps, the
 rows are eliminated over the exact field.  The route is a run fact and
 never reaches a report; ``ext1_bfs`` stays exact.
 
-Every coboundary is a cocycle, so B1 lies in Z1 and the rank of the
-unreduced rows, over the field or mod l, is at most unknowns - dim B1.
-``_rank`` stops eliminating when it reaches that bound: the rows left
-are dependent and Ext1 = 0, on either route.  dim B1 is taken in the
-unreduced frame itself, as the rank of the coboundaries of the matrix
-units, and checked against the Hom space, as ``ext1_bfs`` checks its
-own; a Hom space short of a vector raises instead of shifting the
-answer.  ``ext1_bfs`` keeps no bound and eliminates every row.
+Every coboundary is a cocycle, so B1 lies in Z1 and the rank of either
+system's rows, over the field or mod l, is at most its unknowns - dim B1.
+Both solvers stop eliminating when the rank reaches that bound
+(``linalg._insert_until``): the rows left are dependent and Ext1 = 0.
+Each takes dim B1 in its own frame and checks it against the Hom space
+first: the BFS solver as the rank of the coboundary map's columns, the
+unreduced one as the rank of the coboundaries of the matrix units.  A
+Hom space short of a vector raises instead of shifting the answer.  The
+BFS solver streams its cross-edge rows in ``group.cross`` order and
+expands the tree forms C(g) only as far as those rows need; when the
+bound is not reached, Z1 is read off the same echelon form.
 
 Everything here is raw: a FiniteRep is given raw generator matrices (the
 induced and Steinberg ones are read off the raw module action), and the
@@ -48,7 +51,7 @@ from . import grp
 from .charmod import TorusCharacter
 from .coeff import CoeffField, choose_prime_for_order, residue_map
 from .indmod import HIGHEST, InducedModule
-from .linalg import SparseSpan, _acc, nullspace
+from .linalg import SparseSpan, _acc, _insert_until, nullspace
 from .tower import Tower
 
 
@@ -236,18 +239,19 @@ def mackey_hom_dim(lam: TorusCharacter, mu: TorusCharacter, level: int) -> int:
 
 def _edge_forms(field, A, k, E, B):
     """C(g s_k) = rho_N(g) C_k + C(g) rho_M(s_k) as a matrix of linear forms
-    in the (k, r, c) variables, both terms accumulated into one dict per
+    in the generator unknowns, both terms accumulated into one dict per
     entry: A is rho_N(g), E the forms of C(g) and B is rho_M(s_k), all raw
-    reps."""
+    reps.  The unknown C_k[r][c] is the int key (k dN + r) dM + c, its
+    position in the (k, r, c) order."""
     mul, add, zero = field._mul, field._add, field.zero
-    dM = len(B)
+    dN, dM = len(A), len(B)
     out = []
     for A_r, E_r in zip(A, E):
         row = []
         for c in range(dM):
             acc = {}
             for j, a in enumerate(A_r):
-                _acc(acc, (k, j, c), a, add, zero)
+                _acc(acc, (k * dN + j) * dM + c, a, add, zero)
             for j, forms in enumerate(E_r):
                 b = B[j][c]
                 if b != zero:
@@ -258,32 +262,58 @@ def _edge_forms(field, A, k, E, B):
     return out
 
 
-def ext1_bfs(M: FiniteRep, N: FiniteRep):
-    """(dimension, transversal cocycles) of Z1/B1 with generator unknowns;
-    the cocycles are raw dicts over the (k, r, c) variables."""
-    if M.field != N.field:
-        raise ValueError("coefficient mode mismatch between representations")
-    field = M.field
-    add, sub, zero = field._add, field._sub, field.zero
-    group = M.group
-    ngen = len(group.gens)
-    variables = [(k, r, c) for k in range(ngen) for r in range(N.dim) for c in range(M.dim)]
+def _tree_forms(M: FiniteRep, N: FiniteRep):
+    """(g, the forms of C(g)) for g in ``group.bfs_order``, each built from
+    its tree parent's."""
+    field, group = M.field, M.group
     exprs = [None] * len(group)
-    exprs[group.identity_index] = [[{} for _ in range(M.dim)] for _ in range(N.dim)]
+    e = group.identity_index
+    exprs[e] = [[{} for _ in range(M.dim)] for _ in range(N.dim)]
+    yield e, exprs[e]
     for ci in group.bfs_order[1:]:
         pi, k = group.tree[ci]
         exprs[ci] = _edge_forms(field, N._mats[pi], k, exprs[pi], M._gen_mats[k])
-    # each cross edge g s_k = h: C(g s_k) - C(h) = 0, entry by entry
-    rows = []
+        yield ci, exprs[ci]
+
+
+def _cross_rows(M: FiniteRep, N: FiniteRep):
+    """The rows of the BFS system: C(g s_k) - C(h) = 0 entry by entry, for
+    each cross edge g s_k = h in ``group.cross`` order.  The tree forms are
+    expanded only as far as the edges read so far need."""
+    field, group = M.field, M.group
+    add, sub, zero = field._add, field._sub, field.zero
+    exprs = {}
+    tree = _tree_forms(M, N)
+
+    def forms(gi):
+        while gi not in exprs:
+            ci, E = next(tree)
+            exprs[ci] = E
+        return exprs[gi]
+
     for pi, k, ci in group.cross:
-        forms = _edge_forms(field, N._mats[pi], k, exprs[pi], M._gen_mats[k])
-        for form_r, known_r in zip(forms, exprs[ci]):
+        out = _edge_forms(field, N._mats[pi], k, forms(pi), M._gen_mats[k])
+        for form_r, known_r in zip(out, forms(ci)):
             for row, known in zip(form_r, known_r):
                 for var, coeff in known.items():
                     _acc(row, var, sub(zero, coeff), add, zero)
                 if row:
-                    rows.append(row)
-    zbasis = nullspace(rows, variables, field)
+                    yield row
+
+
+def ext1_bfs(M: FiniteRep, N: FiniteRep):
+    """(dimension, transversal cocycles) of Z1/B1 with generator unknowns;
+    the cocycles are raw dicts over the (k, r, c) variables.
+
+    B1 is spanned first and checked against the Hom space.  As B1 lies in
+    Z1, the rank of the cross-edge rows is at most unknowns - dim B1, and
+    their elimination stops when it gets there: Ext1 = 0.  Otherwise every
+    row is eliminated and Z1 is read off the same echelon form."""
+    if M.field != N.field:
+        raise ValueError("coefficient mode mismatch between representations")
+    field = M.field
+    ngen = len(M.group.gens)
+    variables = [(k, r, c) for k in range(ngen) for r in range(N.dim) for c in range(M.dim)]
     delta = _coboundary_map(M, N)
     columns = {}
     for key, row in delta.items():
@@ -294,7 +324,11 @@ def ext1_bfs(M: FiniteRep, N: FiniteRep):
         span.insert(columns[entry])
     if span.dim != N.dim * M.dim - len(_kernel(delta, M, N)):
         raise RuntimeError("coboundary rank is inconsistent with the Hom space")
-    transversal = [z for z in zbasis if span.insert(z)]
+    most = len(variables) - span.dim
+    law = SparseSpan(field)
+    if _insert_until(law, _cross_rows(M, N), most) == most:
+        return 0, []
+    transversal = [z for z in law.kernel(variables) if span.insert(z)]
     return len(transversal), transversal
 
 
@@ -333,11 +367,7 @@ def _unreduced_rows(group: GroupTable, field, mats_M: list, mats_N: list):
 def _rank(rows, field, most: int) -> int:
     """The rank of the rows, or `most` as soon as they reach it: `most`
     is a bound the rank cannot pass, so every row left is dependent."""
-    span = SparseSpan(field)
-    for row in rows:
-        if span.insert(row) and span.dim == most:
-            break
-    return span.dim
+    return _insert_until(SparseSpan(field), rows, most)
 
 
 def _coboundary_rank(M: FiniteRep, N: FiniteRep) -> int:

@@ -7,7 +7,8 @@ serialized bases reproducible bit for bit.
 A vector is a dict of raw reps of one field (see ``coeff``) and never
 holds a zero rep.  Fields are checked where a character's values enter a
 module vector (``indmod``, ``towerext``), never here.  ``_acc`` is the one
-add-and-drop-on-cancel accumulator of the vector and cocycle builders.
+add-and-drop-on-cancel accumulator of the vector and cocycle builders,
+and ``_insert_until`` the one elimination that stops at a rank bound.
 
 One elimination kernel serves every span: the field's ``_sub_scaled``,
 a -= c*b, which updates its first argument in place (this module is its
@@ -37,6 +38,18 @@ def _acc(dst: dict, key, rep, add, zero):
                 dst[key] = s
             else:
                 del dst[key]
+
+
+def _insert_until(span, rows, most: int) -> int:
+    """Insert the rows into the span in their order until its dimension
+    reaches `most`, a bound the rank cannot pass, so that every row left
+    is dependent; returns the dimension.  Private, like ``_acc``: the
+    rows come from the caller's generator, and per-layer timing
+    (``perfbench``) should book their building to the caller's layer."""
+    for row in rows:
+        if span.insert(row) and span.dim == most:
+            break
+    return span.dim
 
 
 class SparseSpan:
@@ -103,6 +116,25 @@ class SparseSpan:
         """
         return [v for v in sorted(filter(None, vecs), key=max, reverse=True) if self.insert(v)]
 
+    def kernel(self, variables: list) -> list:
+        """Basis of the solutions of the rows read as equations, when the
+        keys are positions in `variables`: for each non-pivot position f,
+        1 at variables[f] and minus column f at each row's pivot, keyed by
+        the variables."""
+        echelon = self._rows
+        one, zero, sub = self.field.one, self.field.zero, self.field._sub
+        basis = []
+        for f in range(len(variables)):
+            if f in echelon:
+                continue
+            v = {variables[f]: one}
+            for p, row in echelon.items():
+                c = row.get(f)
+                if c is not None:
+                    v[variables[p]] = sub(zero, c)
+            basis.append(v)
+        return basis
+
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
@@ -123,19 +155,7 @@ def nullspace(rows: list, variables: list, field: CoeffField) -> list:
     for r in rows:
         if r:
             span.insert({pos[k]: c for k, c in r.items()})
-    echelon = span._rows
-    one, zero, sub = field.one, field.zero, field._sub
-    basis = []
-    for f in range(len(variables)):
-        if f in echelon:
-            continue
-        v = {variables[f]: one}
-        for p, row in echelon.items():
-            c = row.get(f)
-            if c is not None:
-                v[variables[p]] = sub(zero, c)
-        basis.append(v)
-    return basis
+    return span.kernel(variables)
 
 
 def monomial_invariants(labels, maps, field: CoeffField) -> list:

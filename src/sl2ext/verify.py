@@ -28,7 +28,8 @@ from typing import Callable, NamedTuple
 
 from . import cohom, grp, polyutil, towerext
 from .charmod import TorusCharacter, trivial_on_center
-from .coeff import CyclotomicField, PrimeField, RationalField, choose_prime_for_order, field_from_spec
+from .coeff import (CyclotomicField, PrimeField, RationalField, choose_prime_for_order,
+                    field_from_spec, parse_coeff_spec)
 from .indmod import InducedModule
 from .linalg import SparseSpan
 from .tower import BudgetError, Tower
@@ -86,9 +87,14 @@ class Context:
     """Lazy tower/field/character bundle for one configuration."""
 
     def __init__(self, config: RunConfig):
+        """ValueError when q is no prime power, or the coefficient mode is
+        malformed or of the defining characteristic."""
         pk = polyutil.prime_power(config.q)
         if pk is None:
             raise ValueError("q must be a prime power")
+        kind, coeff_args = parse_coeff_spec(config.coeff)
+        if kind == "fp" and coeff_args and coeff_args[0] == pk[0]:
+            raise ValueError("fp characteristic must differ from the defining one")
         self.config = config
         self.p, self.d0 = pk
         self._tower = None

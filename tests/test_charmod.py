@@ -45,7 +45,9 @@ def test_restriction_coherence(tower33):
 def test_weyl_twist_involution(tower32, cyc8):
     for e in range(8):
         th = TorusCharacter(tower32, cyc8, e)
-        assert th.weyl_twist().weyl_twist().exp == th.exp
+        # one twist per character, whose twist is the character itself
+        assert th.weyl_twist() is th.weyl_twist()
+        assert th.weyl_twist().weyl_twist() is th
         assert th.weyl_twist().exp == (-e) % 8
     # characters of order dividing 2 are twist-fixed
     assert TorusCharacter(tower32, cyc8, 4).weyl_twist().exp == 4

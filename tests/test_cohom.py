@@ -424,6 +424,74 @@ def test_short_hom_space_is_caught(tower32, rat, monkeypatch):
         cohom.ext1_unreduced(reps["tr"], reps["tr"])
 
 
+# -- the rank bound of the BFS solver ----------------------------------------------
+
+
+@pytest.mark.parametrize("fix,exp,ells", [("tower22", 0, (2, 3, 5)), ("tower32", 0, (2, 3, 5)),
+                                          ("tower32", 1, (3, 5))])  # F_2 has no character of order 2
+def test_bfs_rank_stop_gives_the_full_elimination(fix, exp, ells, request, monkeypatch):
+    # every cross-edge row is eliminated here with a plain span: the
+    # stopped solver returns the full elimination's Ext1 and, where it is
+    # nonzero, its transversal; it stops only where Ext1 = 0, and there it
+    # can leave tree forms unbuilt
+    read = trees = 0
+    cross_rows, tree_forms = cohom._cross_rows, cohom._tree_forms
+
+    def counted_rows(M, N):
+        nonlocal read
+        for row in cross_rows(M, N):
+            read += 1
+            yield row
+
+    def counted_forms(M, N):
+        nonlocal trees
+        for ci, forms in tree_forms(M, N):
+            trees += ci != M.group.identity_index
+            yield ci, forms
+
+    monkeypatch.setattr(cohom, "_cross_rows", counted_rows)
+    monkeypatch.setattr(cohom, "_tree_forms", counted_forms)
+    stopped = short = 0
+    for field in (RationalField(), *map(PrimeField, ells)):
+        group, reps = _reps(request.getfixturevalue(fix), field, exp)
+        for (nm, M), (nn, N) in itertools.product(reps.items(), repeat=2):
+            variables = [(k, r, c) for k in range(len(group.gens))
+                         for r in range(N.dim) for c in range(M.dim)]
+            rows = list(cross_rows(M, N))
+            full = SparseSpan(field)
+            for row in rows:
+                full.insert(row)
+            b1 = SparseSpan(field)  # the coboundaries of the matrix units
+            for r0, c0 in itertools.product(range(N.dim), range(M.dim)):
+                E = [[field.one if (r, c) == (r0, c0) else field.zero for c in range(M.dim)]
+                     for r in range(N.dim)]
+                b1.insert({(k, r, c): x for k, D in enumerate(_coboundary_of(M, N, E))
+                           for r, Dr in enumerate(D) for c, x in enumerate(Dr) if x != field.zero})
+            bdim = b1.dim
+            expected = [z for z in full.kernel(variables) if b1.insert(z)]
+            read = trees = 0
+            d, transversal = cohom.ext1_bfs(M, N)
+            assert d == len(expected) == len(variables) - full.dim - bdim, (field, nm, nn)
+            assert transversal == expected, (field, nm, nn)
+            if d == 0 and read < len(rows):
+                stopped += 1
+                short += trees < len(group) - 1
+            else:  # the bound is never reached: every row is eliminated
+                assert read == len(rows), (field, nm, nn)
+    assert stopped > 0 and short > 0
+
+
+@pytest.mark.parametrize("solver", [cohom.ext1_bfs, cohom.ext1_unreduced], ids=lambda f: f.__name__)
+def test_short_hom_kernel_is_caught_by_both_solvers(tower32, monkeypatch, solver):
+    # each solver checks its own dim B1 against the Hom space before it
+    # bounds the rank with it; a kernel one vector short must raise
+    _, reps = _reps(tower32, PrimeField(2), 0)
+    kernel = cohom._kernel
+    monkeypatch.setattr(cohom, "_kernel", lambda delta, M, N: kernel(delta, M, N)[1:])
+    with pytest.raises(RuntimeError, match="coboundary rank is inconsistent with the Hom space"):
+        solver(reps["tr"], reps["tr"])
+
+
 def test_order_condition_table():
     for m in (2, 3, 4, 6):
         for char in (0, 2, 3, 5, 7):

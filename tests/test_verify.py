@@ -56,6 +56,19 @@ def test_unknown_lemma_id_rejected():
         run_all(ctx, ["no-such-lemma"])
 
 
+@pytest.mark.parametrize("q, coeff", [(2, "fp:2:6"), (3, "fp:3"), (9, "fp:3:2")])
+def test_a_field_of_the_defining_characteristic_is_a_config_error(q, coeff, capsys):
+    # outside the paper's hypothesis: the library refuses to build the
+    # context, and the CLI turns the same message into exit 2
+    message = "fp characteristic must differ from the defining one"
+    with pytest.raises(ValueError, match=message):
+        Context(RunConfig(q=q, imax=2, coeff=coeff))
+    with pytest.raises(SystemExit) as exc:
+        _config_from_args(make_parser().parse_args(["verify", "--q", str(q), "--coeff", coeff]))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("imax", [2, 4], ids=["runnable", "module-blocked"])
 @pytest.mark.parametrize("system", [None, "X"], ids=["no-system", "unknown-system"])
 def test_connect_system_rejected_before_any_rule(imax, system):

@@ -1,9 +1,11 @@
 """Command line entry point.
 
 `verify` runs the selected checks and writes a deterministic report
-(JSON, or a text rendering of the same JSON).  `table` prints the
-summary grid of extension statements between the simple objects at the
-configured characters, each row tied to the check id that backs it.
+(JSON, or a text rendering of the same JSON), to `--out` once complete.
+`table` prints the summary grid of extension statements between the
+simple objects at the configured characters, each row tied to the check
+id that backs it.  `verify.Context` checks the configuration, and its
+ValueError is the usage error.
 
 Exit codes: 0 all PASS/SKIPPED, 1 some FAIL, 2 usage or config error,
 3 internal error (the traceback goes to stderr).
@@ -17,31 +19,22 @@ import json
 import math
 import sys
 import traceback
+from dataclasses import fields
 
 from . import polyutil
 from .charmod import trivial_on_center
-from .verify import Context, REGISTRY_IDS, RunConfig, run_all, summarize
+from .verify import Context, RunConfig, run_all, summarize
 
 SCHEMA_VERSION = "1"
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.imax < 2:
-        raise SystemExit(_usage_error("imax must be >= 2"))
-    if args.budget < 1:
-        raise SystemExit(_usage_error("budget must be >= 1"))
-    config = RunConfig(
-        q=args.q,
-        imax=args.imax,
-        coeff=args.coeff,
-        theta_exp=args.theta_exp,
-        lambda_exp=args.lambda_exp,
-        mu_exp=args.mu_exp,
-        lemmas=args.lemmas,
-        budget=args.budget,
-    )
+    """The run's configuration from the flags the command has, checked by
+    building its Context: a ValueError there exits 2 with its message."""
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                          if hasattr(args, f.name)})
     try:
-        Context(config)  # the library's check of q and the coefficient mode
+        Context(config)
     except ValueError as e:
         raise SystemExit(_usage_error(str(e)))
     return config
@@ -52,24 +45,13 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _selected_lemmas(config: RunConfig):
-    if config.lemmas == "all":
-        return None
-    chosen = [x.strip() for x in config.lemmas.split(",")]
-    if not all(chosen) or len(set(chosen)) < len(chosen):
-        raise SystemExit(_usage_error(f"empty or repeated lemma id in --lemmas {config.lemmas!r}"))
-    unknown = [x for x in chosen if x not in REGISTRY_IDS]
-    if unknown:
-        raise SystemExit(_usage_error(f"unknown lemma ids: {', '.join(unknown)}"))
-    return chosen
-
-
 def _open_out(path: str):
-    """The --out file, opened before any check runs; a context manager."""
+    """The --out file, opened before any check runs without truncating a
+    report already there; a context manager."""
     if not path:
         return contextlib.nullcontext()
     try:
-        return open(path, "w")
+        return open(path, "a")
     except OSError as e:
         raise SystemExit(_usage_error(f"cannot write --out {path}: {e.strerror or e}"))
 
@@ -104,9 +86,8 @@ def render_text(doc: dict) -> str:
 
 def cmd_verify(args) -> int:
     config = _config_from_args(args)
-    lemmas = _selected_lemmas(config)
     with _open_out(args.out) as out:
-        reports = run_all(Context(config), lemmas)
+        reports = run_all(Context(config))
         doc = _report_json(config, reports)
         if args.format == "json":
             # counting payloads hold exact integers past the int -> str digit limit
@@ -118,7 +99,8 @@ def cmd_verify(args) -> int:
                 sys.set_int_max_str_digits(limit)
         else:
             rendered = render_text(doc)
-        if out:
+        if out:  # the previous report stays until this one is complete
+            out.truncate(0)
             out.write(rendered)
     print(rendered, end="")
     return 0 if doc["summary"]["fail"] == 0 else 1
@@ -212,10 +194,11 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta-exp", type=int, default=0, dest="theta_exp")
         p.add_argument("--lambda-exp", type=int, default=0, dest="lambda_exp")
         p.add_argument("--mu-exp", type=int, default=0, dest="mu_exp")
-        p.add_argument("--lemmas", default="all")
-        p.add_argument("--budget", type=int, default=100000)
-        p.add_argument("--out", default="")
         p.add_argument("--format", choices=("json", "text"), default="json")
+        if name == "verify":
+            p.add_argument("--lemmas", default="all")
+            p.add_argument("--budget", type=int, default=100000)
+            p.add_argument("--out", default="")
         p.set_defaults(fn=fn)
     return parser
 

@@ -31,9 +31,11 @@ Each takes dim B1 in its own frame and checks it against the Hom space
 first: the BFS solver as the rank of the coboundary map's columns, the
 unreduced one as the rank of the coboundaries of the matrix units.  A
 Hom space short of a vector raises instead of shifting the answer.  The
-BFS solver streams its cross-edge rows in ``group.cross`` order and
-expands the tree forms C(g) only as far as those rows need; when the
-bound is not reached, Z1 is read off the same echelon form.
+BFS tree is walked once, in ``GroupTable``; the reps expand along
+``group.tree`` and the BFS solver streams its rows in ``group.cross``
+order, building a tree form C(g) from its parent's the first time a row
+reads it.  When the bound is not reached, Z1 is read off the same
+echelon form.
 
 Everything here is raw: a FiniteRep is given raw generator matrices (the
 induced and Steinberg ones are read off the raw module action), and the
@@ -80,7 +82,7 @@ def mat_identity(field, n):
 
 class GroupTable:
     """The enumerated level-1 group with its generator set, its
-    multiplication table and a BFS order."""
+    multiplication table, and its BFS tree and cross edges in BFS order."""
 
     def __init__(self, tower: Tower):
         self.tower = tower
@@ -91,28 +93,20 @@ class GroupTable:
         self.gens = grp.generators(tower, 1)
         gen_index = [self.index[s.key()] for s in self.gens]
         self.identity_index = self.index[grp.identity(tower).key()]
-        # BFS over right multiplication by the generators
+        # BFS over right multiplication by the generators; `order` grows as it is read
         order = [self.identity_index]
-        seen = {self.identity_index}
-        tree = {}   # child index -> (parent index, generator position)
-        cross = []  # (parent index, generator position, child index)
-        pos = 0
-        while pos < len(order):
-            gi = order[pos]
-            pos += 1
+        self.tree = {}   # child index -> (parent index, generator position)
+        self.cross = []  # (parent index, generator position, child index)
+        for gi in order:
             for k, si in enumerate(gen_index):
                 ci = self.product[gi][si]
-                if ci in seen:
-                    cross.append((gi, k, ci))
+                if ci == self.identity_index or ci in self.tree:
+                    self.cross.append((gi, k, ci))
                 else:
-                    seen.add(ci)
-                    tree[ci] = (gi, k)
+                    self.tree[ci] = (gi, k)
                     order.append(ci)
         if len(order) != len(self.elements):
             raise RuntimeError("generators do not generate the enumerated group")
-        self.bfs_order = order
-        self.tree = tree
-        self.cross = cross
 
     def __len__(self):
         return len(self.elements)
@@ -129,8 +123,7 @@ class FiniteRep:
         self.name = name
         mats = [None] * len(group)
         mats[group.identity_index] = mat_identity(field, self.dim)
-        for ci in group.bfs_order[1:]:
-            pi, k = group.tree[ci]
+        for ci, (pi, k) in group.tree.items():
             mats[ci] = mat_mul(field, mats[pi], generator_matrices[k])
         for pi, k, ci in group.cross:
             if mat_mul(field, mats[pi], generator_matrices[k]) != mats[ci]:
@@ -262,33 +255,18 @@ def _edge_forms(field, A, k, E, B):
     return out
 
 
-def _tree_forms(M: FiniteRep, N: FiniteRep):
-    """(g, the forms of C(g)) for g in ``group.bfs_order``, each built from
-    its tree parent's."""
-    field, group = M.field, M.group
-    exprs = [None] * len(group)
-    e = group.identity_index
-    exprs[e] = [[{} for _ in range(M.dim)] for _ in range(N.dim)]
-    yield e, exprs[e]
-    for ci in group.bfs_order[1:]:
-        pi, k = group.tree[ci]
-        exprs[ci] = _edge_forms(field, N._mats[pi], k, exprs[pi], M._gen_mats[k])
-        yield ci, exprs[ci]
-
-
 def _cross_rows(M: FiniteRep, N: FiniteRep):
     """The rows of the BFS system: C(g s_k) - C(h) = 0 entry by entry, for
-    each cross edge g s_k = h in ``group.cross`` order.  The tree forms are
-    expanded only as far as the edges read so far need."""
+    each cross edge g s_k = h in ``group.cross`` order.  A tree form C(g)
+    is built from its tree parent's the first time a row reads it."""
     field, group = M.field, M.group
     add, sub, zero = field._add, field._sub, field.zero
-    exprs = {}
-    tree = _tree_forms(M, N)
+    exprs = {group.identity_index: [[{} for _ in range(M.dim)] for _ in range(N.dim)]}
 
     def forms(gi):
-        while gi not in exprs:
-            ci, E = next(tree)
-            exprs[ci] = E
+        if gi not in exprs:
+            pi, k = group.tree[gi]
+            exprs[gi] = _edge_forms(field, N._mats[pi], k, forms(pi), M._gen_mats[k])
         return exprs[gi]
 
     for pi, k, ci in group.cross:

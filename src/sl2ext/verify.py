@@ -1,6 +1,8 @@
 """The check registry: every finitely verifiable statement the workbench
 covers, as one `Check` record.
 
+`Context` checks a run's configuration, the lemma list included, and
+raises ValueError on the first bad field; `run_all` runs that list.
 A record holds the check's stable id, its body, the level range it
 accepts, its other SKIP preconditions, a level's cost and its schedule.
 `run_lemma` tests the tower or module rule, the level range, the other
@@ -84,17 +86,32 @@ class Report:
 
 
 class Context:
-    """Lazy tower/field/character bundle for one configuration."""
+    """The checked configuration of one run, with its lazy tower, field and
+    characters."""
 
     def __init__(self, config: RunConfig):
-        """ValueError when q is no prime power, or the coefficient mode is
-        malformed or of the defining characteristic."""
+        """ValueError on the first of: imax < 2, budget < 1, q no prime
+        power, a malformed coefficient mode or one of the defining
+        characteristic, an empty, repeated or unknown lemma id."""
+        if config.imax < 2:
+            raise ValueError("imax must be >= 2")
+        if config.budget < 1:
+            raise ValueError("budget must be >= 1")
         pk = polyutil.prime_power(config.q)
         if pk is None:
             raise ValueError("q must be a prime power")
         kind, coeff_args = parse_coeff_spec(config.coeff)
         if kind == "fp" and coeff_args and coeff_args[0] == pk[0]:
             raise ValueError("fp characteristic must differ from the defining one")
+        self.lemmas = REGISTRY_IDS  # the checks run_all runs, in registry order
+        if config.lemmas != "all":
+            chosen = [x.strip() for x in config.lemmas.split(",")]
+            if not all(chosen) or len(set(chosen)) < len(chosen):
+                raise ValueError(f"empty or repeated lemma id in --lemmas {config.lemmas!r}")
+            unknown = [x for x in chosen if x not in CHECKS]
+            if unknown:
+                raise ValueError(f"unknown lemma ids: {', '.join(unknown)}")
+            self.lemmas = chosen
         self.config = config
         self.p, self.d0 = pk
         self._tower = None
@@ -824,14 +841,11 @@ def run_lemma(ctx: Context, spec: CheckSpec) -> Report:
     return report
 
 
-def run_all(ctx: Context, lemmas: list | None = None) -> list:
-    selected = REGISTRY_IDS if lemmas is None else lemmas
-    unknown = [l for l in selected if l not in CHECKS]
-    if unknown:
-        raise ValueError(f"unknown lemma ids {unknown}")
+def run_all(ctx: Context) -> list:
+    """The reports of the checks in the run's lemma list, in registry order."""
     reports = []
     for check in REGISTRY:
-        if check.lemma_id not in selected:
+        if check.lemma_id not in ctx.lemmas:
             continue
         instances = check.instances(ctx)
         if not instances:

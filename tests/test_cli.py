@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from sl2ext import cli
+from sl2ext import cli, verify
 from sl2ext.cli import main
+from sl2ext.verify import RunConfig
 
 
 def test_verify_small_run_exit_zero(tmp_path, capsys):
@@ -132,7 +133,7 @@ def test_empty_or_repeated_lemma_ids_rejected(lemmas, capsys):
 
 @pytest.mark.parametrize("where", ["missing-dir/r.json", "."])
 def test_unwritable_out_exits_2_before_any_check(where, tmp_path, monkeypatch, capsys):
-    def no_checks(ctx, lemmas):
+    def no_checks(ctx):
         raise AssertionError("a check ran before --out was checked")
 
     monkeypatch.setattr(cli, "run_all", no_checks)
@@ -143,6 +144,26 @@ def test_unwritable_out_exits_2_before_any_check(where, tmp_path, monkeypatch, c
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write --out {path}: ")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_a_crash_keeps_the_previous_report(tmp_path, monkeypatch, capsys):
+    # the report file is only rewritten once the new report is complete
+    out = tmp_path / "report.json"
+    assert main(["verify", "--q", "2", "--imax", "2", "--lemmas", "sus,bruhat", "--out", str(out)]) == 0
+    before = out.read_text()
+
+    def broken(ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_all", broken)
+    assert main(["verify", "--q", "2", "--imax", "2", "--lemmas", "sus", "--out", str(out)]) == 3
+    assert out.read_text() == before
+    monkeypatch.undo()
+    # a shorter report replaces the longer one whole
+    capsys.readouterr()
+    assert main(["verify", "--q", "2", "--imax", "2", "--lemmas", "sus", "--out", str(out)]) == 0
+    after = out.read_text()
+    assert after == capsys.readouterr().out and len(after) < len(before)
 
 
 def test_fp_mode_validation():
@@ -181,7 +202,7 @@ def test_fp2_runs_at_odd_q(capsys, tmp_path):
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
-    def broken(ctx, lemmas):
+    def broken(ctx):
         raise RuntimeError("boom")
 
     monkeypatch.setattr("sl2ext.cli.run_all", broken)
@@ -214,6 +235,40 @@ def test_table_command(capsys):
     assert rows[("tr", "M(theta)")]["value"] == "nonzero"
     assert rows[("tr", "M(theta)")]["witness"] == "L5.7-noHG"
     assert rows[("M(lambda)", "M(mu)")]["value"] == "nonzero"
+
+
+@pytest.mark.parametrize("flag", [["--lemmas", "sus"], ["--budget", "5"], ["--out", "f.json"]])
+def test_table_takes_only_the_flags_it_reads(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--q", "2", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_verify_builds_every_context_through_the_cli_name(tmp_path, monkeypatch, capsys):
+    # the benchmark child reads the config with _config_from_args, builds
+    # the Context itself, and hands it to cmd_verify through cli.Context
+    args = cli.make_parser().parse_args(["verify", "--q", "2", "--imax", "2", "--lemmas", "sus",
+                                         "--out", str(tmp_path / "r.json")])
+    config = cli._config_from_args(args)
+    assert config == RunConfig(q=2, imax=2, lemmas="sus")
+    ctx = cli.Context(config)
+    built = []
+
+    def prebuilt(cfg):
+        built.append(cfg)
+        return ctx
+
+    def refused(self, cfg):
+        raise AssertionError("a Context was built outside cli.Context")
+
+    monkeypatch.setattr(cli, "Context", prebuilt)
+    monkeypatch.setattr(verify.Context, "__init__", refused)
+    assert args.fn(args) == 0
+    assert built and all(cfg == config for cfg in built)
+    capsys.readouterr()
 
 
 def test_table_center_mismatch(capsys):

@@ -27,7 +27,10 @@ def test_group_table_covers_group(tower22, tower32):
     for tw, size in ((tower22, 6), (tower32, 24)):
         group = cohom.GroupTable(tw)
         assert len(group) == size
-        assert len(group.bfs_order) == size
+        assert len(group.tree) == size - 1
+        # the tree keeps BFS order: each parent comes before its children
+        found = [group.identity_index, *group.tree]
+        assert all(found.index(pi) < found.index(ci) for ci, (pi, _) in group.tree.items())
 
 
 def test_hom_dims_q2(tower22, rat):
@@ -166,8 +169,8 @@ def _is_cocycle(M, N, gen_values):
         return _entrywise(f._add, cohom.mat_mul(f, N._mats[pi], gen_values[k]),
                           cohom.mat_mul(f, vals[pi], M._gen_mats[k]))
 
-    for ci in group.bfs_order[1:]:
-        vals[ci] = step(*group.tree[ci])
+    for ci, (pi, k) in group.tree.items():
+        vals[ci] = step(pi, k)
     return all(step(pi, k) == vals[ci] for pi, k, ci in group.cross)
 
 
@@ -433,9 +436,13 @@ def test_bfs_rank_stop_gives_the_full_elimination(fix, exp, ells, request, monke
     # every cross-edge row is eliminated here with a plain span: the
     # stopped solver returns the full elimination's Ext1 and, where it is
     # nonzero, its transversal; it stops only where Ext1 = 0, and there it
-    # can leave tree forms unbuilt
-    read = trees = 0
-    cross_rows, tree_forms = cohom._cross_rows, cohom._tree_forms
+    # can leave tree forms unbuilt.  A tree form C(g) is built exactly
+    # when it reads group.tree[g], and each cross edge it starts costs one
+    # more _edge_forms call: the built forms must be the ancestors of the
+    # ends of the edges started, each built once
+    read = calls = 0
+    built = []
+    cross_rows, edge_forms = cohom._cross_rows, cohom._edge_forms
 
     def counted_rows(M, N):
         nonlocal read
@@ -443,17 +450,27 @@ def test_bfs_rank_stop_gives_the_full_elimination(fix, exp, ells, request, monke
             read += 1
             yield row
 
-    def counted_forms(M, N):
-        nonlocal trees
-        for ci, forms in tree_forms(M, N):
-            trees += ci != M.group.identity_index
-            yield ci, forms
+    def counted_edge_forms(*args):
+        nonlocal calls
+        calls += 1
+        return edge_forms(*args)
+
+    class RecordingTree(dict):
+        def __getitem__(self, gi):
+            built.append(gi)
+            return super().__getitem__(gi)
+
+    def ancestors(group, gi):
+        while gi != group.identity_index:
+            yield gi
+            gi = dict.__getitem__(group.tree, gi)[0]
 
     monkeypatch.setattr(cohom, "_cross_rows", counted_rows)
-    monkeypatch.setattr(cohom, "_tree_forms", counted_forms)
+    monkeypatch.setattr(cohom, "_edge_forms", counted_edge_forms)
     stopped = short = 0
     for field in (RationalField(), *map(PrimeField, ells)):
         group, reps = _reps(request.getfixturevalue(fix), field, exp)
+        group.tree = RecordingTree(group.tree)
         for (nm, M), (nn, N) in itertools.product(reps.items(), repeat=2):
             variables = [(k, r, c) for k in range(len(group.gens))
                          for r in range(N.dim) for c in range(M.dim)]
@@ -469,13 +486,18 @@ def test_bfs_rank_stop_gives_the_full_elimination(fix, exp, ells, request, monke
                            for r, Dr in enumerate(D) for c, x in enumerate(Dr) if x != field.zero})
             bdim = b1.dim
             expected = [z for z in full.kernel(variables) if b1.insert(z)]
-            read = trees = 0
+            read = calls = 0
+            built.clear()
             d, transversal = cohom.ext1_bfs(M, N)
             assert d == len(expected) == len(variables) - full.dim - bdim, (field, nm, nn)
             assert transversal == expected, (field, nm, nn)
+            started = group.cross[:calls - len(built)]
+            assert len(set(built)) == len(built), (field, nm, nn)
+            assert set(built) == {a for pi, _, ci in started for g in (pi, ci)
+                                  for a in ancestors(group, g)}, (field, nm, nn)
             if d == 0 and read < len(rows):
                 stopped += 1
-                short += trees < len(group) - 1
+                short += len(built) < len(group) - 1
             else:  # the bound is never reached: every row is eliminated
                 assert read == len(rows), (field, nm, nn)
     assert stopped > 0 and short > 0

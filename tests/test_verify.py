@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from sl2ext.cli import _config_from_args, _selected_lemmas, make_parser
+from sl2ext.cli import _config_from_args, make_parser
 from sl2ext.grp import subgroup_order
 from sl2ext.verify import (
     CHECKS,
@@ -52,8 +52,8 @@ def test_unknown_lemma_id_rejected():
     ctx = Context(RunConfig(q=2, imax=2))
     with pytest.raises(ValueError):
         run_lemma(ctx, CheckSpec("no-such-lemma", {}))
-    with pytest.raises(ValueError):
-        run_all(ctx, ["no-such-lemma"])
+    with pytest.raises(ValueError, match="unknown lemma ids: no-such-lemma"):
+        Context(RunConfig(q=2, imax=2, lemmas="no-such-lemma"))
 
 
 @pytest.mark.parametrize("q, coeff", [(2, "fp:2:6"), (3, "fp:3"), (9, "fp:3:2")])
@@ -136,7 +136,7 @@ def test_clm_counts_cosets_exactly_where_l44_basis_runs():
     # at q=2, L4.4-basis at i=1 costs |level 2| + 1 = 5: at budget 4 it
     # SKIPs and clm-4 i=1 reports no explicit count; at budget 5 both count
     for budget, runs in ((4, False), (5, True)):
-        reports = run_all(Context(RunConfig(q=2, imax=3, budget=budget)), ["L4.4-basis", "clm-4"])
+        reports = run_all(Context(RunConfig(q=2, imax=3, budget=budget, lemmas="L4.4-basis,clm-4")))
         l44 = [r for r in reports if r.lemma_id == "L4.4-basis" and r.verdict != "SKIPPED"]
         clm = next(r for r in reports if r.lemma_id == "clm-4" and r.params["i"] == 1)
         assert bool(l44) is runs and ("explicit" in clm.payload) is runs
@@ -148,10 +148,10 @@ def test_run_all_skips_a_check_only_on_its_own_tower_or_module_rule():
     # at q=4 imax=3 the auto cyclotomic order 4095 is over the field cap:
     # the module checks SKIP on it, but the tower-only checks run, with
     # run_lemma's reports, and clm-4 counts cosets where L4.4-basis runs
-    ctx = Context(RunConfig(q=4, imax=3))
-    assert ctx.tower_error is None and "4095" in ctx.blocked()
     tower_only = ["sus", "bruhat", "L4.4-basis", "L4.4-neg-control"]
-    reports = run_all(ctx, tower_only + ["act-oracle", "clm-4"])
+    ctx = Context(RunConfig(q=4, imax=3, lemmas=",".join(tower_only + ["act-oracle", "clm-4"])))
+    assert ctx.tower_error is None and "4095" in ctx.blocked()
+    reports = run_all(ctx)
     ran = [r for r in reports if r.lemma_id in tower_only]
     assert {r.lemma_id for r in ran} == set(tower_only)
     for r in ran:
@@ -182,7 +182,7 @@ def test_negative_controls_skip_where_they_cannot_fail(lemma, reason):
     r = run_lemma(ctx, CheckSpec(lemma, {"q": 2, "i": 1}))
     assert (r.verdict, r.reason, r.payload) == ("SKIPPED", reason, {})
     # run_all schedules the first level where the same rule passes
-    assert [r.params["i"] for r in run_all(ctx, [lemma])] == [2]
+    assert [r.params["i"] for r in run_all(Context(RunConfig(q=2, imax=3, lemmas=lemma)))] == [2]
 
 
 def test_degenerate_certificates_are_skipped():
@@ -263,7 +263,7 @@ GOLDEN_CONFIGS = json.loads(
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
 def test_run_all_schedules_no_level_outside_its_range(name):
     config = _config_from_args(make_parser().parse_args(["verify", *GOLDEN_CONFIGS[name].split()]))
-    reports = run_all(Context(config), _selected_lemmas(config))
+    reports = run_all(Context(config))
     assert reports and not [r.lemma_id for r in reports if r.reason in LEVEL_REASONS]
     # nor one over its cost
     assert not [r.lemma_id for r in reports if r.reason.startswith("level budget: level ")]
@@ -278,9 +278,42 @@ def test_run_all_small_config_no_failures():
 
 
 def test_run_all_lemma_selection():
-    ctx = Context(RunConfig(q=2, imax=2))
-    reports = run_all(ctx, ["sus", "clm-4"])
+    # run_all runs the configuration's lemma list, in registry order
+    ctx = Context(RunConfig(q=2, imax=2, lemmas="clm-4, sus"))
+    reports = run_all(ctx)
     assert {r.lemma_id for r in reports} == {"sus", "clm-4"}
+    assert reports[0].lemma_id == "sus"
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"imax": 1}, "imax must be >= 2"),
+    ({"budget": 0}, "budget must be >= 1"),
+    ({"budget": -3}, "budget must be >= 1"),
+    ({"q": 6}, "q must be a prime power"),
+    ({"coeff": "fp:4"}, "fp characteristic must be prime"),
+    ({"coeff": "fp:2"}, "fp characteristic must differ from the defining one"),
+    ({"lemmas": ""}, "empty or repeated lemma id in --lemmas ''"),
+    ({"lemmas": "sus,sus"}, "empty or repeated lemma id in --lemmas 'sus,sus'"),
+    ({"lemmas": "sus,x,y"}, "unknown lemma ids: x, y"),
+    # the first bad field decides, in the order above
+    ({"imax": 1, "budget": 0, "q": 6, "lemmas": "x"}, "imax must be >= 2"),
+    ({"budget": 0, "q": 6, "lemmas": "x"}, "budget must be >= 1"),
+    ({"q": 6, "coeff": "bogus", "lemmas": "x"}, "q must be a prime power"),
+    ({"coeff": "fp:2", "lemmas": "x"}, "fp characteristic must differ from the defining one"),
+])
+def test_context_rejects_a_bad_field_with_the_cli_message(changes, message, capsys):
+    config = RunConfig(**{"q": 2, "imax": 2, **changes})
+    with pytest.raises(ValueError) as exc:
+        Context(config)
+    assert str(exc.value) == message
+    # the CLI prints the same message and exits 2
+    argv = ["verify"]
+    for k, v in config.to_json().items():
+        argv += [f"--{k.replace('_', '-')}", str(v)]
+    with pytest.raises(SystemExit) as exc:
+        _config_from_args(make_parser().parse_args(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_reports_deterministic_json():
@@ -333,8 +366,8 @@ def test_direct_call_over_its_cost_skips_on_budget(lemma, extra, i):
 
 def test_negative_controls_skip_their_fallback_level_over_budget():
     # no level fits budget 5, so each schedules its lowest level, costed 4^2 + 1
-    ctx = Context(RunConfig(q=4, imax=2, budget=5))
-    reports = run_all(ctx, ["L4.4-neg-control", "eta-weight-neg-control"])
+    ctx = Context(RunConfig(q=4, imax=2, budget=5, lemmas="L4.4-neg-control,eta-weight-neg-control"))
+    reports = run_all(ctx)
     reason = "level budget: level 1 costs 17, over budget 5"
     assert [(r.lemma_id, r.params, r.verdict, r.reason) for r in reports] == [
         (lemma, {"q": 4, "i": 1}, "SKIPPED", reason)

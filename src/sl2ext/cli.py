@@ -4,8 +4,8 @@
 (JSON, or a text rendering of the same JSON), to `--out` once complete.
 `table` prints the summary grid of extension statements between the
 simple objects at the configured characters, each row tied to the check
-id that backs it.  `verify.Context` checks the configuration, and its
-ValueError is the usage error.
+id that backs it.  Each command builds one `verify.Context`, which checks
+the configuration: its ValueError is the usage error.
 
 Exit codes: 0 all PASS/SKIPPED, 1 some FAIL, 2 usage or config error,
 3 internal error (the traceback goes to stderr).
@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import traceback
 from dataclasses import fields
@@ -29,15 +30,17 @@ SCHEMA_VERSION = "1"
 
 
 def _config_from_args(args) -> RunConfig:
-    """The run's configuration from the flags the command has, checked by
-    building its Context: a ValueError there exits 2 with its message."""
-    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                          if hasattr(args, f.name)})
+    """The run's configuration from the flags the command has, unchecked."""
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                        if hasattr(args, f.name)})
+
+
+def _context(config: RunConfig) -> Context:
+    """The run's one Context: a ValueError there exits 2 with its message."""
     try:
-        Context(config)
+        return Context(config)
     except ValueError as e:
         raise SystemExit(_usage_error(str(e)))
-    return config
 
 
 def _usage_error(msg: str) -> int:
@@ -45,15 +48,29 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
+@contextlib.contextmanager
 def _open_out(path: str):
     """The --out file, opened before any check runs without truncating a
-    report already there; a context manager."""
+    report already there.  A file this run created is removed again when
+    the run ends before its report is written."""
     if not path:
-        return contextlib.nullcontext()
+        yield None
+        return
     try:
-        return open(path, "a")
+        try:
+            out, created = open(path, "x"), True
+        except FileExistsError:
+            out, created = open(path, "a"), False
     except OSError as e:
         raise SystemExit(_usage_error(f"cannot write --out {path}: {e.strerror or e}"))
+    with out:
+        try:
+            yield out
+        except BaseException:
+            if created:
+                out.close()
+                os.remove(path)
+            raise
 
 
 def _report_json(config: RunConfig, reports) -> dict:
@@ -86,8 +103,9 @@ def render_text(doc: dict) -> str:
 
 def cmd_verify(args) -> int:
     config = _config_from_args(args)
+    ctx = _context(config)
     with _open_out(args.out) as out:
-        reports = run_all(Context(config))
+        reports = run_all(ctx)
         doc = _report_json(config, reports)
         if args.format == "json":
             # counting payloads hold exact integers past the int -> str digit limit
@@ -163,6 +181,7 @@ def build_table(config: RunConfig) -> list:
 
 def cmd_table(args) -> int:
     config = _config_from_args(args)
+    _context(config)  # checks the configuration
     doc = {
         "version": SCHEMA_VERSION,
         "config": config.to_json(),

@@ -27,6 +27,10 @@ Every coboundary is a cocycle, so B1 lies in Z1 and the rank of either
 system's rows, over the field or mod l, is at most its unknowns - dim B1.
 Both solvers stop eliminating when the rank reaches that bound
 (``linalg._insert_until``): the rows left are dependent and Ext1 = 0.
+The rank of a set of rows does not depend on their order, so the order
+only decides how many rows are read before the stop: the unreduced rows
+start at the last element g of ``group.elements``, which reaches the
+bound after about 7% of them at q = 3, against 23-24% from the first.
 Each takes dim B1 in its own frame and checks it against the Hom space
 first: the BFS solver as the rank of the coboundary map's columns, the
 unreduced one as the rank of the coboundaries of the matrix units.  A
@@ -314,7 +318,12 @@ def _unreduced_rows(group: GroupTable, field, mats_M: list, mats_N: list):
     """The rows of the unreduced system: C(gh) = rho_N(g) C(h) + C(g) rho_M(h)
     entry by entry, for g, h != 1, over raw reps of `field`.  The unknown
     C(g)[r][c] is the int key (g dN + r) dM + c, which orders the unknowns
-    as the tuples (g, r, c) would."""
+    as the tuples (g, r, c) would.
+
+    g runs from the last element of ``group.elements`` down to the first.
+    A rank does not depend on the order of the rows, so neither does
+    ``ext1_unreduced``'s answer; this order reaches the rank bound after
+    fewer of them."""
     add, zero = field._add, field.zero
     minus_one = field._sub(zero, field.one)
     e = group.identity_index
@@ -322,7 +331,7 @@ def _unreduced_rows(group: GroupTable, field, mats_M: list, mats_N: list):
     # one key per unknown, shared by every row that mentions it
     var = [[[(gi * dN + r) * dM + c for c in range(dM)] for r in range(dN)]
            for gi in range(len(group))]
-    for gi in range(len(group)):
+    for gi in reversed(range(len(group))):
         if gi == e:
             continue
         for hi, ki in enumerate(group.product[gi]):

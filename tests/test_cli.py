@@ -166,6 +166,40 @@ def test_a_crash_keeps_the_previous_report(tmp_path, monkeypatch, capsys):
     assert after == capsys.readouterr().out and len(after) < len(before)
 
 
+def test_a_crash_leaves_no_new_report_file(tmp_path, monkeypatch, capsys):
+    # a --out path this run created is removed when the run crashes
+    def broken(ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_all", broken)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--q", "2", "--imax", "2", "--lemmas", "sus", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_one_context_per_verify(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def counted(config):
+        built.append(config)
+        return verify.Context(config)
+
+    monkeypatch.setattr(cli, "Context", counted)
+    assert main(["verify", "--q", "2", "--imax", "2", "--lemmas", "sus",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert built == [RunConfig(q=2, imax=2, lemmas="sus")]
+    capsys.readouterr()
+
+
+def test_a_bad_config_exits_2_before_out_is_opened(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "6", "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert capsys.readouterr().err == "error: q must be a prime power\n"
+
+
 def test_fp_mode_validation():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--q", "2", "--coeff", "fp:4"])  # 4 is not prime

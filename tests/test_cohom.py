@@ -417,6 +417,43 @@ def test_rank_bound_stop_gives_the_full_elimination(fix, exp, ells, request, mon
     assert stopped > 0
 
 
+def _spy_rows(monkeypatch):
+    """(rows read, rows built) of each elimination of the unreduced system."""
+    consumed, rank = [], cohom._rank
+
+    def counted(rows, field, most):
+        rows = list(rows)
+        left = iter(rows)
+        r = rank(left, field, most)
+        consumed.append((len(rows) - sum(1 for _ in left), len(rows)))
+        return r
+
+    monkeypatch.setattr(cohom, "_rank", counted)
+    return consumed
+
+
+@pytest.mark.parametrize("fix,exp,ell", [("tower32", 0, 0), ("tower32", 0, 2), ("tower32", 0, 3),
+                                         ("tower32", 0, 5), ("tower32", 1, 3), ("tower22", 0, 2),
+                                         ("tower22", 0, 3)])  # ell 0: over Q
+def test_rows_from_the_last_element_stop_early(fix, exp, ell, request, monkeypatch):
+    # the rows start at the last element of the group: at q = 3 a pair with
+    # Ext1 = 0 reaches the rank bound within a tenth of its rows (from the
+    # first element it takes 22-24%); a pair with Ext1 != 0, such as each
+    # pair listed in MODULAR_EXTENSIONS, never reaches it and reads every row
+    field = PrimeField(ell) if ell else RationalField()
+    _, reps = _reps(request.getfixturevalue(fix), field, exp)
+    consumed = _spy_rows(monkeypatch)
+    for (nm, M), (nn, N) in itertools.product(reps.items(), repeat=2):
+        consumed.clear()
+        d = cohom.ext1_unreduced(M, N)
+        if (fix, ell, exp) in MODULAR_EXTENSIONS:
+            assert d == MODULAR_EXTENSIONS[(fix, ell, exp)].get((nm, nn), 0), (nm, nn)
+        if d:
+            assert all(used == built for used, built in consumed), (nm, nn)
+        elif fix == "tower32":
+            assert all(10 * used <= built for used, built in consumed), (nm, nn, consumed)
+
+
 def test_short_hom_space_is_caught(tower32, rat, monkeypatch):
     # a Hom space one vector short would make the nullity look one short
     # of dim B1; the coboundary rank in the unreduced frame disagrees

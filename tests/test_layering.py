@@ -33,7 +33,13 @@ reads `mul_mod`, `rem_mod` or `pow_mod` as an attribute or imports them
 
 In `verify.py` only the runner builds a `Report`: check bodies return
 `(verdict, payload[, reason])` and `run_lemma` turns that into the report,
-with `run_all` adding one SKIP for a check it cannot schedule."""
+with `run_all` adding one SKIP for a check it cannot schedule.
+
+The unreduced cocycle solver is the BFS solver's independent oracle, so
+`cohom.ext1_unreduced` and every `cohom` function it reaches by name read
+none of the BFS tree's names (`tree`, `cross`, `gens`, `_gen_mats`), as an
+attribute, a name or a getattr string.  Only its Hom-space guard,
+`hom_space`, may read them: it checks dim B1, not the cocycles."""
 
 import ast
 import collections
@@ -269,3 +275,48 @@ def test_the_reader_lint_sees_an_unread_function(tmp_path):
                                    "def f():\n    return 2\n\n"
                                    "def g():\n    v = f()\n    return v\n")
     assert _unreferenced(tmp_path) == ["a.py:used", "a.py:K.m", "a.py:K.v", "b.py:g"]
+
+
+BFS_TREE = {"tree", "cross", "gens", "_gen_mats"}
+ORACLE = ("ext1_unreduced", "_unreduced_rows", "_rank", "_coboundary_rank")
+HOM_GUARD = {"hom_space"}
+
+
+def _tree_reads(tree, roots, allowed=HOM_GUARD):
+    """(function, line, name) of every read of a BFS-tree name in the roots
+    and in the module functions they reach by name, except `allowed`."""
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    todo, seen, reads = list(roots), set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen or name in allowed:
+            continue
+        seen.add(name)
+        for n in ast.walk(defs[name]):
+            word = (n.attr if isinstance(n, ast.Attribute) else n.id if isinstance(n, ast.Name)
+                    else n.value if isinstance(n, ast.Constant) else None)
+            if word in BFS_TREE:
+                reads.append((name, n.lineno, word))
+            if isinstance(n, ast.Name) and n.id in defs:
+                todo.append(n.id)
+    return sorted(reads, key=lambda r: r[1])
+
+
+def test_the_unreduced_oracle_reads_no_bfs_tree():
+    tree = ast.parse((SRC / "cohom.py").read_text(), filename="cohom.py")
+    assert _tree_reads(tree, ORACLE) == []
+    assert _tree_reads(tree, ["ext1_bfs"])  # the BFS solver does read it
+
+
+def test_the_oracle_lint_sees_a_planted_read():
+    source = ("def hom_space(M, N):\n    return M._gen_mats\n"
+              "def _walk(group):\n    return group.tree\n"
+              "def _unreduced_rows(group, field, a, b):\n    return _walk(group)\n"
+              "def _rank(rows, field, most):\n    return getattr(field, 'cross')\n"
+              "def _coboundary_rank(M, N):\n    gens = M.group\n    return gens\n"
+              "def ext1_unreduced(M, N):\n    return hom_space(M, N), _rank(0, 0, 0)\n")
+    assert _tree_reads(ast.parse(source), ORACLE) == [
+        ("_walk", 4, "tree"), ("_rank", 8, "cross"), ("_coboundary_rank", 10, "gens"),
+        ("_coboundary_rank", 11, "gens")]
+    assert _tree_reads(ast.parse(source), ["ext1_unreduced"], allowed=()) == [
+        ("hom_space", 2, "_gen_mats"), ("_rank", 8, "cross")]

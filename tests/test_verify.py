@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from sl2ext.cli import _config_from_args, make_parser
+from sl2ext.cli import _config_from_args, main, make_parser
 from sl2ext.grp import subgroup_order
 from sl2ext.verify import (
     CHECKS,
@@ -64,7 +64,7 @@ def test_a_field_of_the_defining_characteristic_is_a_config_error(q, coeff, caps
     with pytest.raises(ValueError, match=message):
         Context(RunConfig(q=q, imax=2, coeff=coeff))
     with pytest.raises(SystemExit) as exc:
-        _config_from_args(make_parser().parse_args(["verify", "--q", str(q), "--coeff", coeff]))
+        main(["verify", "--q", str(q), "--coeff", coeff])
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -311,7 +311,7 @@ def test_context_rejects_a_bad_field_with_the_cli_message(changes, message, caps
     for k, v in config.to_json().items():
         argv += [f"--{k.replace('_', '-')}", str(v)]
     with pytest.raises(SystemExit) as exc:
-        _config_from_args(make_parser().parse_args(argv))
+        main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -118,7 +118,8 @@ def cmd_verify(args) -> int:
         else:
             rendered = render_text(doc)
         if out:  # the previous report stays until this one is complete
-            out.truncate(0)
+            if out.seekable():  # a pipe, FIFO or terminal has nothing to truncate
+                out.truncate(0)
             out.write(rendered)
     print(rendered, end="")
     return 0 if doc["summary"]["fail"] == 0 else 1

@@ -41,10 +41,6 @@ scales the other operand (1 returns it), and is otherwise a schoolbook
 multiply folded mod Phi_n; every other inverse is the Galois-norm
 product.  Sums and differences map ``operator.add`` and ``operator.sub``
 over the coefficient tuples.
-
-``residue_map`` reduces a characteristic-0 field onto F_l for a prime
-l = 1 (mod n), the ring map behind ``cohom``'s mod-l rank bound, and
-``choose_prime_for_order`` picks that l >= 5, prime to a group order.
 """
 
 from __future__ import annotations
@@ -128,7 +124,6 @@ class CoeffField:
 class RationalField(CoeffField):
     """Q; a rep is an ``int`` while integral, else a ``Fraction``."""
 
-    n = 1  # Q is Q(zeta_1); ``cohom`` picks its mod-l prime from n
     root_order = 2  # +-1
 
     def _add(self, a, b):
@@ -423,23 +418,6 @@ def choose_prime_for_order(n: int, avoid: int = 1) -> int:
     while not polyutil.is_prime(ell) or avoid % ell == 0:
         ell += n
     return ell
-
-
-def residue_map(field: CoeffField, ell: int) -> tuple:
-    """(F_l, the reduction of `field`'s raw reps into it) for a
-    characteristic-0 field Q(zeta_n), with l = 1 (mod n) prime.
-
-    This is the ring map Z[zeta_n][1/d] -> F_l, d prime to l, that sends
-    zeta_n to a primitive n-th root mod l; such a map can only lower the
-    rank of a matrix.  A coefficient whose denominator l divides raises
-    ZeroDivisionError.
-    """
-    target = PrimeField(ell)
-    res = target._from_rational
-    if isinstance(field, RationalField):
-        return target, res
-    zeta = [target.root_of_unity(field.n, j) for j in range(field.degree)]
-    return target, lambda a: sum(res(c) * z for c, z in zip(a, zeta)) % ell
 
 
 def parse_coeff_spec(spec: str) -> tuple:

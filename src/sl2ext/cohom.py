@@ -14,18 +14,10 @@ coboundaries B1 are the span of its columns, whose dimension gives the
 extension dimension as a quotient.  Maschke cases (|G| invertible in the
 field) are the built-in zero controls.
 
-The unreduced solver decides a characteristic-0 system mod a prime l
-first: it builds the same rows over F_l from the reps' images under
-``coeff.residue_map``, a ring map that can only lower a rank.  So the
-nullity mod l bounds dim Z1 from above, and when it equals dim B1 (taken
-over the exact field) Ext1 = 0 is proved without an exact elimination.
-When the bound is not met, or l divides a denominator of the reps, the
-rows are eliminated over the exact field.  The route is a run fact and
-never reaches a report; ``ext1_bfs`` stays exact.
-
-Every coboundary is a cocycle, so B1 lies in Z1 and the rank of either
-system's rows, over the field or mod l, is at most its unknowns - dim B1.
-Both solvers stop eliminating when the rank reaches that bound
+Both solvers eliminate in the reps' own field; nothing here maps one
+field into another.  Every coboundary is a cocycle, so B1 lies in Z1 and
+the rank of either system's rows is at most its unknowns - dim B1.  Both
+stop eliminating when the rank reaches that bound
 (``linalg._insert_until``): the rows left are dependent and Ext1 = 0.
 The rank of a set of rows does not depend on their order, so the order
 only decides how many rows are read before the stop: the unreduced rows
@@ -55,7 +47,7 @@ from dataclasses import dataclass
 
 from . import grp
 from .charmod import TorusCharacter
-from .coeff import CoeffField, choose_prime_for_order, residue_map
+from .coeff import CoeffField
 from .indmod import HIGHEST, InducedModule
 from .linalg import SparseSpan, _acc, _insert_until, nullspace
 from .tower import Tower
@@ -390,15 +382,6 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
     dN dM - dim Hom(M, N).  As B1 lies in Z1, the rank of the rows is at
     most unknowns - dim B1, and the elimination stops when it gets there:
     the nullity is then dim B1 and the extension dimension 0.
-
-    Over Q(zeta_n) the rows are first built over F_l, from the reps sent
-    through ``coeff.residue_map`` (l = 1 mod n, l prime to |G|).  That map
-    can only lower the rank, so the nullity mod l bounds dim Z1 >= dim B1
-    from above, and the same bound caps the rank mod l: when the rank mod
-    l reaches it, the extension dimension 0 is proved.  Otherwise, or
-    when l divides a denominator of the reps, the same builder's rows are
-    eliminated over the field itself.  Which route decided is a run fact,
-    not part of any report.
     """
     if M.field != N.field:
         raise ValueError("coefficient mode mismatch between representations")
@@ -407,16 +390,6 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
     if bdim != N.dim * M.dim - len(hom_space(M, N)):
         raise RuntimeError("coboundary rank is inconsistent with the Hom space")
     most = (len(group) - 1) * N.dim * M.dim - bdim  # unknowns - dim B1
-    if field.characteristic() == 0:
-        ell = choose_prime_for_order(field.n, len(group))
-        target, res = residue_map(field, ell)
-        try:
-            mats = [[tuple(tuple(map(res, r)) for r in m) for m in R._mats] for R in (M, N)]
-        except ZeroDivisionError:
-            pass
-        else:
-            if _rank(_unreduced_rows(group, target, *mats), target, most) == most:
-                return 0
     return most - _rank(_unreduced_rows(group, field, M._mats, N._mats), field, most)
 
 

@@ -683,8 +683,12 @@ def _chk_ext1(ctx: Context, params: dict) -> tuple:
                 dims[f"{tag_f}:{name_m}->{name_n}"] = d
                 if d != 0:
                     return "FAIL", {"dims": dims}
-    # dual-solver agreement on the smallest pair, including a modular case;
-    # the char-0 BFS side is the sweep's dimension on the same reps
+    # dual-solver agreement on tr and St, over Q, the field both are defined
+    # over, and in a modular case; at q <= 3 the sweep's char-0 field is Q,
+    # and its reps and BFS dimensions serve here too
+    known = dims
+    if fields[0][1] != RationalField():
+        level1["char0"], known = _level1_reps(group, tw, RationalField()), {}
     # a modular prime dividing |G_1| = q(q^2 - 1) other than p: 2 for odd q,
     # and 3 for even q, as 3 divides one of q - 1, q, q + 1 and not q
     field_mod = PrimeField(3 if ctx.p == 2 else 2)
@@ -696,7 +700,7 @@ def _chk_ext1(ctx: Context, params: dict) -> tuple:
             for name_n in ("tr", "St"):
                 key = f"{tag_f}:{name_m}->{name_n}"
                 M, N = reps[name_m], reps[name_n]
-                d1 = dims[key] if key in dims else cohom.ext1_bfs(M, N)[0]
+                d1 = known[key] if key in known else cohom.ext1_bfs(M, N)[0]
                 d2 = cohom.ext1_unreduced(M, N)
                 agreements[key] = [d1, d2]
                 if d1 != d2:

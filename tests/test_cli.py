@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import sys
+import threading
 import time
 
 import pytest
@@ -176,6 +178,19 @@ def test_a_crash_leaves_no_new_report_file(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--q", "2", "--imax", "2", "--lemmas", "sus", "--out", str(out)]) == 3
     assert not out.exists()
     assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_out_on_a_fifo_gets_the_report(tmp_path, capsys):
+    # a FIFO cannot be truncated: the report is written to it as it is
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code = main(["verify", "--q", "2", "--imax", "2", "--lemmas", "sus", "--out", str(fifo)])
+    reader.join(timeout=60)
+    assert code == 0 and not reader.is_alive()
+    assert received == [capsys.readouterr().out.encode()]
 
 
 def test_one_context_per_verify(tmp_path, monkeypatch, capsys):

@@ -14,7 +14,6 @@ from sl2ext.coeff import (
     field_from_spec,
     parse_coeff_spec,
     require_field,
-    residue_map,
 )
 from sl2_helpers import field_power
 
@@ -180,38 +179,6 @@ def test_choose_prime_for_order():
     assert choose_prime_for_order(3, 60) == 7
     assert choose_prime_for_order(4, 120) == 13
     assert choose_prime_for_order(2, 24) == 5
-
-
-@pytest.mark.parametrize("n", [3, 4, 8])
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_cyclotomic_residue_map_is_a_ring_map(n, data):
-    field = CyclotomicField(n)
-    ell = choose_prime_for_order(n)
-    target, res = residue_map(field, ell)
-    assert target == PrimeField(ell)
-    a, b = data.draw(_elements(field)), data.draw(_elements(field))
-    try:
-        ra, rb = res(a), res(b)
-    except ZeroDivisionError:  # a denominator divisible by l
-        assume(False)
-    assert res(field._add(a, b)) == target._add(ra, rb)
-    assert res(field._mul(a, b)) == target._mul(ra, rb)
-    assert res(field.one) == 1 and res(field.zero) == 0
-    # zeta goes to a primitive n-th root
-    z = res(field.root_of_unity(n, 1))
-    powers = [field_power(target, z, k) for k in range(1, n + 1)]
-    assert powers[-1] == 1 and 1 not in powers[:-1]
-
-
-def test_residue_map_rejects_a_denominator_divisible_by_l():
-    _, res = residue_map(RationalField(), 5)
-    assert res(Fraction(3, 4)) == 3 * 4 % 5 and res(-7) == 3
-    with pytest.raises(ZeroDivisionError):
-        res(Fraction(1, 5))
-    _, res = residue_map(CyclotomicField(4), 5)
-    with pytest.raises(ZeroDivisionError):
-        res((1, Fraction(2, 5)))
 
 
 def test_field_from_spec():

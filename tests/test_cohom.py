@@ -59,14 +59,20 @@ def test_mackey_matches_hom(tower32, rat):
             assert len(cohom.hom_space(Ml, Mm)) == cohom.mackey_hom_dim(lam, mu, 1)
 
 
-@pytest.mark.parametrize("fix,exp", [("tower22", 0), ("tower32", 1)])
-def test_maschke_char0(fix, exp, rat, request):
-    tw = request.getfixturevalue(fix)
-    _, reps = _reps(tw, rat, exp)
+@pytest.mark.parametrize("fix,exp,field", [
+    pytest.param("tower22", 0, "rat", id="tower22-0"),
+    pytest.param("tower32", 1, "rat", id="tower32-1"),
+    pytest.param("tower32", 1, "cyc8", id="tower32-1-cyc8")])
+def test_maschke_char0(fix, exp, field, request, monkeypatch):
+    field = request.getfixturevalue(field)
+    _, reps = _reps(request.getfixturevalue(fix), field, exp)
+    fields = _spy_ranks(monkeypatch)
     for M in reps.values():
         for N in reps.values():
             d, _ = cohom.ext1_bfs(M, N)
-            assert d == 0
+            assert d == 0 == cohom.ext1_unreduced(M, N)
+    # one unreduced elimination per pair, over Q or Q(zeta_8) itself
+    assert fields == [field] * 9
 
 
 def test_maschke_coprime_characteristic(tower22):
@@ -321,7 +327,7 @@ def test_normalize_additive_obstruction(tower22):
     assert out.status == "obstruction"
 
 
-# -- the mod-l certificate of the unreduced solver ------------------------------
+# -- the one field of the unreduced solver ----------------------------------------
 
 
 def _spy_ranks(monkeypatch):
@@ -336,34 +342,9 @@ def _spy_ranks(monkeypatch):
     return fields
 
 
-@pytest.mark.parametrize("fix,exp", [("tower22", 0), ("tower32", 1)])
-def test_certificate_decides_every_char0_pair_mod_l(fix, exp, rat, monkeypatch, request):
-    _, reps = _reps(request.getfixturevalue(fix), rat, exp)
-    fields = _spy_ranks(monkeypatch)
-    for M, N in itertools.product(reps.values(), repeat=2):
-        assert cohom.ext1_unreduced(M, N) == 0 == cohom.ext1_bfs(M, N)[0]
-    # one elimination per pair, every one over F_5: none over Q
-    assert fields == [PrimeField(5)] * 9
-
-
-def test_inconclusive_certificate_falls_back_to_the_exact_field(tower32, rat, monkeypatch):
-    # l = 2 divides |SL2(F_3)| = 24: mod 2 the cocycle space grows exactly
-    # for the pairs with a modular extension (MODULAR_EXTENSIONS), where the
-    # bound proves nothing and the exact elimination over Q decides
-    _, reps = _reps(tower32, rat, 0)
-    monkeypatch.setattr(cohom, "choose_prime_for_order", lambda n, avoid: 2)
-    fields = _spy_ranks(monkeypatch)
-    for nm, M in reps.items():
-        for nn, N in reps.items():
-            fields.clear()
-            assert cohom.ext1_unreduced(M, N) == cohom.ext1_bfs(M, N)[0] == 0
-            nonzero_mod_2 = (nm, nn) in MODULAR_EXTENSIONS[("tower32", 2, 0)]
-            assert fields == [PrimeField(2)] + [rat] * nonzero_mod_2, (nm, nn)
-
-
 def test_denominator_divisible_by_l_falls_back(tower22, rat, monkeypatch):
-    # St conjugated by diag(5, 1) has entries with denominator 5 = l, which
-    # the reduction mod 5 cannot map: the system is eliminated over Q
+    # St conjugated by diag(5, 1) has entries with denominator 5 = l for
+    # |G| = 6: each system is still eliminated once, over Q itself
     group, reps = _reps(tower22, rat, 0)
     P, P_inv = ((5, 0), (0, 1)), ((Fraction(1, 5), 0), (0, 1))
     conj = [cohom.mat_mul(rat, cohom.mat_mul(rat, P_inv, X), P) for X in reps["St"]._gen_mats]

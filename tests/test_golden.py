@@ -1,6 +1,16 @@
 """Golden reports: each configuration of tests/golden/configs.json must
-reproduce its committed report byte for byte."""
+reproduce its committed report byte for byte.
 
+The Frobenius twist x -> x^p is an automorphism of every level that fixes
+B, T and U, so it carries M_i(theta) to M_i(p theta) with the labels
+permuted.  Each golden configuration that runs module checks, rerun with
+theta, lambda and mu multiplied by p mod q^{imax!} - 1, must give the same
+entries: id, params, verdict, reason and payload, except for the payload
+fields that echo or count the exponents.  The golden report stands for
+the untwisted run, as the byte test above pins it to this code."""
+
+import json
+import math
 import os
 import sys
 
@@ -9,6 +19,8 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "golden"))
 
 from make_goldens import HERE, load_configs, run_config  # noqa: E402
+from sl2ext import verify  # noqa: E402
+from sl2ext.cli import _config_from_args, make_parser  # noqa: E402
 
 CONFIGS = load_configs()
 
@@ -20,3 +32,48 @@ def test_golden_report_bytes(name, tmp_path):
     assert code == 0
     with open(os.path.join(HERE, f"{name}.json"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+EXPONENTS = ("theta_exp", "lambda_exp", "mu_exp")
+MODULE_CHECKS = {check.lemma_id for check in verify.REGISTRY if check.needs is verify._module}
+# payload fields that echo or count the character exponents, per check id
+ECHOED = {
+    "act-oracle": {"exponents", "oracle_pairs", "random_pairs"},  # the exponent list, and pairs per exponent
+    "P2.1-suw": {"cases"},  # (exponents + 1) cases per level unit
+    "L4.6-noFU": {"characters"},
+    "L5.7-noHG": {"characters"},
+    "L5.8-noLG": {"characters"},
+}
+ECHOED_PAIR = "pair"  # eta-weight's [lambda, mu], in each entry of its "pairs"
+
+
+def _twist(args: str) -> str | None:
+    """The argument string with theta, lambda and mu multiplied by p mod
+    q^{imax!} - 1, or None when the run has no module check to twist or
+    every exponent is 0, which the twist fixes."""
+    config = _config_from_args(make_parser().parse_args(["verify", *args.split()]))
+    ctx = verify.Context(config)
+    if not any(getattr(config, e) for e in EXPONENTS) or ctx.blocked() or not MODULE_CHECKS & set(ctx.lemmas):
+        return None
+    p, n = ctx.p, config.q ** math.factorial(config.imax) - 1
+    return " ".join([args, *(f"--{e.replace('_', '-')} {getattr(config, e) * p % n}" for e in EXPONENTS)])
+
+
+TWISTED = {name: twisted for name, args in sorted(CONFIGS.items()) if (twisted := _twist(args))}
+
+
+def _without_echoes(entry: dict) -> dict:
+    payload = {k: v for k, v in entry["payload"].items() if k not in ECHOED.get(entry["id"], ())}
+    if entry["id"] == "eta-weight":
+        payload["pairs"] = [{k: v for k, v in pair.items() if k != ECHOED_PAIR} for pair in payload["pairs"]]
+    return {**entry, "payload": payload}
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED))
+def test_the_frobenius_twist_keeps_every_entry(name, tmp_path):
+    out = tmp_path / "twisted.json"
+    assert run_config(TWISTED[name], str(out)) == 0
+    with open(os.path.join(HERE, f"{name}.json")) as fh:
+        plain = json.load(fh)["reports"]
+    twisted = json.loads(out.read_text())["reports"]
+    assert [_without_echoes(e) for e in twisted] == [_without_echoes(e) for e in plain]

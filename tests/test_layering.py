@@ -39,7 +39,13 @@ The unreduced cocycle solver is the BFS solver's independent oracle, so
 `cohom.ext1_unreduced` and every `cohom` function it reaches by name read
 none of the BFS tree's names (`tree`, `cross`, `gens`, `_gen_mats`), as an
 attribute, a name or a getattr string.  Only its Hom-space guard,
-`hom_space`, may read them: it checks dim B1, not the cocycles."""
+`hom_space`, may read them: it checks dim B1, not the cocycles.
+
+Both cocycle solvers eliminate in the reps' own field, so `cohom` imports
+nothing from `coeff` but `CoeffField`.  A ring map from one field into
+another (a reduction mod l, say) can only lower a rank: an oracle built on
+one proves Ext1 = 0 only when the lowered rank still meets its bound, and
+needs a second, exact route for every other system."""
 
 import ast
 import collections
@@ -320,3 +326,28 @@ def test_the_oracle_lint_sees_a_planted_read():
         ("_coboundary_rank", 11, "gens")]
     assert _tree_reads(ast.parse(source), ["ext1_unreduced"], allowed=()) == [
         ("hom_space", 2, "_gen_mats"), ("_rank", 8, "cross")]
+
+
+def _foreign_coeff_imports(tree):
+    """(line, name) of every import from `coeff` but `CoeffField`: a name
+    taken from the module, or the module itself."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[-1] == "coeff":
+            found += [(n.lineno, a.name) for a in n.names if a.name != "CoeffField"]
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            found += [(n.lineno, a.name) for a in n.names if a.name.split(".")[-1] == "coeff"]
+    return found
+
+
+def test_the_cocycle_solvers_import_one_field_type():
+    tree = ast.parse((SRC / "cohom.py").read_text(), filename="cohom.py")
+    assert _foreign_coeff_imports(tree) == []
+
+
+def test_the_field_import_lint_sees_every_spelling():
+    source = ("from .coeff import CoeffField, residue_map\nfrom . import coeff, grp\n"
+              "import sl2ext.coeff\nfrom sl2ext.coeff import PrimeField as F\n"
+              "from .linalg import nullspace\nfrom .coeff import CoeffField\n")
+    assert _foreign_coeff_imports(ast.parse(source)) == [
+        (1, "residue_map"), (2, "coeff"), (3, "sl2ext.coeff"), (4, "PrimeField")]

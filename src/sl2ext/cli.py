@@ -24,6 +24,7 @@ from dataclasses import fields
 
 from . import polyutil
 from .charmod import trivial_on_center
+from .coeff import parse_coeff_spec
 from .verify import Context, RunConfig, run_all, summarize
 
 SCHEMA_VERSION = "1"
@@ -157,8 +158,14 @@ def build_table(config: RunConfig) -> list:
             entry["witness"] = witness
         rows.append(entry)
 
+    # auto fp picks l >= 5, and rat and cyclo have characteristic 0
+    kind, coeff_args = parse_coeff_spec(config.coeff)
+    ell = coeff_args[0] if kind == "fp" and coeff_args else 0
     for m in ("tr", "St", "M(theta)"):
-        row([m, "tr"], "0", "finite-dimensional-target vanishing (char >= 5 or 0)")
+        if 0 < ell < 5:
+            row([m, "tr"], "unknown", f"hypothesis not met: the vanishing needs char >= 5 or 0, and char k = {ell}")
+        else:
+            row([m, "tr"], "0", "finite-dimensional-target vanishing (char >= 5 or 0)")
     row(["tr", "St"], "nonzero", "the full induced module is itself a nontrivial extension", "M-dims")
     row(["St", "St"], "nonzero", "follows from the Steinberg-by-induced case", "L5.8-noLG")
     if theta_trivial:

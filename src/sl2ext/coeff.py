@@ -433,6 +433,8 @@ def parse_coeff_spec(spec: str) -> tuple:
         raise ValueError(f"coefficient mode {spec!r} takes integer arguments") from None
     if any(a < 1 for a in args):
         raise ValueError(f"coefficient mode {spec!r} takes positive arguments")
+    if kind == "fp" and args and args[0] > polyutil.TRIAL_DIVISION_CAP:
+        raise ValueError(f"fp characteristic must be at most {polyutil.TRIAL_DIVISION_CAP}")
     if kind == "fp" and args and not polyutil.is_prime(args[0]):
         raise ValueError("fp characteristic must be prime")
     # l^m >= 2^m, so a degree of the budget's bit length or more is over it

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+TRIAL_DIVISION_CAP = 1 << 32  # largest q or fp characteristic a run names: 2^16 trial divisions
+
 
 def trim(c: list) -> list:
     while c and c[-1] == 0:

@@ -18,11 +18,19 @@ the certificates record is that the connecting vector escapes the
 relevant invariant subspace, which is the finite shadow of the limit
 extension being nonsplit.
 
+An element of a level object is one sparse dict, the row the echelon
+form reads: the top at keys (0, k), where the line of F and H is (0, 0)
+and L's Steinberg span keeps the trivial module's labels, and the
+bottom at keys (1, label).  A group element acts by two monomial label
+maps, one per side, and ``connect`` is one path for every system: the
+labels embed, and each top coordinate a at x adds a u(x).conn, which
+the system shifts once per x (F and H have the one coordinate at x = 0).
+
 Vectors hold raw reps (see ``indmod``), and so do character values.
 The builders below write a character's values into a vector, and
 ``check_borel_weight`` scales by them: each checks once that the
 character's field is the module's field.  A system takes its field from
-its characters; the F and H systems' scalar top is a raw rep too.  Tower
+its characters, and so do its elements' raw reps.  Tower
 elements (labels, torus values, the escape elements a and b) cross in
 and out as raw values and are computed with the tower's raw ops (see
 ``tower``, whose operator class is the tests' front only).
@@ -31,7 +39,6 @@ and out as raw values and are computed with the tower's raw ops (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import grp
 from .charmod import TorusCharacter, nu_character
@@ -55,13 +62,6 @@ class CenterMismatchError(ValueError):
 def _require_center_match(lam: TorusCharacter, mu: TorusCharacter):
     if not nu_character(lam, mu).is_trivial_on_center():
         raise CenterMismatchError(CENTER_MISMATCH)
-
-
-def _lift(v: Vec, target: InducedModule) -> Vec:
-    """View a lower-level vector inside a higher-level module (labels embed)."""
-    if v.module.level > target.level:
-        raise ValueError("cannot lift downwards")
-    return Vec(target, dict(v.support))
 
 
 # -- connecting vectors ------------------------------------------------------
@@ -211,15 +211,6 @@ def check_steinberg_relations(zeta: Vec, theta: TorusCharacter, i: int) -> bool:
 # -- the systems -------------------------------------------------------------
 
 
-@dataclass
-class ExtVec:
-    """An element of a level object: a scalar top (F, H), held as a raw
-    rep, or a Steinberg top (L), plus a module vector at the bottom."""
-
-    top: object
-    bottom: Vec
-
-
 class DirectSystem:
     """One step i -> i+1 of a system, with its connecting map."""
 
@@ -250,65 +241,61 @@ class DirectSystem:
             self.st_next = InducedModule(tower, trivial, i + 1)
             self.conn = steinberg_weight_vector(theta, i, self.mod_next)
         # filled as the checks need them, and dropped with the system
-        self._shifted = {}      # x -> u(x).conn in mod_next (system L)
+        self._shifted = {0: self.conn}  # x -> u(x).conn in mod_next; u(0) = 1
         self._connected = None  # [(v, connect(v))] over basis()
 
     # spanning sets of the level-i object
 
     def basis(self) -> list:
-        out = []
-        if self.tag == "L":
-            for v in self.st_i.steinberg_vectors():
-                out.append(ExtVec(v, self.mod_i.zero()))
-            top0 = self.st_i.zero()
-        else:
-            out.append(ExtVec(self.field.one, self.mod_i.zero()))
-            top0 = self.field.zero
-        for label in self.mod_i.labels():
-            out.append(ExtVec(top0, self.mod_i.basis_vector(label)))
-        return out
+        one = self.field.one
+        tops = ([{(0, k): c for k, c in v.support.items()} for v in self.st_i.steinberg_vectors()]
+                if self.tag == "L" else [{(0, 0): one}])
+        return tops + [{(1, label): one} for label in self.mod_i.labels()]
 
     def action(self, g: GroupElement, at_next: bool = False):
         """g's action on the level-i object (the next one with at_next),
-        compiled once: a map ExtVec -> ExtVec."""
-        if self.tag == "F":
-            if g.c != 0:
-                raise ValueError("system F only carries the Borel action")
-            mul, scale = self.field._mul, self.lam.eval(g.a)
-
-            def top(t):
-                return mul(scale, t)
-        elif self.tag == "H":
-            def top(t):
-                return t
+        compiled once: a map of elements, monomial on the top's and on the
+        bottom's labels."""
+        if self.tag == "L":
+            top = (self.st_next if at_next else self.st_i).action(g).label
         else:
-            top = (self.st_next if at_next else self.st_i).action(g)
-        bottom = (self.mod_next if at_next else self.mod_i).action(g)
-        return lambda v: ExtVec(top(v.top), bottom(v.bottom))
+            if self.tag == "F" and g.c != 0:
+                raise ValueError("system F only carries the Borel action")
+            scale = self.lam.eval(g.a) if self.tag == "F" else self.field.one
 
-    def connect(self, v: ExtVec) -> ExtVec:
-        if self.tag != "L":
-            bottom = _lift(v.bottom, self.mod_next)
-            if v.top != self.field.zero:
-                bottom = bottom + self.conn.scale(v.top)
-            return ExtVec(v.top, bottom)
-        # the top's coordinate a at x adds a u(x).conn to the lifted bottom
-        f = self.field
-        mul, add, zero = f._mul, f._add, f.zero
-        out = dict(v.bottom.support)  # the lifted bottom: labels embed
-        for xval, a in self.st_i.steinberg_coordinates(v.top).items():
-            for label, c in self._shifted_conn(xval).support.items():
-                _acc(out, label, mul(c, a), add, zero)
-        return ExtVec(_lift(v.top, self.st_next), Vec(self.mod_next, out))
+            def top(k):
+                return k, scale
+        maps = (top, (self.mod_next if at_next else self.mod_i).action(g).label)
+        mul = self.field._mul
+
+        def act(v: dict) -> dict:
+            out = {}
+            for (side, k), c in v.items():
+                k2, r = maps[side](k)
+                out[side, k2] = mul(c, r)
+            return out
+        return act
+
+    def connect(self, v: dict) -> dict:
+        """v at the next level: the labels embed, and the top's coordinate
+        a at x (L's Steinberg coordinates; F's and H's line at x = 0) adds
+        a u(x).conn to the bottom."""
+        coords = {k: c for (side, k), c in v.items() if side == 0}
+        if self.tag == "L":
+            coords = self.st_i.steinberg_coordinates(Vec(self.st_i, coords))
+        mul, add, zero = self.field._mul, self.field._add, self.field.zero
+        out = dict(v)
+        for x, a in coords.items():
+            for label, c in self._shifted_conn(x).support.items():
+                _acc(out, (1, label), mul(c, a), add, zero)
+        return out
 
     def _shifted_conn(self, x: int) -> Vec:
         """u(x).conn in the next-level module, once per x per system."""
-        shifted = self._shifted.get(x)
-        if shifted is None:
+        if x not in self._shifted:
             tw = self.tower
-            shifted = self.mod_next.act(unip(tw, tw.value(x, self.i)), self.conn)
-            self._shifted[x] = shifted
-        return shifted
+            self._shifted[x] = self.mod_next.act(unip(tw, tw.value(x, self.i)), self.conn)
+        return self._shifted[x]
 
     def _connected_basis(self) -> list:
         """(v, connect(v)) over the basis, connected once per system."""
@@ -318,31 +305,17 @@ class DirectSystem:
 
     # checks
 
-    def _ext_key_vec(self, v: ExtVec) -> dict:
-        out = {}
-        if self.tag == "L":
-            for k, c in v.top.support.items():
-                out[(0, k)] = c
-        elif v.top != self.field.zero:
-            out[(0, 0)] = v.top
-        for k, c in v.bottom.support.items():
-            out[(1, k)] = c
-        return out
-
     def check_injective(self) -> bool:
         pairs = self._connected_basis()
-        grew = SparseSpan(self.field).extend(self._ext_key_vec(image) for _, image in pairs)
+        grew = SparseSpan(self.field).extend(image for _, image in pairs)
         return len(grew) == len(pairs)
 
     def check_equivariance(self, elements) -> bool:
         pairs = self._connected_basis()
         for g in elements:
             act_i, act_next = self.action(g), self.action(g, at_next=True)
-            for v, image in pairs:
-                lhs = self.connect(act_i(v))
-                rhs = act_next(image)
-                if lhs.top != rhs.top or lhs.bottom != rhs.bottom:
-                    return False
+            if any(self.connect(act_i(v)) != act_next(image) for v, image in pairs):
+                return False
         return True
 
 

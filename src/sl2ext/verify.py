@@ -37,7 +37,7 @@ from .linalg import SparseSpan
 from .tower import BudgetError, Tower
 
 MODULE_DEGREE_CAP = 12  # ambient F_p-degree cap for explicit module work
-CYCLOTOMIC_ORDER_CAP = 2000  # cap for the auto-selected cyclotomic order
+CYCLOTOMIC_ORDER_CAP = 2000  # cap for the cyclotomic order, auto-selected or explicit
 EXT_GROUP_CAP = 60  # largest level-1 group the cocycle oracle enumerates
 COUNTING_LEVELS = 6
 COUNTING_BITS_CAP = 1 << 19  # largest integer, in bits, a counting check builds
@@ -90,19 +90,24 @@ class Context:
     characters."""
 
     def __init__(self, config: RunConfig):
-        """ValueError on the first of: imax < 2, budget < 1, q no prime
-        power, a malformed coefficient mode or one of the defining
-        characteristic, an empty, repeated or unknown lemma id."""
+        """ValueError on the first of: imax < 2, budget < 1, q over the
+        trial-division cap or no prime power, a malformed coefficient mode,
+        one of the defining characteristic or a cyclotomic order over the
+        cap, an empty, repeated or unknown lemma id."""
         if config.imax < 2:
             raise ValueError("imax must be >= 2")
         if config.budget < 1:
             raise ValueError("budget must be >= 1")
+        if config.q > polyutil.TRIAL_DIVISION_CAP:
+            raise ValueError(f"q must be at most {polyutil.TRIAL_DIVISION_CAP}")
         pk = polyutil.prime_power(config.q)
         if pk is None:
             raise ValueError("q must be a prime power")
         kind, coeff_args = parse_coeff_spec(config.coeff)
         if kind == "fp" and coeff_args and coeff_args[0] == pk[0]:
             raise ValueError("fp characteristic must differ from the defining one")
+        if kind == "cyclo" and coeff_args and coeff_args[0] > CYCLOTOMIC_ORDER_CAP:
+            raise ValueError(f"cyclotomic order {coeff_args[0]} exceeds the cap {CYCLOTOMIC_ORDER_CAP}")
         self.lemmas = REGISTRY_IDS  # the checks run_all runs, in registry order
         if config.lemmas != "all":
             chosen = [x.strip() for x in config.lemmas.split(",")]
@@ -276,6 +281,19 @@ def _two_quotient_reps(ctx: Context, params: dict) -> str | None:
 def _nontrivial_level_torus(ctx: Context, params: dict) -> str | None:
     if ctx.tower.level_size(params["i"]) - 1 < 2:
         return "every character agrees on a trivial level torus"
+    return None
+
+
+def _distinguishing_exponent(ctx: Context, i: int) -> int | None:
+    """The first exponent whose character fits the mode and is nontrivial
+    on the level-i torus, or None."""
+    n_i = ctx.tower.level_size(i) - 1
+    return next((e for e in range(1, ctx.tower.size - 1) if e % n_i and ctx.char_supported(e)), None)
+
+
+def _distinguishing_character(ctx: Context, params: dict) -> str | None:
+    if _distinguishing_exponent(ctx, params["i"]) is None:
+        return "no representable character distinguishes the level torus in this mode"
     return None
 
 
@@ -510,17 +528,9 @@ def _chk_eta_weight(ctx: Context, params: dict) -> tuple:
 
 def _chk_eta_weight_neg(ctx: Context, params: dict) -> tuple:
     i = params["i"]
-    tw = ctx.tower
-    n_i = tw.level_size(i) - 1
-    wrong = next(
-        (ctx.char(e) for e in range(1, tw.size - 1)
-         if e % n_i and ctx.char_supported(e)),
-        None,
-    )
-    if wrong is None:
-        return "SKIPPED", {}, "no representable character distinguishes the level torus in this mode"
+    wrong = ctx.char(_distinguishing_exponent(ctx, i))
     lam, mu = ctx.char(0), ctx.char(0)
-    mod_next = InducedModule(tw, mu, i + 1)
+    mod_next = InducedModule(ctx.tower, mu, i + 1)
     eta = towerext.borel_weight_vector(lam, mu, i, mod_next)
     caught = not towerext.check_borel_weight(eta, wrong, i)
     return ("PASS" if caught else "FAIL"), {}
@@ -813,7 +823,8 @@ REGISTRY = [
           _next_cost, _first_where(_two_quotient_reps)),
     Check("eta-weight", _chk_eta_weight, _module, _NEXT_LEVEL, cost=_next_cost),
     Check("eta-weight-neg-control", _chk_eta_weight_neg, _module, _NEXT_LEVEL,
-          (_nontrivial_level_torus,), _next_cost, _first_where(_nontrivial_level_torus)),
+          (_nontrivial_level_torus, _distinguishing_character), _next_cost,
+          _first_where(_nontrivial_level_torus)),
     Check("clm-4", _chk_clm, None, _ANY_LEVEL, (_counting_size,)),
     Check("ineq-36", partial(_chk_ineq, "H"), None, _ANY_LEVEL, (_counting_size,)),
     Check("ineq-37", partial(_chk_ineq, "L"), None, _ANY_LEVEL, (_counting_size,)),

@@ -54,6 +54,31 @@ def test_a_coefficient_field_over_the_table_budget_is_a_usage_error(coeff, capsy
     assert "exceeds the table budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--q", "1000000000000000003"], "q must be at most 4294967296"),
+    (["--coeff", "fp:1000000000000000003"], "fp characteristic must be at most 4294967296"),
+    (["--coeff", "cyclo:30000"], "cyclotomic order 30000 exceeds the cap 2000"),
+], ids=["q", "fp", "cyclo"])
+def test_an_argument_past_its_cap_exits_2_at_once(flags, message, capsys):
+    # trial division of q or l would run for seconds, and Q(zeta_30000)'s
+    # table of roots would hold 30000 x 8000 coefficients
+    t0 = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--imax", "2", *flags])
+    assert time.monotonic() - t0 < 1
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("changes", [{"q": 4294967291}, {"coeff": "fp:4294967291"}, {"coeff": "cyclo:2000"}],
+                         ids=["q", "fp", "cyclo"])
+def test_each_cap_admits_its_bound(changes):
+    # 4294967291 is the largest prime below 2^32
+    t0 = time.monotonic()
+    verify.Context(RunConfig(**{"imax": 2, **changes}))
+    assert time.monotonic() - t0 < 1
+
+
 def test_prime_power_q_allowed(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main([
@@ -336,6 +361,20 @@ def test_table_trivial_theta_marks_na(capsys):
     doc = json.loads(capsys.readouterr().out)
     rows = {tuple(e["pair"]): e for e in doc["table"]}
     assert rows[("tr", "M(theta)")]["value"] == "n/a"
+
+
+@pytest.mark.parametrize("q, coeff, ell", [(2, "fp:3", 3), (3, "fp:2", 2), (2, "fp:3:2", 3)])
+def test_table_claims_no_vanishing_below_char_5(q, coeff, ell, capsys):
+    assert main(["table", "--q", str(q), "--imax", "2", "--theta-exp", "1", "--coeff", coeff]) == 0
+    rows = {tuple(e["pair"]): e for e in json.loads(capsys.readouterr().out)["table"]}
+    for m in ("tr", "St", "M(theta)"):
+        assert rows[(m, "tr")]["value"] == "unknown"
+        assert rows[(m, "tr")]["basis"].endswith(f"char k = {ell}")
+    # an explicit l >= 5 meets the hypothesis, as auto fp always does
+    for other in ("fp:5", "fp", "cyclo", "rat"):
+        assert main(["table", "--q", str(q), "--imax", "2", "--coeff", other]) == 0
+        rows = {tuple(e["pair"]): e for e in json.loads(capsys.readouterr().out)["table"]}
+        assert [rows[(m, "tr")]["value"] for m in ("tr", "St", "M(theta)")] == ["0"] * 3
 
 
 def test_table_at_imax_11_is_fast(capsys):

@@ -11,7 +11,6 @@ from sl2ext.indmod import InducedModule, Vec
 from sl2ext.towerext import (
     CenterMismatchError,
     DirectSystem,
-    ExtVec,
     borel_average,
     borel_weight_vector,
     check_borel_weight,
@@ -253,17 +252,16 @@ def test_connect_F_restriction_is_inclusion(tower23, cyc63):
     tw = tower23
     tr = _char(tw, cyc63, 0)
     sys_f = DirectSystem("F", tw, 1, lam=tr, mu=tr)
-    m = sys_f.mod_i.basis_vector(0)
-    out = sys_f.connect(ExtVec(cyc63.zero, m))
-    assert out.top == cyc63.zero and out.bottom.support == m.support
+    # a bottom element keeps its key: the labels embed
+    assert sys_f.connect({(1, 0): cyc63.one}) == {(1, 0): cyc63.one}
 
 
 def test_connect_H_definition(tower23, cyc63):
     tw = tower23
     th = _char(tw, cyc63, 1)
     sys_h = DirectSystem("H", tw, 2, theta=th)
-    out = sys_h.connect(ExtVec(cyc63.one, sys_h.mod_i.zero()))
-    assert out.top == cyc63.one and out.bottom == sys_h.conn
+    out = sys_h.connect({(0, 0): cyc63.one})
+    assert out == {(0, 0): cyc63.one, **{(1, k): c for k, c in sys_h.conn.support.items()}}
 
 
 def test_connect_L_definition(tower23, cyc63):
@@ -271,9 +269,8 @@ def test_connect_L_definition(tower23, cyc63):
     th = _char(tw, cyc63, 1)
     sys_l = DirectSystem("L", tw, 2, theta=th)
     eta = sys_l.st_i.steinberg_vectors()[0]  # (1 - s).1, at x = 0
-    out = sys_l.connect(ExtVec(eta, sys_l.mod_i.zero()))
-    assert out.top.support == eta.support
-    assert out.bottom == sys_l.conn
+    top = {(0, k): c for k, c in eta.support.items()}
+    assert sys_l.connect(top) == {**top, **{(1, k): c for k, c in sys_l.conn.support.items()}}
 
 
 def test_injectivity_all_systems(tower23, cyc63):
@@ -341,12 +338,15 @@ def _equivariance_elements(system):
 def _direct_connect(system, v):
     """The connecting map from its definition, every shifted image fresh."""
     tw, mod_next = system.tower, system.mod_next
-    bottom = Vec(mod_next, dict(v.bottom.support))
+    top = {k: c for (side, k), c in v.items() if side == 0}
+    bottom = Vec(mod_next, {k: c for (side, k), c in v.items() if side == 1})
     if system.tag != "L":
-        return ExtVec(v.top, bottom + system.conn.scale(v.top))
-    for x, a in system.st_i.steinberg_coordinates(v.top).items():
-        bottom = bottom + mod_next.act(unip(tw, x), system.conn).scale(a)
-    return ExtVec(Vec(system.st_next, dict(v.top.support)), bottom)
+        if top:
+            bottom = bottom + system.conn.scale(top[0])
+    else:
+        for x, a in system.st_i.steinberg_coordinates(Vec(system.st_i, top)).items():
+            bottom = bottom + mod_next.act(unip(tw, x), system.conn).scale(a)
+    return {**{(0, k): c for k, c in top.items()}, **{(1, k): c for k, c in bottom.support.items()}}
 
 
 @pytest.mark.parametrize("fix,field,i,tag,e", CACHED_SYSTEMS, ids=lambda x: repr(x) if not isinstance(x, str) else x)
@@ -356,11 +356,9 @@ def test_cached_connect_equals_the_direct_map(fix, field, i, tag, e, request):
     vectors = system.basis()
     vectors += [system.action(g)(v) for g in _equivariance_elements(system)[:6] for v in vectors]
     for v in vectors:
-        got, want = system.connect(v), _direct_connect(system, v)
-        assert got.bottom == want.bottom and got.top == want.top
+        assert system.connect(v) == _direct_connect(system, v)
     for v, image in system._connected:
-        want = _direct_connect(system, v)
-        assert image.bottom == want.bottom and image.top == want.top
+        assert image == _direct_connect(system, v)
     assert system.check_equivariance(_equivariance_elements(system))
 
 
@@ -371,16 +369,17 @@ def test_perturbed_caches_break_equivariance(fix, field, i, tag, e, request):
     assert system.check_injective()
     k = len(system._connected) - 1  # a bottom basis vector
     v, image = system._connected[k]
-    bump = system.mod_next.basis_vector(system.mod_next.labels()[-1])
-    system._connected[k] = (v, ExtVec(image.top, image.bottom + bump))
+    bump = (1, system.mod_next.labels()[-1])  # above level i, so outside image
+    assert bump not in image
+    system._connected[k] = (v, {**image, bump: field.one})
     assert not system.check_equivariance(elements)
-    if tag == "L":
-        system = _system(request, fix, field, i, tag, e)
-        assert system.check_injective()
-        x = max(system._shifted)
-        bump = system.mod_next.basis_vector(system.mod_next.labels()[-1])
-        system._shifted[x] = system._shifted[x] + bump
-        assert not system.check_equivariance(elements)
+    # every system reads its shifted connecting vectors from one cache
+    system = _system(request, fix, field, i, tag, e)
+    assert system.check_injective()
+    x = max(system._shifted)
+    bump = system.mod_next.basis_vector(system.mod_next.labels()[-1])
+    system._shifted[x] = system._shifted[x] + bump
+    assert not system.check_equivariance(elements)
 
 
 def test_equivariance_compiles_each_element_once_per_module(tower23, cyc63, monkeypatch):
@@ -390,8 +389,9 @@ def test_equivariance_compiles_each_element_once_per_module(tower23, cyc63, monk
     elements = list(dict.fromkeys(grp.generators(tw, 2) + pool[::7]))
     counts = _count_compiles(monkeypatch)
     assert sys_l.check_injective()
-    # connecting the basis shifts conn once per level-2 x, in mod_next
-    shifts = {(id(sys_l.mod_next), unip(tw, x).key()) for x in tw.enumerate_level(2)}
+    # connecting the basis shifts conn once per nonzero level-2 x, in
+    # mod_next; u(0) is the identity, and conn is its own shift
+    shifts = {(id(sys_l.mod_next), unip(tw, x).key()) for x in tw.enumerate_level(2) if x}
     assert counts == dict.fromkeys(shifts, 1)
     counts.clear()
     assert sys_l.check_equivariance(elements)
@@ -407,14 +407,11 @@ def test_coherence_two_steps(tower23, cyc63):
     f2 = DirectSystem("F", tw, 2, lam=tr, mu=tr)
 
     def two_step(v):
-        mid = f1.connect(v)
-        return f2.connect(ExtVec(mid.top, mid.bottom))
+        return f2.connect(f1.connect(v))
 
     for g in grp.enumerate_subgroup(tw, "B", 1):
         for v in f1.basis():
-            lhs = two_step(f1.action(g)(v))
-            rhs = f2.action(g, at_next=True)(two_step(v))
-            assert lhs.top == rhs.top and lhs.bottom == rhs.bottom
+            assert two_step(f1.action(g)(v)) == f2.action(g, at_next=True)(two_step(v))
 
 
 # -- certificates ------------------------------------------------------------------

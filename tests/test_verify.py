@@ -185,6 +185,18 @@ def test_negative_controls_skip_where_they_cannot_fail(lemma, reason):
     assert [r.params["i"] for r in run_all(Context(RunConfig(q=2, imax=3, lemmas=lemma)))] == [2]
 
 
+@pytest.mark.parametrize("coeff", ["cyclo:4", "fp:13"])
+def test_the_weight_control_declares_its_missing_character(coeff):
+    # at q=3 imax=2 a character nontrivial on the level-1 torus {1, -1}
+    # has an odd exponent mod 8, hence order 8, which Q(i) and F_13 lack
+    ctx = Context(RunConfig(q=3, imax=2, coeff=coeff))
+    reason = "no representable character distinguishes the level torus in this mode"
+    params = {"q": 3, "i": 1}
+    assert CHECKS["eta-weight-neg-control"].unmet(ctx, params) == reason
+    r = run_lemma(ctx, CheckSpec("eta-weight-neg-control", params))
+    assert (r.verdict, r.reason, r.payload) == ("SKIPPED", reason, {})
+
+
 def test_degenerate_certificates_are_skipped():
     ctx = Context(RunConfig(q=2, imax=3, theta_exp=0))
     r = run_lemma(ctx, CheckSpec("L4.6-noFU", {"q": 2, "i": 1}))

@@ -207,20 +207,13 @@ def hom_space(M: FiniteRep, N: FiniteRep):
 
 def mackey_hom_dim(lam: TorusCharacter, mu: TorusCharacter, level: int) -> int:
     """Independent count of intertwiners between two induced modules at a
-    level: one per Weyl chamber element whose twist matches on the whole
-    level torus, by direct value comparison."""
+    level: one per Weyl chamber element whose twist of lam is mu on the
+    level torus, by direct value comparison.  Characters of the cyclic
+    torus agree when they agree at its generator g, so lam(g^{+-1}) is
+    compared with mu(g)."""
     tw = lam.tower
-    count = 0
-    for twisted in (False, True):
-        ok = True
-        for t in tw.units(level):
-            lv = lam.eval(tw._inv(t) if twisted else t)
-            if lv != mu.eval(t):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    g = tw.generator(level)
+    return sum(lam.eval(h) == mu.eval(g) for h in (g, tw._inv(g)))
 
 
 # -- cocycles -----------------------------------------------------------------
@@ -407,11 +400,13 @@ def normalize_torus_cochain(theta: TorusCharacter, level: int, phi: dict) -> Nor
     """Normalize a twisted torus cochain phi: values on the level torus,
     satisfying phi(xy) = theta(y) phi(x) + phi(y).
 
-    For a character nontrivial on the level torus, phi is a(theta(x) - 1)
-    for one constant a, recovered and verified on the whole torus.  For
-    the trivial character, an additive phi must vanish unless the
-    coefficient characteristic divides the torus order, which is reported
-    as an obstruction.
+    The law is tested at y = g, the generator of the cyclic level torus,
+    for every x: that is the whole law, as x = 1 gives phi(1) = 0 and
+    induction on k gives it at y = g^k.  For a character nontrivial on the
+    level torus, phi is a(theta(x) - 1) for one constant a, recovered at g
+    and verified on the whole torus.  For the trivial character, an
+    additive phi must vanish unless the coefficient characteristic divides
+    the torus order, which is reported as an obstruction.
     """
     tw = theta.tower
     field = theta.field
@@ -420,16 +415,16 @@ def normalize_torus_cochain(theta: TorusCharacter, level: int, phi: dict) -> Nor
     for t in torus_vals:
         if t not in phi:
             raise ValueError("cochain must be defined on the whole level torus")
+    g = tw.generator(level)
+    theta_g, phi_g = theta.eval(g), phi[g]
     for x in torus_vals:
-        for y in torus_vals:
-            if phi[tw._mul(x, y)] != add(mul(theta.eval(y), phi[x]), phi[y]):
-                raise ValueError(f"not a cochain: twisted additivity fails at ({x}, {y})")
+        if phi[tw._mul(x, g)] != add(mul(theta_g, phi[x]), phi_g):
+            raise ValueError(f"not a cochain: twisted additivity fails at ({x}, {g})")
     if all(phi[t] == field.zero for t in torus_vals):
         return NormalizeOutcome("normal", None)
     one = field.one
     if not theta.is_trivial_on_level(level):
-        x0 = next(t for t in torus_vals if theta.eval(t) != one)
-        a = mul(phi[x0], field._inv(sub(theta.eval(x0), one)))
+        a = mul(phi_g, field._inv(sub(theta_g, one)))
         for t in torus_vals:
             if phi[t] != mul(a, sub(theta.eval(t), one)):
                 raise ValueError("cochain is not of the normal shape despite the law")

@@ -452,21 +452,21 @@ def _chk_normalize(ctx: Context, params: dict) -> tuple:
     zero_phi = {t: field.zero for t in tw.units(i)}
     if cohom.normalize_torus_cochain(theta0, i, zero_phi).status != "normal":
         return "FAIL", {"case": "zero cochain"}
-    # a non-cochain must be rejected: theta(x)^2 - 1 for theta of order > 2
+    # a non-cochain must be rejected: theta(x)^2 - 1 for theta of order
+    # n / gcd(n, e) > 2 on the level torus, of order n
+    n = tw.level_size(i) - 1
     rejected = None
     for e in range(1, tw.size - 1):
-        if not ctx.char_supported(e):
+        if not ctx.char_supported(e) or n // math.gcd(n, e) <= 2:
             continue
         theta = ctx.char(e)
-        vals = {theta.eval(t) for t in tw.units(i)}
-        if len(vals) > 2:
-            bad = {t: sub(mul(theta.eval(t), theta.eval(t)), one) for t in tw.units(i)}
-            try:
-                cohom.normalize_torus_cochain(theta, i, bad)
-                rejected = False
-            except ValueError:
-                rejected = True
-            break
+        bad = {t: sub(mul(theta.eval(t), theta.eval(t)), one) for t in tw.units(i)}
+        try:
+            cohom.normalize_torus_cochain(theta, i, bad)
+            rejected = False
+        except ValueError:
+            rejected = True
+        break
     # m * x = 0 forces x = 0 exactly when m * 1 != 0 in the characteristic
     fields = {c: PrimeField(c) if c else RationalField() for c in (0, 2, 3, 5, 7)}
     table_ok = all(cohom.order_condition_forces_zero(m, c) == (f.scalar(m) != f.zero)
@@ -572,7 +572,7 @@ def _chk_xi(ctx: Context, params: dict) -> tuple:
         return "FAIL", {"nonzero": False}
     pgl_order = ctx.group_order(i, pgl=True)
     payload = {"support": len(xi.support), "group_order": pgl_order}
-    naive = towerext.naive_group_average(theta, i, mod_next, tw.first_outside_double_subfield(i))
+    naive = towerext.naive_group_average(i, mod_next, tw.first_outside_double_subfield(i))
     payload["structured_equals_naive"] = xi == naive
     if not payload["structured_equals_naive"]:
         return "FAIL", payload
@@ -602,12 +602,12 @@ def _chk_zeta(ctx: Context, params: dict) -> tuple:
     mod_next = InducedModule(tw, theta, i + 1)
     b = tw.first_outside_double_subfield(i)
     zeta = towerext.steinberg_weight_vector(theta, i, mod_next)
-    support = towerext.expansion_support(theta, i, mod_next, b)
+    support = towerext.expansion_support(tw, i, b)
     reps = len(grp.center_quotient_reps(tw, i))
     expected_terms = 2 * reps * tw.level_size(i)
     payload = {"support": support, "expected_terms": expected_terms}
     if (not support["distinct"] or len(zeta.support) != expected_terms
-            or not towerext.check_steinberg_relations(zeta, theta, i)):
+            or not towerext.check_steinberg_relations(zeta, i)):
         return "FAIL", payload
     # (1 - s) applied to the plain Borel average reproduces the expansion
     borel = towerext.borel_average(theta, i, mod_next, b)
@@ -619,12 +619,9 @@ def _chk_zeta(ctx: Context, params: dict) -> tuple:
 
 def _chk_zeta_neg(ctx: Context, params: dict) -> tuple:
     i = params["i"]
-    # the run's theta where systems H and L admit it, else the trivial one
-    theta = ctx.char(0) if _theta_characters(ctx, params) else ctx.theta
     tw = ctx.tower
-    mod_next = InducedModule(tw, theta, i + 1)
     bad = tw.generator(i)  # inside level i, hence quadratic over it
-    support = towerext.expansion_support(theta, i, mod_next, bad)
+    support = towerext.expansion_support(tw, i, bad)
     caught = not support["distinct"]
     return ("PASS" if caught else "FAIL"), {"support": support}
 

@@ -129,6 +129,19 @@ def test_counting_levels_over_the_cap_skip(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_the_torus_cochain_law_is_bounded_at_imax_2(capsys, tmp_path):
+    # the law is tested on the torus generator: |T_2| = 4,095 tests, not
+    # 4,095^2, so the check ends at once
+    out = tmp_path / "report.json"
+    t0 = time.monotonic()
+    code = main(["verify", "--q", "64", "--imax", "2", "--theta-exp", "1", "--coeff", "fp",
+                 "--lemmas", "L3.3-normalize", "--out", str(out)])
+    assert code == 0 and time.monotonic() - t0 < 1
+    doc = json.loads(out.read_text())
+    assert [r["verdict"] for r in doc["reports"]] == ["PASS"]
+    capsys.readouterr()
+
+
 def test_rational_subfields_give_the_rational_reports(capsys, tmp_path):
     # Q(zeta_3) = Q(zeta_6) holds -1, like Q = Q(zeta_1): every character of
     # order dividing 6 runs in all four modes, with the same verdicts

@@ -7,7 +7,7 @@ import pytest
 
 from sl2ext import cohom
 from sl2ext.charmod import TorusCharacter
-from sl2ext.coeff import PrimeField, RationalField
+from sl2ext.coeff import CyclotomicField, PrimeField, RationalField
 from sl2ext.indmod import InducedModule
 from sl2ext.linalg import SparseSpan, nullspace
 
@@ -325,6 +325,71 @@ def test_normalize_additive_obstruction(tower22):
     phi = {tw._pow(g, j): F3.scalar(j) for j in range(3)}
     out = cohom.normalize_torus_cochain(theta, 2, phi)
     assert out.status == "obstruction"
+
+
+def _full_law(theta, level, phi) -> bool:
+    """The twisted law phi(xy) = theta(y) phi(x) + phi(y) on all |T|^2
+    pairs of the level torus: the oracle of the generator law."""
+    tw, f = theta.tower, theta.field
+    units = tw.units(level)
+    return all(phi[tw._mul(x, y)] == f._add(f._mul(theta.eval(y), phi[x]), phi[y])
+               for x in units for y in units)
+
+
+def _generator_law(theta, level, phi) -> bool:
+    """Whether normalize_torus_cochain accepts phi as a cochain; it may
+    still reject it afterwards for its shape."""
+    try:
+        cohom.normalize_torus_cochain(theta, level, phi)
+    except ValueError as err:
+        if str(err).startswith("not a cochain"):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("q,level,field,exps", [  # theta trivial and nontrivial on the level
+    (3, 1, CyclotomicField(8), (0, 1, 2)),
+    (3, 2, CyclotomicField(8), (0, 1, 2)),
+    (4, 1, CyclotomicField(15), (0, 3, 1)),
+    (4, 1, PrimeField(3), (0,)),  # 3 = |T|: a nonzero additive cochain
+    (4, 2, CyclotomicField(15), (0, 3, 1)),
+    (5, 1, CyclotomicField(24), (0, 4, 2)),
+    (5, 2, CyclotomicField(24), (0, 4, 2)),
+], ids=lambda v: str(v).replace(" ", ""))
+def test_the_generator_law_decides_as_the_full_law(q, level, field, exps, request):
+    tw = request.getfixturevalue(f"tower{q}2")
+    g = tw.generator(level)
+    units = tw.units(level)
+    a = field.scalar(2)
+    accepted = 0
+    for e in exps:
+        theta = TorusCharacter(tw, field, e)
+        if theta.is_trivial_on_level(level) and field.characteristic():
+            true = {tw._pow(g, j): field.scalar(j) for j in range(len(units))}
+        else:
+            true = {t: field._mul(a, field._sub(theta.eval(t), field.one)) for t in units}
+        assert _full_law(theta, level, true) and _generator_law(theta, level, true)
+        for t in units:
+            for delta in (field.one, a):
+                phi = {**true, t: field._add(true[t], delta)}
+                law = _full_law(theta, level, phi)
+                assert _generator_law(theta, level, phi) == law, (e, t)
+                accepted += law
+    if (q, level) == (3, 1):  # theta(-1) = -1 leaves the value at -1 free
+        assert accepted
+
+
+def test_mackey_count_equals_the_all_values_count(request):
+    for q, level in ((3, 1), (4, 1), (5, 1), (2, 2), (3, 2)):
+        tw = request.getfixturevalue(f"tower{q}2")
+        field = CyclotomicField(tw.size - 1)
+        chars = [TorusCharacter(tw, field, e) for e in range(tw.size - 1)]
+        units = tw.units(level)
+        for lam in chars:
+            for mu in chars:
+                full = sum(all(lam.eval(tw._inv(t) if twisted else t) == mu.eval(t) for t in units)
+                           for twisted in (False, True))
+                assert cohom.mackey_hom_dim(lam, mu, level) == full, (q, level, lam, mu)
 
 
 # -- the one field of the unreduced solver ----------------------------------------

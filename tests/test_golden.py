@@ -80,9 +80,10 @@ def _without_echoes(entry: dict) -> dict:
 def test_the_frobenius_twist_keeps_every_entry(name, tmp_path):
     out = tmp_path / "twisted.json"
     assert run_config(TWISTED[name], str(out)) == 0
+    # the counting integers stay digit strings: some are past the int -> str limit
     with open(os.path.join(HERE, f"{name}.json")) as fh:
-        plain = json.load(fh)["reports"]
-    twisted = json.loads(out.read_text())["reports"]
+        plain = json.load(fh, parse_int=str)["reports"]
+    twisted = json.loads(out.read_text(), parse_int=str)["reports"]
     assert [_without_echoes(e) for e in twisted] == [_without_echoes(e) for e in plain]
 
 

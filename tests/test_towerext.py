@@ -5,8 +5,8 @@ import pytest
 
 from sl2ext import grp
 from sl2ext.charmod import TorusCharacter
-from sl2ext.coeff import CyclotomicField, PrimeField, RationalField
-from sl2ext.grp import unip, weyl
+from sl2ext.coeff import CyclotomicField, PrimeField, RationalField, choose_prime_for_order
+from sl2ext.grp import torus, unip, weyl
 from sl2ext.indmod import InducedModule, Vec
 from sl2ext.towerext import (
     CenterMismatchError,
@@ -128,7 +128,7 @@ def test_xi_structured_equals_naive_and_invariant(tower23, cyc63):
     xi = group_average_vector(th, 2, m3)
     assert xi
     b = tw.first_outside_double_subfield(2)
-    assert xi == naive_group_average(th, 2, m3, b)
+    assert xi == naive_group_average(2, m3, b)
     for g in grp.enumerate_subgroup(tw, "G", 2, pgl=True):
         assert m3.act(g, xi) == xi
     # support: one label per group element of the central quotient
@@ -188,9 +188,9 @@ def test_zeta_support_and_relations_q2(tower23, cyc63):
     zeta = steinberg_weight_vector(th, 2, m3)
     # 2 terms x 3 representatives x 4 shifts, pairwise distinct
     assert len(zeta.support) == 24
-    assert check_steinberg_relations(zeta, th, 2)
+    assert check_steinberg_relations(zeta, 2)
     b = tw.first_outside_double_subfield(2)
-    assert expansion_support(th, 2, m3, b)["distinct"]
+    assert expansion_support(tw, 2, b)["distinct"]
 
 
 def test_steinberg_relations_compile_s_once(tower23, cyc63, monkeypatch):
@@ -199,11 +199,11 @@ def test_steinberg_relations_compile_s_once(tower23, cyc63, monkeypatch):
     m3 = InducedModule(tw, th, 3)
     zeta = steinberg_weight_vector(th, 2, m3)
     counts = _count_compiles(monkeypatch)
-    assert check_steinberg_relations(zeta, th, 2)
+    assert check_steinberg_relations(zeta, 2)
     # the s-negation and the reflection relation share one compiled s
     assert counts[(id(m3), weyl(tw).key())] == 1
     # and the module keeps it for the next check
-    assert check_steinberg_relations(zeta, th, 2)
+    assert check_steinberg_relations(zeta, 2)
     assert counts[(id(m3), weyl(tw).key())] == 1
 
 
@@ -233,16 +233,82 @@ def test_zeta_coefficient_routes_agree(tower33):
             assert F._mul(th.eval(t.inverse().val), th.eval(c.val)) == th.eval((b * t + a * t.inverse()).val)
 
 
-def test_zeta_negative_control_collides(tower23, tower33, cyc63):
-    th = _char(tower23, cyc63, 0)
-    m3 = InducedModule(tower23, th, 3)
-    bad = tower23.generator(2)
-    assert not expansion_support(th, 2, m3, bad)["distinct"]
-    F = RationalField()
-    th3 = _char(tower33, F, 0)
-    m33 = InducedModule(tower33, th3, 3)
-    bad3 = tower33.generator(2)
-    assert not expansion_support(th3, 2, m33, bad3)["distinct"]
+def test_zeta_negative_control_collides(tower23, tower33):
+    for tw in (tower23, tower33):
+        assert not expansion_support(tw, 2, tw.generator(2))["distinct"]
+
+
+# -- the generator tests against the exhaustive sweeps ---------------------------
+
+
+def _sweep_borel_weight(v, chi, i) -> bool:
+    """The weight test on every element of U_i and T_i: the oracle of
+    ``check_borel_weight``."""
+    mod, tw = v.module, v.module.tower
+    return (all(mod.act(unip(tw, u), v) == v for u in tw.enumerate_level(i))
+            and all(mod.act(torus(tw, t), v) == v.scale(chi.eval(t)) for t in tw.units(i)))
+
+
+def _sweep_steinberg_relations(v, i) -> bool:
+    """``check_steinberg_relations`` with the torus part on every element
+    of T_i."""
+    mod, tw = v.module, v.module.tower
+    return (mod.weyl_action(v) == -v
+            and all(mod.act(torus(tw, t), v) == v for t in tw.units(i))
+            and mod.check_reflection_relation(tw.units(i), v) is None)
+
+
+def _level_characters(tw, i):
+    """Exponents 0 .. n_i - 1, one per character of the level-i torus (of
+    order n_i), over a prime field that holds the top-level roots."""
+    field = PrimeField(choose_prime_for_order(tw.size - 1))
+    return [_char(tw, field, e) for e in range(tw.level_size(i) - 1)]
+
+
+def _one_label_perturbations(v):
+    """v, and v plus one basis vector at a label in its support and at the
+    first label outside it."""
+    mod = v.module
+    outside = next(label for label in mod.labels() if label not in v.support)
+    return [v] + [v + mod.basis_vector(label) for label in (min(v.support), outside)]
+
+
+@pytest.mark.parametrize("q,i", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_borel_weight_on_generators_equals_the_sweep(q, i, request):
+    tw = request.getfixturevalue(f"tower{q}3")
+    chars = _level_characters(tw, i)
+    verdicts = set()
+    for lam in chars[:3:2]:  # the pairs (0, 0) and, where the level has it, (2, 2)
+        eta = borel_weight_vector(lam, lam, i, InducedModule(tw, lam, i + 1))
+        for v in _one_label_perturbations(eta):
+            for chi in chars:  # every level-i weight, the wrong ones included
+                verdict = check_borel_weight(v, chi, i)
+                assert verdict == _sweep_borel_weight(v, chi, i), (lam, chi)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_steinberg_torus_relation_on_the_generator_equals_the_sweep(q, request):
+    tw = request.getfixturevalue(f"tower{q}3")
+    verdicts = set()
+    for theta in _level_characters(tw, 2):
+        if not theta.is_trivial_on_center():
+            continue
+        mod = InducedModule(tw, theta, 3)
+        zeta = steinberg_weight_vector(theta, 2, mod)
+        for label in (min(zeta.support), max(zeta.support)):
+            # s negates w, so the torus part is reached, and the torus
+            # average of w is fixed by all of T_2 as well
+            w = mod.basis_vector(label) - mod.weyl_action(mod.basis_vector(label))
+            average = mod.zero()
+            for t in tw.units(2):
+                average = average + mod.act(torus(tw, t), w)
+            for v in (zeta, zeta + w, zeta + average):
+                verdict = check_steinberg_relations(v, 2)
+                assert verdict == _sweep_steinberg_relations(v, 2), (theta, label)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # -- connecting maps -------------------------------------------------------------

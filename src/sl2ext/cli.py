@@ -19,8 +19,6 @@ import json
 import math
 import os
 import sys
-import traceback
-from dataclasses import fields
 
 from . import polyutil
 from .charmod import trivial_on_center
@@ -32,8 +30,8 @@ SCHEMA_VERSION = "1"
 
 def _config_from_args(args) -> RunConfig:
     """The run's configuration from the flags the command has, unchecked."""
-    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                        if hasattr(args, f.name)})
+    return RunConfig(**{name: getattr(args, name) for name in RunConfig._fields
+                        if hasattr(args, name)})
 
 
 def _context(config: RunConfig) -> Context:
@@ -235,6 +233,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except Exception:  # a crash must not read as "a check FAILed"
+        import traceback  # only a crash reads it: start-up stays without it
+
         traceback.print_exc()
         return 3
 

@@ -286,18 +286,29 @@ class CyclotomicField(CoeffField):
         return self._roots[k]
 
     def _inv(self, a):
-        """A root of unity inverts at minus its exponent; any other a^-1 is
+        """A root of unity inverts at minus its exponent, and w - 1, for a
+        root w != 1 of order m, at m^-1 sum_{t<m} t w^t: the sum of the w^t
+        is 0, so (w - 1) sum_t t w^t = m.  Any other a^-1 is
         prod_{k != 1} sigma_k(a) / N(a), k over (Z/n)^*, where
         sigma_k(a) = sum_j a_j x^(jk).  With the denominators of a cleared
         first, the product stays in Z[zeta_n] and one division by the norm
         ends it."""
-        roots, order = self._roots, self.root_order
-        i = self._root_index.get(a)
+        roots, order, index = self._roots, self.root_order, self._root_index
+        n, d = self.n, self.degree
+        i = index.get(a)
         if i is not None:
             return roots[-i % order]
+        i = index.get((a[0] + 1,) + a[1:])
+        if i:
+            m = order // math.gcd(i, order)
+            out = [0] * d
+            for t in range(1, m):
+                for j, c in enumerate(roots[i * t % order]):
+                    if c:
+                        out[j] += t * c
+            return tuple(_integral(Fraction(c, m)) for c in out)
         den = math.lcm(*(c.denominator for c in a))
         a = tuple(c.numerator * (den // c.denominator) for c in a)
-        n, d = self.n, self.degree
         step = order // n
         prod = self.one
         for k in range(2, n):

@@ -43,7 +43,7 @@ returns raw reps as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import grp
 from .charmod import TorusCharacter
@@ -389,8 +389,7 @@ def ext1_unreduced(M: FiniteRep, N: FiniteRep) -> int:
 # -- torus cochain normalization ----------------------------------------------
 
 
-@dataclass
-class NormalizeOutcome:
+class NormalizeOutcome(NamedTuple):
     status: str  # "normal" | "corrected" | "obstruction"
     correction: object  # the constant a, a raw rep; None unless corrected
     note: str = ""

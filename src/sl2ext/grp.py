@@ -13,7 +13,7 @@ boundary (see ``tower``, whose operator class is the tests' front only):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tower import Tower
 
@@ -80,8 +80,7 @@ def weyl(tw: Tower) -> GroupElement:
     return GroupElement(tw, 0, tw._neg(1), 1, 0)
 
 
-@dataclass(frozen=True)
-class BruhatForm:
+class BruhatForm(NamedTuple):
     """Either u(x) h(t) (small cell, y is None) or u(x) h(t) s u(y), as
     raw tower values."""
 

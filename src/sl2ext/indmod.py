@@ -161,12 +161,13 @@ class InducedModule:
 
     def _compile(self, g: GroupElement):
         """g's action as one map label -> (label, raw rep), in the closed
-        form of g's Bruhat cell."""
+        form of g's Bruhat cell.  g's four entries are looked up in the
+        tower's table of the module's level (``Tower._level_mask``)."""
         tw, th = self.tower, self._th
         if g.tower is not tw:
             raise ValueError("group element of a different tower")
-        d = tw.level_degree(self.level)
-        if not all(tw._frobenius_fixed(v, d) for v in g.key()):
+        inside = tw._level_mask(self.level)
+        if not (inside[g.a] and inside[g.b] and inside[g.c] and inside[g.d]):
             raise ValueError("group element lives above the module level")
         form = bruhat(g)
         x, t = form.x, form.t

@@ -9,8 +9,9 @@ cross-level equality is plain ambient equality and no embedding maps are
 needed.  Enumeration order is increasing encoding, which makes every
 distinguished choice (generators, level-escape elements) reproducible.
 An element carries no level: it lies in level i exactly when
-`_frobenius_fixed` holds at `level_degree(i)`, and code that needs the
-level reads it from the value there.
+`_frobenius_fixed` holds at `level_degree(i)`.  `enumerate_level` applies
+that rule once per level, and `_level_mask` keeps its answer as a byte
+table over all encodings, which `value` and the module actions read.
 
 Elements cross every module boundary as these raw ints, computed with the
 raw ops (`_add`, `_neg`, `_mul`, `_inv`, `_pow`) and validated by `value`;
@@ -296,6 +297,7 @@ class Tower(GaloisField):
         self.imax = imax
         super().__init__(p, math.factorial(imax) * self.d0)
         self._levels = {}
+        self._masks = {}
         self._check_generator_chain()
 
     # -- levels -----------------------------------------------------------
@@ -317,7 +319,7 @@ class Tower(GaloisField):
         if level is not None:
             if not 1 <= level <= self.imax:
                 raise ValueError("level out of range")
-            if not self._frobenius_fixed(val, self.level_degree(level)):
+            if not self._level_mask(level)[val]:
                 raise ValueError(f"value {val} is not fixed by Frobenius^{self.level_degree(level)}")
         return val
 
@@ -327,6 +329,16 @@ class Tower(GaloisField):
             d = self.level_degree(i)
             self._levels[i] = [v for v in range(self.size) if self._frobenius_fixed(v, d)]
         return self._levels[i]
+
+    def _level_mask(self, i: int) -> bytearray:
+        """Level i as a table over all encodings, byte v set exactly when v
+        lies in the level: built once from `enumerate_level`, so membership
+        is one lookup that `_frobenius_fixed` decided."""
+        if i not in self._masks:
+            mask = self._masks[i] = bytearray(self.size)
+            for v in self.enumerate_level(i):
+                mask[v] = 1
+        return self._masks[i]
 
     def units(self, i: int) -> list:
         """The q^{i!} - 1 nonzero elements of level i, by increasing encoding."""

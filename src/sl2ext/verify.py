@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
-from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -43,8 +41,7 @@ COUNTING_LEVELS = 6
 COUNTING_BITS_CAP = 1 << 19  # largest integer, in bits, a counting check builds
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     q: int = 2
     imax: int = 3
     coeff: str = "cyclo"
@@ -55,23 +52,20 @@ class RunConfig:
     budget: int = 100000
 
     def to_json(self):
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class CheckSpec:
+class CheckSpec(NamedTuple):
     lemma_id: str
     params: dict
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     lemma_id: str
     params: dict
     verdict: str  # PASS | FAIL | SKIPPED
-    payload: dict = dc_field(default_factory=dict)
+    payload: dict
     reason: str = ""
-    seconds: float = 0.0  # informational only; never serialized
 
     def to_json(self):
         out = {
@@ -845,12 +839,9 @@ def run_lemma(ctx: Context, spec: CheckSpec) -> Report:
     check = CHECKS.get(spec.lemma_id)
     if check is None:
         raise ValueError(f"unknown lemma id {spec.lemma_id!r}")
-    t0 = time.monotonic()
     reason = check.unmet(ctx, spec.params)
     outcome = ("SKIPPED", {}, reason) if reason else check.body(ctx, spec.params)
-    report = Report(spec.lemma_id, spec.params, *outcome)
-    report.seconds = time.monotonic() - t0
-    return report
+    return Report(spec.lemma_id, spec.params, *outcome)
 
 
 def run_all(ctx: Context) -> list:
@@ -862,7 +853,7 @@ def run_all(ctx: Context) -> list:
         instances = check.instances(ctx)
         if not instances:
             reason = check.needs and check.needs(ctx, {}) or "no valid level at this configuration"
-            reports.append(Report(check.lemma_id, {"q": ctx.q}, "SKIPPED", reason=reason))
+            reports.append(Report(check.lemma_id, {"q": ctx.q}, "SKIPPED", {}, reason))
         for params in instances:
             reports.append(run_lemma(ctx, CheckSpec(check.lemma_id, params)))
     return reports

@@ -142,6 +142,19 @@ def test_the_torus_cochain_law_is_bounded_at_imax_2(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_the_torus_cochain_recovery_is_bounded_at_cyclo_q32(capsys, tmp_path):
+    # a = phi(g) / (theta(g) - 1) over Q(zeta_1023): the closed-form inverse
+    # of a root minus one, not 599 conjugate products of degree 600 (50 s)
+    out = tmp_path / "report.json"
+    t0 = time.monotonic()
+    code = main(["verify", "--q", "32", "--imax", "2", "--theta-exp", "1",
+                 "--lemmas", "L3.3-normalize", "--out", str(out)])
+    assert code == 0 and time.monotonic() - t0 < 10
+    doc = json.loads(out.read_text())
+    assert [r["verdict"] for r in doc["reports"]] == ["PASS"]
+    capsys.readouterr()
+
+
 def test_rational_subfields_give_the_rational_reports(capsys, tmp_path):
     # Q(zeta_3) = Q(zeta_6) holds -1, like Q = Q(zeta_1): every character of
     # order dividing 6 runs in all four modes, with the same verdicts

@@ -518,6 +518,20 @@ def test_cyclotomic_norm_inverse_property(n, data):
     assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in inv)
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 12, 15, 63])
+def test_a_root_minus_one_inverts_in_closed_form(n):
+    # w - 1 for a root w != 1 of order m inverts as m^-1 sum_t t w^t, not
+    # through the norm: a product of degree - 1 conjugates at Q(zeta_1023)
+    field = CyclotomicField(n)
+    one = field.one
+    for k in range(1, field.root_order):
+        a = field._sub(field._roots[k], one)
+        inv = field._inv(a)
+        assert field._mul(a, inv) == one
+        assert _fraction_product_mod_phi(n, a, inv) == one
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in inv)
+
+
 def _signed_roots(field):
     """Every root of unity of Q(zeta_n) as (k, sign, rep of sign * zeta^k),
     the sign applied by ``_sub`` from zero."""

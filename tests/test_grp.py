@@ -51,6 +51,10 @@ def test_bruhat_special_forms(tower32):
     assert not f.big_cell and f.x == 0 and f.t == 1
     f = bruhat(weyl(tw))
     assert f.big_cell and f.x == 0 and f.t == 1 and f.y == 0
+    # y = 0 is still the big cell; only y None is the small one
+    assert BruhatForm(0, 1, 0) == f and not BruhatForm(0, 1, None).big_cell
+    with pytest.raises(AttributeError):
+        f.y = None
 
 
 def test_bruhat_frozen_example(tower32):

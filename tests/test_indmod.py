@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sl2ext import grp, towerext
 from sl2ext.charmod import TorusCharacter
 from sl2ext.coeff import CyclotomicField, PrimeField, RationalField
-from sl2ext.grp import torus, unip, weyl
+from sl2ext.grp import GroupElement, torus, unip, weyl
 from sl2ext.indmod import HIGHEST, InducedModule, Vec
 from sl2ext.linalg import SparseSpan, _acc, monomial_invariants, nullspace
 from sl2_helpers import group_inverse
@@ -345,6 +345,24 @@ def test_level_mismatch_rejected(tower23, cyc63):
     g = unip(tw, tw.enumerate_level(2)[2])
     with pytest.raises(ValueError, match="above the module level"):
         mod.act(g, mod.highest_vector())
+
+
+@pytest.mark.parametrize("fix", ["tower23", "tower32"])
+@pytest.mark.parametrize("position", "abcd")
+def test_one_entry_above_the_level_is_rejected(fix, position, cyc63, request):
+    # u(x)s, u(x), the lower unipotent and s u(x) put x outside level i in
+    # one entry, and 0 and +-1, which lie in every level, in the others
+    tw = request.getfixturevalue(fix)
+    one, minus_one = 1, tw._neg(1)
+    for i in range(1, tw.imax):
+        x = tw.first_outside_subfield(i)
+        entries = {"a": (x, minus_one, one, 0), "b": (one, x, 0, one),
+                   "c": (one, 0, x, one), "d": (0, minus_one, one, x)}[position]
+        g = GroupElement(tw, *entries)
+        with pytest.raises(ValueError, match="above the module level"):
+            _module(tw, cyc63, 0, i).action(g)
+        above = _module(tw, cyc63, 0, i + 1)
+        assert above.action(g)(above.highest_vector())
 
 
 def test_action_rejects_an_element_of_another_tower(tower22, tower32):

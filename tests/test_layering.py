@@ -45,11 +45,20 @@ Both cocycle solvers eliminate in the reps' own field, so `cohom` imports
 nothing from `coeff` but `CoeffField`.  A ring map from one field into
 another (a reduction mod l, say) can only lower a rank: an oracle built on
 one proves Ext1 = 0 only when the lowered rank still meets its bound, and
-needs a second, exact route for every other system."""
+needs a second, exact route for every other system.
+
+Every `sl2ext verify` is a fresh interpreter, so what `import sl2ext.cli`
+loads is paid on every run.  The package's value classes are
+`typing.NamedTuple`s: `dataclasses` would pull in `inspect` and generate
+code for each class at import, and no module imports it.  `traceback` is
+imported by the exit-3 handler alone, when a crash needs it."""
 
 import ast
 import collections
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -351,3 +360,31 @@ def test_the_field_import_lint_sees_every_spelling():
               "from .linalg import nullspace\nfrom .coeff import CoeffField\n")
     assert _foreign_coeff_imports(ast.parse(source)) == [
         (1, "residue_map"), (2, "coeff"), (3, "sl2ext.coeff"), (4, "PrimeField")]
+
+
+STARTUP_FREE = ("dataclasses", "inspect", "traceback")
+
+
+def test_the_cli_starts_without_dataclasses_inspect_or_traceback():
+    code = ("import sys, sl2ext.cli\n"
+            f"print(sorted(m for m in {STARTUP_FREE!r} if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def _imported_modules(tree):
+    return {a.name.split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names} | {
+        (n.module or "").split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and not n.level}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+
+
+def test_the_import_lint_sees_every_spelling():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\nimport os.path as p\n"
+              "from .grp import bruhat\n")
+    assert _imported_modules(ast.parse(source)) == {"dataclasses", "os"}

@@ -277,6 +277,17 @@ def test_units_are_the_nonzero_level_elements(key):
         assert all(tw.value(x, level=i) == x for x in units)
 
 
+@pytest.mark.parametrize("key", sorted(SMALL_TOWERS) + [(4, 3)], ids=lambda k: f"Tower{k}")
+def test_the_level_table_is_the_subfield_rule(key):
+    # value and the module actions read level membership from one table per
+    # level; it answers _frobenius_fixed at level_degree(i) for every value
+    tw = SMALL_TOWERS.get(key) or Tower(*key)
+    for i in range(1, tw.imax + 1):
+        d, mask = tw.level_degree(i), tw._level_mask(i)
+        assert len(mask) == tw.size and tw._level_mask(i) is mask
+        assert [bool(b) for b in mask] == [tw._frobenius_fixed(v, d) for v in range(tw.size)]
+
+
 @pytest.mark.parametrize("key", sorted(SMALL_TOWERS), ids=lambda k: f"Tower{k}")
 def test_level_membership_matches_polynomial_frobenius(key):
     tw = SMALL_TOWERS[key]

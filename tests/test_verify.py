@@ -338,10 +338,43 @@ def test_reports_deterministic_json():
 
 def test_report_json_shape():
     r = Report("sus", {"q": 2, "i": 1}, "PASS", {"cases": 1})
-    js = r.to_json()
-    assert set(js) == {"id", "params", "verdict", "payload"}
-    r2 = Report("sus", {}, "SKIPPED", reason="because")
-    assert r2.to_json()["reason"] == "because"
+    assert r.to_json() == {"id": "sus", "params": {"q": 2, "i": 1}, "verdict": "PASS",
+                           "payload": {"cases": 1}}
+    r2 = Report("sus", {}, "SKIPPED", {}, "because")
+    assert r2.to_json() == {"id": "sus", "params": {}, "verdict": "SKIPPED", "payload": {},
+                            "reason": "because"}
+    # a report names its payload: no default dict for two reports to share
+    with pytest.raises(TypeError):
+        Report("sus", {}, "SKIPPED", reason="because")
+
+
+def test_skipped_reports_do_not_share_a_payload():
+    ctx = Context(RunConfig(q=2, imax=3, budget=1, lemmas="bruhat,act-oracle"))
+    reports = run_all(ctx) + [run_lemma(ctx, CheckSpec("bruhat", {"q": 2, "i": 3}))]
+    assert len(reports) > 2 and {r.verdict for r in reports} == {"SKIPPED"}
+    assert len({id(r.payload) for r in reports}) == len(reports)
+
+
+def test_the_config_json_keeps_its_keys_and_order():
+    config = RunConfig(q=3, imax=2, coeff="fp:7", theta_exp=2, lambda_exp=1, mu_exp=4,
+                       lemmas="sus,clm-4", budget=77)
+    assert list(config.to_json().items()) == [
+        ("q", 3), ("imax", 2), ("coeff", "fp:7"), ("theta_exp", 2), ("lambda_exp", 1),
+        ("mu_exp", 4), ("lemmas", "sus,clm-4"), ("budget", 77)]
+    assert list(RunConfig().to_json()) == list(RunConfig._fields)
+
+
+def test_config_from_args_round_trips_every_flag():
+    config = RunConfig(q=3, imax=2, coeff="fp:7", theta_exp=2, lambda_exp=-1, mu_exp=4,
+                       lemmas="sus,clm-4", budget=77)
+    argv = ["verify"]
+    for k, v in config.to_json().items():
+        argv += [f"--{k.replace('_', '-')}", str(v)]
+    assert _config_from_args(make_parser().parse_args(argv)) == config
+    assert _config_from_args(make_parser().parse_args(["verify"])) == RunConfig()
+    # table has no --lemmas or --budget: they keep their defaults
+    table = _config_from_args(make_parser().parse_args(["table", "--q", "3", "--mu-exp", "4"]))
+    assert table == RunConfig(q=3, mu_exp=4)
 
 
 def test_run_lemma_budget_overrun_is_skipped():

@@ -17,11 +17,21 @@ up to the counting cap; module level checks stop at the budget and the
 ambient-degree cap.
 Negative controls are their own records: they PASS exactly when the
 sabotaged input is caught.
+
+`run_all` plans in registry order, then runs the planned instances on one
+process per CPU this process may run on (at most one per instance): this
+one and forked children, which pull instance indices from one pipe, the
+last planned first, and send their reports back pickled.  The reports
+come back in plan order, so the JSON bytes do not depend on the number of
+processes.  On one CPU, without `os.fork`, or while a tracer wraps
+`run_lemma`, the instances run here, one after another.  A worker's crash
+raises RuntimeError with its traceback.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from functools import partial
 from typing import Callable, NamedTuple
@@ -844,19 +854,114 @@ def run_lemma(ctx: Context, spec: CheckSpec) -> Report:
     return Report(spec.lemma_id, spec.params, *outcome)
 
 
+_RUN_LEMMA = run_lemma  # as defined here, not as a tracer may rebind it
+
+
 def run_all(ctx: Context) -> list:
-    """The reports of the checks in the run's lemma list, in registry order."""
-    reports = []
+    """The reports of the checks in the run's lemma list, in registry order.
+
+    A check with no schedulable level gets its SKIP report in place; the
+    planned instances run on `_workers` processes (`_run_specs`)."""
+    plan = []
     for check in REGISTRY:
         if check.lemma_id not in ctx.lemmas:
             continue
         instances = check.instances(ctx)
         if not instances:
             reason = check.needs and check.needs(ctx, {}) or "no valid level at this configuration"
-            reports.append(Report(check.lemma_id, {"q": ctx.q}, "SKIPPED", {}, reason))
-        for params in instances:
-            reports.append(run_lemma(ctx, CheckSpec(check.lemma_id, params)))
-    return reports
+            plan.append(Report(check.lemma_id, {"q": ctx.q}, "SKIPPED", {}, reason))
+        plan.extend(CheckSpec(check.lemma_id, params) for params in instances)
+    ran = iter(_run_specs(ctx, [entry for entry in plan if isinstance(entry, CheckSpec)]))
+    return [next(ran) if isinstance(entry, CheckSpec) else entry for entry in plan]
+
+
+def _workers(count: int) -> int:
+    """Processes for `count` instances: one per CPU this process may run
+    on, at most one per instance.  One without `os.fork` or
+    `os.sched_getaffinity`, and one while `run_lemma` is wrapped from
+    outside: a tracer that counts its calls sees only this process."""
+    if run_lemma is not _RUN_LEMMA or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), count)
+
+
+def _run_specs(ctx: Context, specs: list) -> list:
+    """The instances' reports, in order.
+
+    With one worker, or a queue longer than one atomic pipe write holds,
+    the instances run here in order.  Otherwise the queue (4-byte indices,
+    the last instance first) is written to a pipe in one write, and this
+    process and `_workers - 1` forked children read 4 bytes at a time until
+    EOF.  A child sends its `{index: Report}` or its traceback down a pipe
+    of its own and leaves through `os._exit`, so it never returns into the
+    caller.  The package starts no thread, so forking is safe.  A child's
+    traceback, or an empty pipe from a child that died, raises RuntimeError
+    here; when this process raises, it kills and reaps the children first.
+    """
+    workers = _workers(len(specs))
+    if workers > 1:
+        import select  # only a spread run reads it: start-up stays without it
+
+        if 4 * len(specs) > select.PIPE_BUF:
+            workers = 1
+    if workers <= 1:
+        return [run_lemma(ctx, spec) for spec in specs]
+    import pickle
+    import signal
+
+    queue, head = os.pipe()
+    os.write(head, b"".join(i.to_bytes(4, "little") for i in reversed(range(len(specs)))))
+    os.close(head)
+
+    def pulled():
+        return (int.from_bytes(chunk, "little") for chunk in iter(partial(os.read, queue, 4), b""))
+
+    children = {}  # pid -> the read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            back, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker
+                status = 1
+                try:
+                    os.close(back)
+                    index = None
+                    try:
+                        done = {}
+                        for index in pulled():
+                            done[index] = run_lemma(ctx, specs[index])
+                        index = None
+                        data = pickle.dumps(done)
+                    except BaseException:
+                        import traceback
+
+                        at = "" if index is None else f" in {specs[index].lemma_id} {specs[index].params}"
+                        data = pickle.dumps(f"worker {os.getpid()} crashed{at}:\n{traceback.format_exc()}")
+                    with open(out, "wb") as fh:
+                        fh.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(out)
+            children[pid] = back
+        reports = {index: run_lemma(ctx, specs[index]) for index in pulled()}
+        for pid, back in list(children.items()):
+            data = b"".join(iter(partial(os.read, back, 1 << 16), b""))
+            os.waitpid(pid, 0)
+            os.close(children.pop(pid))
+            if not data:
+                raise RuntimeError(f"worker {pid} died without a result")
+            done = pickle.loads(data)
+            if isinstance(done, str):
+                raise RuntimeError(done)
+            reports.update(done)
+    finally:
+        os.close(queue)
+        for pid, back in children.items():  # left only when this process raised
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(back)
+    return [reports[index] for index in range(len(specs))]
 
 
 def summarize(reports: list) -> dict:

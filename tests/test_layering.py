@@ -362,7 +362,8 @@ def test_the_field_import_lint_sees_every_spelling():
         (1, "residue_map"), (2, "coeff"), (3, "sl2ext.coeff"), (4, "PrimeField")]
 
 
-STARTUP_FREE = ("dataclasses", "inspect", "traceback")
+STARTUP_FREE = ("dataclasses", "inspect", "traceback", "pickle", "multiprocessing", "concurrent", "select",
+                "signal")
 
 
 def test_the_cli_starts_without_dataclasses_inspect_or_traceback():
